@@ -83,8 +83,8 @@ def _fibonacci():
     return FusionRing(labels=("1", "tau"), N=N, dual=(0, 1), unit=0, name="fibonacci")
 
 
-def _ising():
-    # basis (1, psi, sigma): psi*psi = 1, psi*sigma = sigma, sigma*sigma = 1 + psi
+def _z2_plus_one(labels, m, name):
+    # basis (1, a, X): a*a = 1, a*X = X*a = X, X*X = 1 + a + m X
     N = np.zeros((3, 3, 3), dtype=np.int64)
     for j in range(3):
         N[0, j, j] = 1
@@ -92,19 +92,16 @@ def _ising():
     N[1, 1, 0] = 1
     N[1, 2, 2] = N[2, 1, 2] = 1
     N[2, 2, 0] = N[2, 2, 1] = 1
-    return FusionRing(labels=("1", "psi", "sigma"), N=N, dual=(0, 1, 2), unit=0, name="ising")
+    N[2, 2, 2] = m
+    return FusionRing(labels=labels, N=N, dual=(0, 1, 2), unit=0, name=name)
+
+
+def _ising():
+    return _z2_plus_one(("1", "psi", "sigma"), 0, "ising")  # sigma*sigma = 1 + psi
 
 
 def _rep_s3():
-    # basis (1, eps, V): eps*eps = 1, eps*V = V, V*V = 1 + eps + V
-    N = np.zeros((3, 3, 3), dtype=np.int64)
-    for j in range(3):
-        N[0, j, j] = 1
-        N[j, 0, j] = 1
-    N[1, 1, 0] = 1
-    N[1, 2, 2] = N[2, 1, 2] = 1
-    N[2, 2, 0] = N[2, 2, 1] = N[2, 2, 2] = 1
-    return FusionRing(labels=("1", "eps", "V"), N=N, dual=(0, 1, 2), unit=0, name="rep_s3")
+    return _z2_plus_one(("1", "eps", "V"), 1, "rep_s3")  # V*V = 1 + eps + V
 
 
 def _rep_q8():

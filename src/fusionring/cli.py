@@ -8,6 +8,7 @@ character rows are reported as value vectors named chi0, chi1, ...
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import catalog, grading, kernel, modular, spectral, subcat
 from .errors import FusionRingError, NonCommutative, UnknownName, ValidationFailed
-from .ring import FusionRing, exact_matvec, validate
+from .ring import FusionRing, validate
 
 
 def _complex_json(z: complex):
@@ -32,6 +33,17 @@ def _load_ring_arg(arg: str) -> tuple[FusionRing, object]:
     return entry.ring, entry
 
 
+def _ring_block(ring: FusionRing, fp: spectral.FPData, commutative: bool) -> dict:
+    return {
+        "name": ring.name,
+        "rank": ring.rank,
+        "labels": list(ring.labels),
+        "commutative": commutative,
+        "fp_dims": {ring.labels[j]: float(fp.dims[j]) for j in range(ring.rank)},
+        "global_dim": float(fp.global_dim),
+    }
+
+
 def _character_block(ring: FusionRing, table: spectral.CharacterTable) -> dict:
     return {
         "labels": list(ring.labels),
@@ -45,23 +57,51 @@ def _character_block(ring: FusionRing, table: spectral.CharacterTable) -> dict:
 
 
 def _simple_block(ring, fp, table, i, eps, seed) -> dict:
+    grad = grading.universal_grading(ring, i, fp, table, eps=eps, seed=seed)
     block: dict = {
         "label": ring.labels[i],
         "faithful": subcat.is_faithful(ring, i),
-        "index": grading.object_index(ring, i),
-        "order": grading.object_order(ring, i),
+        "index": grad.index,
+        "order": grad.order,
+        "grading_components": [[ring.labels[m] for m in comp] for comp in grad.components],
+        "grading_character_checked": grad.character_checked,
     }
-    grad = grading.universal_grading(ring, i, fp, table, eps=eps, seed=seed)
-    block["grading_components"] = [
-        [ring.labels[m] for m in comp] for comp in grad.components]
-    block["grading_character_checked"] = grad.character_checked
     if table is not None:
-        e = ring.basis_vector(i)
-        block["kernel_characters"] = sorted(
-            f"chi{t}" for t in kernel.kernel_of_class(ring, fp, table, e, eps=eps))
-        block["center_characters"] = sorted(
-            f"chi{t}" for t in kernel.center_of_class(ring, fp, table, e, eps=eps))
+        block["kernel_characters"], block["center_characters"] = _kernel_and_center(
+            ring, fp, table, i, eps)
     return block
+
+
+def _kernel_and_center(ring, fp, table, i, eps) -> list[list[str]]:
+    """Names of the characters in the kernel and in the center of simple i."""
+    e = ring.basis_vector(i)
+    return [sorted(f"chi{t}" for t in of_class(ring, fp, table, e, eps=eps))
+            for of_class in (kernel.kernel_of_class, kernel.center_of_class)]
+
+
+def _power_sweep(ring: FusionRing, ind: list[int]):
+    """Support sweep over the powers of all simples at once, exact as N >= 0.
+
+    Row i of supp is the support of the n-th power of e_i, followed up to
+    n = 3 * rank * ind[i]. Returns the first (generator, simple, exponent,
+    later exponent) whose exponents differ by a non-multiple of ind, or None,
+    and per simple the least n >= 1 whose power holds the unit (0 if none).
+    """
+    ind, edges = np.asarray(ind), ring.N > 0
+    caps = 3 * ring.rank * ind
+    supp = (np.arange(ring.rank) == ring.unit)[None, None, :].repeat(ring.rank, axis=0)
+    first = np.where(supp[:, 0], 0, -1)
+    returns, clash = np.zeros(ring.rank, dtype=np.int64), None
+    for n in range(1, int(caps.max(initial=0)) + 1):
+        supp = supp @ edges  # boolean: some j in the support has an edge j -> k
+        live = supp[:, 0] & (n <= caps)[:, None]
+        first[live & (first < 0)] = n
+        returns[(returns == 0) & live[:, ring.unit]] = n
+        bad = live & ((n - first) % ind[:, None] != 0)
+        if clash is None and bad.any():
+            i, k = np.argwhere(bad)[0].tolist()
+            clash = (i, k, int(first[i, k]), n)
+    return clash, returns
 
 
 def _run_checks(ring, fp, table, eps, seed) -> list[dict]:
@@ -84,29 +124,28 @@ def _run_checks(ring, fp, table, eps, seed) -> list[dict]:
                 report = kernel.verify_brauer(ring, fp, table, i, eps=eps)
                 assert report.faithful_expected == faithful
 
+    @functools.lru_cache(maxsize=None)
+    def sweep():  # its own support sweep: the power checks test the profile, not reuse it
+        ind = [grading.object_index(ring, i) for i in range(ring.rank)]
+        return ind, *_power_sweep(ring, ind)
+
     def residue_classes():
-        for i in range(ring.rank):
-            ind = grading.object_index(ring, i)
-            cap = 3 * ring.rank * ind
-            A = ring.fusion_matrix(i)
-            v = ring.basis_vector(ring.unit)
-            seen: dict[int, int] = {ring.unit: 0}
-            for n in range(1, cap + 1):
-                v = exact_matvec(A, v)
-                for k in map(int, np.nonzero(v)[0]):
-                    if k in seen:
-                        assert (n - seen[k]) % ind == 0, (
-                            f"simple {ring.labels[k]} occurs at exponents "
-                            f"{seen[k]} and {n}, not congruent mod {ind}")
-                    else:
-                        seen[k] = n
+        ind, clash, _ = sweep()
+        if clash is not None:
+            i, k, m, n = clash
+            raise AssertionError(
+                f"simple {ring.labels[k]} occurs in powers of {ring.labels[i]} at exponents "
+                f"{m} and {n}, not congruent mod {ind[i]}")
 
     def index_divides_order():
+        ind, _, returns = sweep()
         for i in range(ring.rank):
-            ind = grading.object_index(ring, i)
             order = grading.object_order(ring, i)
-            assert order % ind == 0, (
-                f"simple {ring.labels[i]}: order {order} not divisible by index {ind}")
+            assert returns[i] == order, (
+                f"simple {ring.labels[i]}: unit first recurs in power {returns[i]}, "
+                f"object_order says {order}")
+            assert order % ind[i] == 0, (
+                f"simple {ring.labels[i]}: order {order} not divisible by index {ind[i]}")
 
     def orthogonality():
         C = table.characters
@@ -128,16 +167,7 @@ def _analyze_report(ring, eps, seed, with_checks=True) -> dict:
     fp = spectral.fp_character(ring, eps=eps)
     commutative = spectral.is_commutative(ring)
     table = spectral.character_table(ring, eps=eps, seed=seed) if commutative else None
-    report: dict = {
-        "ring": {
-            "name": ring.name,
-            "rank": ring.rank,
-            "labels": list(ring.labels),
-            "commutative": commutative,
-            "fp_dims": {ring.labels[j]: float(fp.dims[j]) for j in range(ring.rank)},
-            "global_dim": float(fp.global_dim),
-        }
-    }
+    report: dict = {"ring": _ring_block(ring, fp, commutative)}
     if table is not None:
         report["character_table"] = _character_block(ring, table)
     else:
@@ -277,8 +307,7 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         if args.command == "list-builtins":
-            report = {"builtins": catalog.all_builtin_names()}
-            _emit(report, args.format, out)
+            _emit({"builtins": catalog.all_builtin_names()}, args.format, out)
             return 0
 
         try:
@@ -289,6 +318,7 @@ def main(argv=None) -> int:
                 raise
             ring, entry = exc.ring, None
         eps, seed = getattr(args, "epsilon", spectral.DEFAULT_EPS), getattr(args, "seed", 0)
+        code = 0
 
         if args.command == "validate":
             report_obj = validate(ring)
@@ -296,30 +326,21 @@ def main(argv=None) -> int:
                       "validation": {"valid": report_obj.valid,
                                      "violations": [[n, [ring.labels[i] for i in w]]
                                                     for n, w in report_obj.violations]}}
-            _emit(report, args.format, out)
-            return 0 if report_obj.valid else 1
+            code = 0 if report_obj.valid else 1
 
-        if args.command == "analyze":
+        elif args.command == "analyze":
             report = _analyze_report(ring, eps, seed, with_checks=not args.no_verify)
-            _emit(report, args.format, out)
-            failed = any(not c["passed"] for c in report.get("checks", []))
-            return 1 if failed else 0
+            code = 1 if any(not c["passed"] for c in report.get("checks", [])) else 0
 
-        if args.command == "characters":
+        elif args.command == "characters":
             table = spectral.character_table(ring, eps=eps, seed=seed)
             fp = spectral.fp_character(ring, eps=eps)
             report = {
-                "ring": {"name": ring.name, "rank": ring.rank,
-                         "labels": list(ring.labels), "commutative": True,
-                         "fp_dims": {ring.labels[j]: float(fp.dims[j])
-                                     for j in range(ring.rank)},
-                         "global_dim": float(fp.global_dim)},
+                "ring": _ring_block(ring, fp, True),
                 "character_table": _character_block(ring, table),
             }
-            _emit(report, args.format, out)
-            return 0
 
-        if args.command in ("kernel", "grading", "brauer"):
+        elif args.command in ("kernel", "grading", "brauer"):
             i = _object_index(ring, args.object, parser)
             fp = spectral.fp_character(ring, eps=eps)
             commutative = spectral.is_commutative(ring)
@@ -327,14 +348,8 @@ def main(argv=None) -> int:
             if args.command == "kernel":
                 if table is None:
                     raise NonCommutative("kernel of a class requires a commutative ring")
-                e = ring.basis_vector(i)
-                report = {
-                    "label": args.object,
-                    "kernel": sorted(f"chi{t}" for t in
-                                     kernel.kernel_of_class(ring, fp, table, e, eps=eps)),
-                    "center": sorted(f"chi{t}" for t in
-                                     kernel.center_of_class(ring, fp, table, e, eps=eps)),
-                }
+                kern, center = _kernel_and_center(ring, fp, table, i, eps)
+                report = {"label": args.object, "kernel": kern, "center": center}
             elif args.command == "grading":
                 grad = grading.universal_grading(ring, i, fp, table, eps=eps, seed=seed)
                 report = {"label": args.object,
@@ -355,10 +370,8 @@ def main(argv=None) -> int:
                               "cap_used": rep.cap_used,
                               "exponents": {ring.labels[k]: n
                                             for k, n in sorted(rep.exponents.items())}}}
-            _emit(report, args.format, out)
-            return 0
 
-        if args.command == "modular":
+        elif args.command == "modular":
             if args.smatrix is not None:
                 md = catalog.load_smatrix(args.smatrix, ring)
             elif entry is not None and entry.smatrix is not None:
@@ -369,12 +382,7 @@ def main(argv=None) -> int:
             inv = modular.invertibles(ring, fp, eps=eps)
             rebuilt = modular.verlinde_ring(md.S)
             report = {
-                "ring": {"name": ring.name, "rank": ring.rank,
-                         "labels": list(ring.labels),
-                         "commutative": spectral.is_commutative(ring),
-                         "fp_dims": {ring.labels[j]: float(fp.dims[j])
-                                     for j in range(ring.rank)},
-                         "global_dim": float(fp.global_dim)},
+                "ring": _ring_block(ring, fp, spectral.is_commutative(ring)),
                 "centralizers": {
                     ring.labels[i]: [ring.labels[m]
                                      for m in modular.centralizer(md, i, eps=eps).members]
@@ -386,17 +394,18 @@ def main(argv=None) -> int:
                 "invertibles": sorted(ring.labels[j] for j in inv),
                 "verlinde_round_trip": bool(np.array_equal(rebuilt.N, ring.N)),
             }
-            _emit(report, args.format, out)
-            return 0 if report["verlinde_round_trip"] else 1
+            code = 0 if report["verlinde_round_trip"] else 1
 
-        parser.error(f"unknown command {args.command!r}")
+        else:
+            parser.error(f"unknown command {args.command!r}")
+        _emit(report, args.format, out)
+        return code
     except UnknownName as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FusionRingError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -3,20 +3,20 @@
 The index of a simple X is the period of the fusion digraph of X on the
 subcategory it generates; it equals the number of maximal-modulus
 eigenvalues of the fusion matrix and the order of the universal grading
-group of that subcategory. The grading itself is computed combinatorially
-from tensor-power exponents and cross-checked against the character whose
-value on X is exp(2*pi*i/ind) * FPdim(X).
+group of that subcategory. Index, order and grades are read off the
+breadth-first profile of X (see subcat.object_profile): a simple first
+occurring in X^n has grade n mod ind. The grading is cross-checked against
+the character whose value on X is exp(2*pi*i/ind) * FPdim(X).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InternalInconsistency, MethodDisagreement
-from .ring import FusionRing, exact_matvec
+from .errors import CapExceeded, MethodDisagreement
+from .ring import FusionRing
 from .spectral import (
     DEFAULT_EPS,
     DEFAULT_SEED,
@@ -27,7 +27,7 @@ from .spectral import (
     fp_character,
     is_commutative,
 )
-from .subcat import generated_subcategory, is_indecomposable_matrix, restrict, restriction_order
+from .subcat import generated_subcategory, object_profile, restrict, restriction_order
 
 
 @dataclass
@@ -48,80 +48,23 @@ class GradingData:
     character_checked: bool = True
 
 
-def _digraph_period(A: np.ndarray) -> int:
-    """Period (gcd of cycle lengths) of the strongly connected digraph of A.
-
-    Uses breadth-first levels from node 0: the period is the gcd of
-    level(u) + 1 - level(v) over all edges u -> v.
-    """
-    n = A.shape[0]
-    adj = [list(map(int, np.nonzero(A[:, j])[0])) for j in range(n)]
-    level = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in range(n):
-        for v in adj[u]:
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g)
-
-
 def object_index(ring: FusionRing, i: int) -> int:
     """Imprimitivity index of e_i: the period of its fusion digraph on C(e_i)."""
-    sub = generated_subcategory(ring, [i])
-    small = restrict(ring, sub)
-    loc = restriction_order(ring, sub).index(i)
-    A = small.fusion_matrix(loc)
-    if not is_indecomposable_matrix(A):
-        raise InternalInconsistency(
-            "fusion matrix of a generator is not strongly connected on its own subcategory")
-    return _digraph_period(A)
+    return object_profile(ring, i).index
 
 
 def object_order(ring: FusionRing, i: int, cap: int | None = None) -> int:
-    """Least n >= 1 such that the n-th power of e_i contains the unit."""
-    sub = generated_subcategory(ring, [i])
-    if cap is None:
-        r = len(sub)
-        cap = r * r * object_index(ring, i) + r
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    A = ring.fusion_matrix(i)
-    v = ring.basis_vector(ring.unit)
-    for n in range(1, cap + 1):
-        v = exact_matvec(A, v)
-        if v[ring.unit] > 0:
-            return n
-    raise CapExceeded(f"unit not reached in powers of simple {i} up to {cap}")
+    """Least n >= 1 such that the n-th power of e_i contains the unit.
 
-
-def _exponent_grades(ring: FusionRing, i: int, members: tuple[int, ...], ind: int) -> dict[int, int]:
-    """Grade each simple of C(e_i) by tensor-power exponent modulo ind."""
-    grades: dict[int, int] = {ring.unit: 0}
-    A = ring.fusion_matrix(i)
-    v = ring.basis_vector(ring.unit)
-    n = 0
-    cap = len(members) * max(ind, 1) + 1
-    while len(grades) < len(members) and n <= cap:
-        n += 1
-        v = exact_matvec(A, v)
-        for k in map(int, np.nonzero(v)[0]):
-            g = n % ind
-            if k not in grades:
-                grades[k] = g
-            elif grades[k] != g:
-                raise InternalInconsistency(
-                    f"simple {k} occurs in powers of {i} at incompatible exponents mod {ind}")
-    if len(grades) < len(members):
-        raise InternalInconsistency("powers of the generator missed part of its subcategory")
-    return grades
+    With an explicit cap, CapExceeded is raised when that n exceeds it.
+    """
+    order = object_profile(ring, i).order
+    if cap is not None:
+        if cap < 1:
+            raise ValueError("cap must be at least 1")
+        if order > cap:
+            raise CapExceeded(f"unit not reached in powers of simple {i} up to {cap}")
+    return order
 
 
 def universal_grading(ring: FusionRing, i: int,
@@ -138,13 +81,12 @@ def universal_grading(ring: FusionRing, i: int,
     the two assignments raises MethodDisagreement. The ambient fp/table are
     reused when the generator is faithful in the ambient ring.
     """
+    profile = object_profile(ring, i)
     sub = generated_subcategory(ring, [i])
     order_list = restriction_order(ring, sub)
-    ind = object_index(ring, i)
-    o = object_order(ring, i)
-    grades = _exponent_grades(ring, i, sub.members, ind)
+    ind = profile.index
+    grades = {k: profile.level[k] % ind for k in order_list}
 
-    character_checked = False
     small = None
     if len(sub) == ring.rank and table is not None and fp is not None and is_commutative(ring):
         small, loc, small_fp, small_table = ring, i, fp, table
@@ -174,9 +116,8 @@ def universal_grading(ring: FusionRing, i: int,
             if a != grades[ambient]:
                 raise MethodDisagreement(
                     f"simple {ambient}: exponent grade {grades[ambient]} vs character grade {a}")
-        character_checked = True
 
     components = tuple(
         tuple(sorted(k for k, g in grades.items() if g == a)) for a in range(ind))
-    return GradingData(index=ind, order=o, grades=grades,
-                       components=components, character_checked=character_checked)
+    return GradingData(index=ind, order=profile.order, grades=grades,
+                       components=components, character_checked=small is not None)

@@ -4,8 +4,9 @@ The kernel of a character is the set of simples on which it equals FPdim;
 it always spans a fusion subcategory. The kernel of an object class is the
 set of characters taking the FPdim value on it; the object is faithful
 exactly when this kernel is trivial, and in that case every simple occurs
-in some tensor power of the object (the Brauer property, verified here by
-explicit power iteration).
+in some tensor power of the object (the Brauer property). The exponents of
+first occurrence are the breadth-first levels of the object's fusion
+digraph (see subcat.object_profile).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, ClosureViolation, InternalInconsistency, ZeroClass
-from .ring import FusionRing, exact_matvec
+from .ring import FusionRing
 from .spectral import (
     DEFAULT_EPS,
     CharacterTable,
@@ -28,6 +29,7 @@ from .subcat import (
     closure_defect,
     generated_subcategory,
     is_faithful,
+    object_profile,
     restrict,
     restriction_order,
 )
@@ -35,11 +37,12 @@ from .subcat import (
 
 @dataclass
 class BrauerReport:
-    """Outcome of the tensor-power search for the constituents of one simple.
+    """Outcome of the tensor-power coverage test for one simple.
 
-    exponents maps each simple found to the least n >= 0 at which it occurs
-    in the n-th power of the generator; faithful_expected is the prediction
-    from the kernel, faithful_actual the subcategory-closure fact.
+    exponents maps each simple in some power up to the cap to the least
+    n >= 0 at which it occurs in the n-th power of the generator;
+    faithful_expected is the prediction from the kernel, faithful_actual the
+    generated-subcategory fact.
     """
 
     faithful_expected: bool
@@ -93,10 +96,8 @@ def center_of_class(ring: FusionRing, fp: FPData, table: CharacterTable,
 
 def default_brauer_cap(ring: FusionRing, i: int) -> int:
     """Wielandt-style cap: (r-1)^2 + 1 + ind on the generated subcategory."""
-    from .grading import object_index
-
-    r_sub = len(generated_subcategory(ring, [i]))
-    return (r_sub - 1) ** 2 + 1 + object_index(ring, i)
+    profile = object_profile(ring, i)
+    return (len(profile.members) - 1) ** 2 + 1 + profile.index
 
 
 def verify_brauer(ring: FusionRing, fp: FPData, table: CharacterTable,
@@ -104,11 +105,12 @@ def verify_brauer(ring: FusionRing, fp: FPData, table: CharacterTable,
                   eps: float = DEFAULT_EPS) -> BrauerReport:
     """Check the tensor-power property of e_i against its kernel.
 
-    Iterates left multiplication by e_i, recording the first exponent at
-    which each simple occurs. A trivial kernel must, and a nontrivial one
-    must not, produce every simple; the subcategory-closure notion of
-    faithfulness must agree with both. CapExceeded is raised when a
-    predicted-faithful simple runs out of budget before covering the basis.
+    Records the first exponent n <= cap at which each simple occurs in the
+    n-th power of e_i, which is its level in the profile of e_i. A trivial
+    kernel must, and a nontrivial one must not, produce every simple; the
+    generated-subcategory notion of faithfulness must agree with both.
+    CapExceeded is raised when a predicted-faithful simple runs out of
+    budget before covering the basis.
     """
     if cap is None:
         cap = default_brauer_cap(ring, i)
@@ -118,15 +120,7 @@ def verify_brauer(ring: FusionRing, fp: FPData, table: CharacterTable,
     faithful_expected = kernel == {table.fp_index}
     faithful_actual = is_faithful(ring, i)
 
-    exponents: dict[int, int] = {ring.unit: 0}
-    A = ring.fusion_matrix(i)
-    v = ring.basis_vector(ring.unit)
-    for n in range(1, cap + 1):
-        v = exact_matvec(A, v)
-        for k in map(int, np.nonzero(v)[0]):
-            exponents.setdefault(k, n)
-        if len(exponents) == ring.rank:
-            break
+    exponents = {k: n for k, n in enumerate(object_profile(ring, i).level) if 0 <= n <= cap}
     all_found = len(exponents) == ring.rank
 
     if faithful_expected and not all_found:

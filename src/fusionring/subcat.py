@@ -2,19 +2,21 @@
 
 A subcategory is represented by the set of basis indices of its simples;
 it must contain the unit and be closed under duals and under constituents
-of pairwise products. Faithfulness of a simple is equivalent to
-indecomposability of its fusion matrix, which we test exactly by strong
-connectivity of the fusion digraph.
+of pairwise products. What the powers of one simple decide is read off one
+cached breadth-first search (ObjectProfile). Faithfulness of a simple is
+equivalent to indecomposability of its fusion matrix, tested independently
+and exactly by strong connectivity of the fusion digraph.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import NotClosed
+from .errors import InternalInconsistency, NotClosed
 from .ring import FusionRing
 
 
@@ -29,6 +31,63 @@ class Subcategory:
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+@dataclass(frozen=True)
+class ObjectProfile:
+    """What the powers of one simple X decide, from one BFS of its fusion digraph.
+
+    The digraph has an edge j -> k when e_k occurs in X * e_j. As N >= 0, the
+    support of X^n is exactly the set of simples reached from the unit by walks
+    of length n. So level[k] is the least n with e_k in X^n (-1 if none);
+    members, the simples reached, form C(X); index, the period of the digraph,
+    is the gcd of level(u) + 1 - level(v) over its edges u -> v; and order,
+    the least n >= 1 with the unit in X^n, is level(X*) + 1.
+    """
+
+    level: tuple[int, ...]
+    members: tuple[int, ...]
+    index: int
+    order: int
+
+
+# ring -> {simple: profile}; an entry goes when its ring is collected
+_PROFILES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _levels(adj: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first level of each node from start along the edges adj[u, v]; -1 if unreached."""
+    level = np.full(adj.shape[0], -1)
+    frontier = np.arange(adj.shape[0]) == start
+    n = 0
+    while frontier.any():
+        level[frontier] = n
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        n += 1
+    return level
+
+
+def _build_profile(ring: FusionRing, i: int) -> ObjectProfile:
+    adj = ring.N[i] > 0  # adj[j, k]: e_k occurs in X * e_j
+    level = _levels(adj, ring.unit)
+    members = np.flatnonzero(level >= 0)
+    # every walk from a member stays in C(X), so C(X) is strongly connected
+    # iff every member reaches the unit; X* is a member, as X * X* holds the unit
+    if (_levels(adj.T, ring.unit)[members] < 0).any() or level[ring.dual[i]] < 0:
+        raise InternalInconsistency(
+            f"fusion digraph of simple {i} is not strongly connected on its own subcategory")
+    u, v = np.nonzero(adj[members])
+    return ObjectProfile(level=tuple(level.tolist()), members=tuple(members.tolist()),
+                         index=int(np.gcd.reduce(level[members[u]] + 1 - level[v])),
+                         order=int(level[ring.dual[i]]) + 1)
+
+
+def object_profile(ring: FusionRing, i: int) -> ObjectProfile:
+    """Profile of e_i, computed once per ring and simple."""
+    profiles = _PROFILES.setdefault(ring, {})
+    if i not in profiles:
+        profiles[i] = _build_profile(ring, i)
+    return profiles[i]
 
 
 def closure_defect(ring: FusionRing, members: Iterable[int]):
@@ -51,24 +110,25 @@ def closure_defect(ring: FusionRing, members: Iterable[int]):
 
 
 def generated_subcategory(ring: FusionRing, gens: Iterable[int]) -> Subcategory:
-    """Least closed set of simples containing the generators and the unit."""
-    S = set(int(g) for g in gens) | {ring.unit}
+    """Least closed set of simples containing the generators and the unit.
+
+    One generator is read off its profile; several are closed by iteration.
+    """
+    gens = [int(g) for g in gens]
+    if len(gens) == 1:
+        return Subcategory(members=object_profile(ring, gens[0]).members)
+    S = set(gens) | {ring.unit}
     while True:
-        new = set()
-        for i in S:
-            if ring.dual[i] not in S:
-                new.add(ring.dual[i])
-        for i in S:
-            for j in S:
-                new.update(int(k) for k in np.nonzero(ring.N[i, j])[0] if int(k) not in S)
-        if not new:
+        new = {ring.dual[i] for i in S}
+        new.update(int(k) for i in S for j in S for k in np.nonzero(ring.N[i, j])[0])
+        if new <= S:
             return Subcategory(members=tuple(sorted(S)))
         S |= new
 
 
 def is_faithful(ring: FusionRing, i: int) -> bool:
     """True iff the subcategory generated by e_i is the whole ring."""
-    return len(generated_subcategory(ring, [i])) == ring.rank
+    return len(object_profile(ring, i).members) == ring.rank
 
 
 def is_indecomposable_matrix(A: np.ndarray) -> bool:
@@ -82,17 +142,14 @@ def is_indecomposable_matrix(A: np.ndarray) -> bool:
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
-    fwd = [list(np.nonzero(A[:, j])[0]) for j in range(n)]
-    bwd = [list(np.nonzero(A[j, :])[0]) for j in range(n)]
-    for adj in (fwd, bwd):
+    for M in (A, A.T):  # forward edges, then backward ones
         seen = {0}
         stack = [0]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if int(v) not in seen:
-                    seen.add(int(v))
-                    stack.append(int(v))
+            for v in np.nonzero(M[:, stack.pop()])[0].tolist():
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
         if len(seen) != n:
             return False
     return True

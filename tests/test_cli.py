@@ -177,3 +177,19 @@ def test_text_and_json_verdicts_agree(capsys):
     for check in report["checks"]:
         line = f"check {check['name']}: {'PASS' if check['passed'] else 'FAIL'}"
         assert line in out_t
+
+
+@pytest.mark.parametrize("name, skew, check", [
+    ("object_index", lambda f: lambda ring, i: 2 * f(ring, i), "power_residue_classes"),
+    ("object_order", lambda f: lambda ring, i, cap=None: f(ring, i) + 1, "index_divides_order"),
+])
+def test_power_checks_catch_a_wrong_index_or_order(capsys, monkeypatch, name, skew, check):
+    # the checks run their own power sweep, so a wrong profile answer must fail them
+    from fusionring import grading
+
+    monkeypatch.setattr(grading, name, skew(getattr(grading, name)))
+    code, out, _ = run(capsys, "analyze", "--ring", "pointed_zn(4)", "--format", "json")
+    assert code == 1
+    verdicts = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert verdicts[check] is False
+    assert verdicts["brauer_equivalence"] and verdicts["character_orthogonality"]

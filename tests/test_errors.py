@@ -95,3 +95,16 @@ def test_character_table_retries_are_deterministic():
     first = character_table(ring_of("su2_k(6)"), seed=3)
     second = character_table(ring_of("su2_k(6)"), seed=3)
     assert np.array_equal(first.characters, second.characters)
+
+
+def test_profile_rejects_a_digraph_that_never_returns_to_the_unit():
+    # a*a = b, a*b = b: the powers of a never contain the unit again
+    from fusionring import FusionRing, object_index
+
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    for j in range(3):
+        N[0, j, j] = N[j, 0, j] = 1
+    N[1, 1, 2] = N[1, 2, 2] = 1
+    ring = FusionRing(labels=("1", "a", "b"), N=N, dual=(0, 1, 2))
+    with pytest.raises(InternalInconsistency):
+        object_index(ring, 1)

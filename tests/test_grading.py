@@ -1,10 +1,14 @@
 """Imprimitivity index, object order, and the universal cyclic grading."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import ALL_NAMES, COMMUTATIVE_NAMES, fp_of, ring_of, table_of
 from fusionring import (
+    FusionRing,
     center_of_class,
     character_table,
     fp_character,
@@ -16,7 +20,7 @@ from fusionring import (
 )
 from fusionring.errors import CapExceeded
 from fusionring.ring import exact_matvec
-from fusionring.subcat import restriction_order
+from fusionring.subcat import object_profile, restriction_order
 
 
 def test_object_index_examples():
@@ -184,3 +188,29 @@ def test_center_on_generated_subring_has_index_many_characters(name):
             assert abs(ratio - xi**a) < 1e-8
             got.add(a)
         assert got == expected
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_profile_matches_tensor_powers(name):
+    # brute-force oracle: the exact classes of the powers, and the iterative
+    # closure that generated_subcategory runs for more than one generator
+    ring = ring_of(name)
+    r = ring.rank
+    for i in range(r):
+        powers = [ring.tensor_power(i, n) for n in range(r + 1)]
+        first = tuple(next((n for n, p in enumerate(powers) if p[k] > 0), -1) for k in range(r))
+        profile = object_profile(ring, i)
+        assert profile.level == first, (name, i)
+        assert profile.order == next(n for n in range(1, r + 1) if powers[n][ring.unit] > 0)
+        assert profile.members == generated_subcategory(ring, [i, i]).members, (name, i)
+        assert profile.members == tuple(k for k in range(r) if first[k] >= 0)
+
+
+def test_profile_cache_does_not_keep_its_ring_alive():
+    base = ring_of("ising")
+    ring = FusionRing(labels=base.labels, N=base.N, dual=base.dual)
+    assert object_index(ring, 2) == 2 and object_profile(ring, 2) is object_profile(ring, 2)
+    ref = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert ref() is None
