@@ -78,8 +78,8 @@ def universal_grading(ring: FusionRing, i: int,
     constituents of the n-th power) and, when the restricted ring is
     commutative, cross-checked against the character taking the value
     xi * FPdim on the generator, xi = exp(2*pi*i/ind). Disagreement between
-    the two assignments raises MethodDisagreement. The ambient fp/table are
-    reused when the generator is faithful in the ambient ring.
+    the two assignments raises MethodDisagreement. Given the ambient fp and
+    table, the characters of C(e_i) are read as restrictions of ambient ones.
     """
     profile = object_profile(ring, i)
     sub = generated_subcategory(ring, [i])
@@ -87,28 +87,26 @@ def universal_grading(ring: FusionRing, i: int,
     ind = profile.index
     grades = {k: profile.level[k] % ind for k in order_list}
 
-    small = None
-    if len(sub) == ring.rank and table is not None and fp is not None and is_commutative(ring):
-        small, loc, small_fp, small_table = ring, i, fp, table
+    chars = None
+    if fp is not None and table is not None:
+        dims, chars = fp.dims[order_list], table.characters[:, order_list]
     else:
-        candidate = restrict(ring, sub)
-        if is_commutative(candidate):
-            small = candidate
-            loc = order_list.index(i)
-            small_fp = fp_character(small, eps=eps)
-            small_table = character_table(small, eps=eps, seed=seed)
+        small = restrict(ring, sub)
+        if is_commutative(small):
+            dims = fp_character(small, eps=eps).dims
+            chars = character_table(small, eps=eps, seed=seed).characters
 
-    if small is not None:
+    if chars is not None:
+        loc = order_list.index(i)
         xi = np.exp(2j * np.pi / ind)
-        target = xi * small_fp.dims[loc]
-        hits = [t for t in range(small_table.count)
-                if abs(small_table.characters[t, loc] - target) < AGGREGATE_EPS * max(1.0, abs(target))]
-        if not hits:
+        target = xi * dims[loc]
+        mu = next((row for row in chars
+                   if abs(row[loc] - target) < AGGREGATE_EPS * max(1.0, abs(target))), None)
+        if mu is None:
             raise MethodDisagreement(
                 f"no character takes the value xi*FPdim on the generator (ind={ind})")
-        mu = small_table.characters[hits[0]]
         for local, ambient in enumerate(order_list):
-            ratio = mu[local] / small_fp.dims[local]
+            ratio = mu[local] / dims[local]
             a = int(round((np.angle(ratio) / (2 * np.pi)) * ind)) % ind
             if abs(ratio - xi**a) > AGGREGATE_EPS:
                 raise MethodDisagreement(
@@ -120,4 +118,4 @@ def universal_grading(ring: FusionRing, i: int,
     components = tuple(
         tuple(sorted(k for k, g in grades.items() if g == a)) for a in range(ind))
     return GradingData(index=ind, order=profile.order, grades=grades,
-                       components=components, character_checked=small is not None)
+                       components=components, character_checked=chars is not None)

@@ -22,6 +22,7 @@ from .errors import (
     InvalidRing,
     InvariantFailed,
     NonIntegral,
+    VerlindeMismatch,
     ZeroEntry,
 )
 from .ring import FusionRing, dual_from_structure, validate
@@ -52,11 +53,13 @@ class ModularData:
 
 
 def modular_data(ring: FusionRing, S: np.ndarray, eps: float = AGGREGATE_EPS) -> ModularData:
-    """Validate an S-matrix against a ring and package it as ModularData."""
+    """Validate an S-matrix against a ring, Verlinde round trip included (VerlindeMismatch)."""
     S = np.asarray(S, dtype=complex)
     r = ring.rank
     if S.shape != (r, r):
         raise DimensionMismatch(f"S-matrix shape {S.shape} does not match rank {r}")
+    if not np.isfinite(S).all():
+        raise InvariantFailed("S-matrix has a non-finite entry")
     scale = float(np.abs(S).max())
     if scale == 0.0:
         raise InvariantFailed("S-matrix is zero")
@@ -73,6 +76,10 @@ def modular_data(ring: FusionRing, S: np.ndarray, eps: float = AGGREGATE_EPS) ->
     dims = row.real / row.real[ring.unit]
     if np.abs(dims - fp.dims).max() > eps * max(1.0, fp.dims.max()):
         raise InvariantFailed("unit row of S is not proportional to the FP dimensions")
+    N = _verlinde_tensor(S / np.sqrt(g))
+    if not np.array_equal(N, ring.N) or dual_from_structure(N, 0) != ring.dual:
+        raise VerlindeMismatch(
+            "Verlinde reconstruction from S does not reproduce the declared ring")
     return ModularData(S=S, ring=ring, global_dim=g)
 
 
@@ -104,11 +111,29 @@ def verlinde_ring(S: np.ndarray, labels: tuple[str, ...] | None = None) -> Fusio
     r = S.shape[0]
     if S.shape != (r, r):
         raise DimensionMismatch("S-matrix must be square")
+    if not np.isfinite(S).all():
+        raise InvalidRing("S-matrix has a non-finite entry")
     G = S @ S.conj()
     g = float(np.mean(np.diag(G)).real)
     if g <= 0 or np.abs(G - g * np.eye(r)).max() > AGGREGATE_EPS * max(1.0, g):
         raise InvalidRing("S conj(S) is not a positive multiple of the identity")
-    U = S / np.sqrt(g)
+    N = _verlinde_tensor(S / np.sqrt(g))
+    if labels is None:
+        labels = tuple(f"x{i}" for i in range(r))
+    try:
+        dual = dual_from_structure(N, 0)
+    except Exception as exc:
+        raise InvalidRing(f"reconstructed tensor has no duality: {exc}") from exc
+    ring = FusionRing(labels=labels, N=N, dual=dual, unit=0)
+    report = validate(ring)
+    if not report.valid:
+        axioms = ", ".join(name for name, _ in report.violations)
+        raise InvalidRing(f"reconstructed ring violates: {axioms}")
+    return ring
+
+
+def _verlinde_tensor(U: np.ndarray) -> np.ndarray:
+    """Rounded, nonnegative Verlinde structure constants of a unitary U (see verlinde_ring)."""
     if np.abs(U[0]).min() < 1e-12:
         raise InvalidRing("unit row of S has a vanishing entry")
     weights = U.conj() / U[0][None, :]
@@ -122,18 +147,7 @@ def verlinde_ring(S: np.ndarray, labels: tuple[str, ...] | None = None) -> Fusio
     N = Nr.astype(np.int64)
     if N.min() < 0:
         raise InvalidRing("Verlinde reconstruction produced negative multiplicities")
-    if labels is None:
-        labels = tuple(f"x{i}" for i in range(r))
-    try:
-        dual = dual_from_structure(N, 0)
-    except Exception as exc:
-        raise InvalidRing(f"reconstructed tensor has no duality: {exc}") from exc
-    ring = FusionRing(labels=labels, N=N, dual=dual, unit=0)
-    report = validate(ring)
-    if not report.valid:
-        axioms = ", ".join(name for name, _ in report.violations)
-        raise InvalidRing(f"reconstructed ring violates: {axioms}")
-    return ring
+    return N
 
 
 def _s_character(md: ModularData, i: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared catalog access for the test suite (cached: entries are immutable)."""
 
+import sys
 from functools import lru_cache
 
 from fusionring import builtin, character_table, fp_character, is_commutative
@@ -36,3 +37,19 @@ def table_of(name):
 
 def commutative(name):
     return is_commutative(ring_of(name))
+
+
+def count_calls(monkeypatch, fn):
+    """Wrap fn at every binding in the fusionring modules; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "fusionring" or name.startswith("fusionring."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls

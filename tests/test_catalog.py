@@ -156,6 +156,36 @@ def test_load_parse_errors(tmp_path):
         load_ring(path)
 
 
+@pytest.mark.parametrize("change, why", [
+    (lambda d: d["N"][1][1].__setitem__(0, 0.5), "a non-integer entry"),
+    (lambda d: d["N"][1][1].__setitem__(0, 1.0), "an integer written as a float"),
+    (lambda d: d["N"][1][1].__setitem__(0, True), "a boolean entry"),
+    (lambda d: d["N"][1][1].__setitem__(0, -1), "a negative entry"),
+    (lambda d: d["N"][1][1].__setitem__(0, 2**64), "an entry beyond int64"),
+    (lambda d: d["N"][1][1].__setitem__(0, "1"), "a string entry"),
+    (lambda d: d["N"][1].__setitem__(1, [1]), "a ragged row"),
+    (lambda d: d.__setitem__("labels", ["1", "1"]), "duplicate labels"),
+    (lambda d: d.update(rank=True, labels=["1"], N=[[[1]]]), "a boolean rank"),
+])
+def test_load_ring_rejects_bad_entries_and_labels(tmp_path, change, why):
+    data = {"name": "z2", "rank": 2, "labels": ["1", "g"], "unit": 0,
+            "N": ring_of("pointed_zn(2)").N.tolist()}
+    change(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        load_ring(path)
+
+
+def test_load_smatrix_rejects_nan(tmp_path):
+    from fusionring.errors import InvariantFailed
+
+    path = tmp_path / "s.json"
+    path.write_text('{"S": [[[1, 0], [1, 0]], [[1, 0], [NaN, 0]]]}')
+    with pytest.raises(InvariantFailed):
+        load_smatrix(path, ring_of("pointed_zn(2)"))
+
+
 def test_load_smatrix_against_wrong_ring(tmp_path):
     path = tmp_path / "s.json"
     save_smatrix(entry("ising").smatrix, path)

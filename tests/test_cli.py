@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import entry, ring_of
-from fusionring import save_ring, save_smatrix
+from conftest import count_calls, entry, ring_of
+from fusionring import modular, save_ring, save_smatrix
+from fusionring import ring as ring_module
 from fusionring.cli import main
 
 
@@ -128,6 +129,51 @@ def test_modular_with_smatrix_file(capsys, tmp_path):
     report = json.loads(out)
     assert report["centralizers"]["tau"] == ["1"]
     assert report["projective_centralizers"]["tau"] == ["1"]
+
+
+def test_modular_from_files_validates_and_reconstructs_once(capsys, monkeypatch, tmp_path):
+    ring_path, s_path = tmp_path / "ring.json", tmp_path / "s.json"
+    save_ring(ring_of("su2_k(4)"), ring_path)
+    save_smatrix(entry("su2_k(4)").smatrix, s_path)
+    validations = count_calls(monkeypatch, ring_module.validate)
+    tensors = count_calls(monkeypatch, modular._verlinde_tensor)
+    code, out, _ = run(capsys, "modular", "--ring", str(ring_path), "--smatrix", str(s_path))
+    assert code == 0 and "verlinde round trip: PASS" in out
+    assert len(validations) == 1 and len(tensors) == 1
+
+
+def test_modular_with_a_mismatched_smatrix_exits_one(capsys, tmp_path):
+    klein = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"S": [[[x, 0.0] for x in row] for row in klein]}))
+    code, out, err = run(capsys, "modular", "--ring", "pointed_zn(4)", "--smatrix", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: VerlindeMismatch:")
+
+
+def test_malformed_ring_file_is_a_parse_error(capsys, tmp_path):
+    data = {"name": "z2", "rank": 2, "labels": ["1", "g"], "unit": 0,
+            "N": [[[1, 0], [0, 1]], [[0, 1], [0.5, 0]]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", "--ring", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ParseError:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["brauer", "--ring", "rep_s3", "--object", "V", "--cap", "0"],
+    ["brauer", "--ring", "rep_s3", "--object", "V", "--seed", "-1"],
+    ["analyze", "--ring", "ising", "--epsilon", "0"],
+    ["analyze", "--ring", "ising", "--epsilon=-1e-9"],
+    ["analyze", "--ring", "ising", "--epsilon", "nan"],
+    ["analyze", "--ring", "ising", "--epsilon", "inf"],
+])
+def test_bad_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_modular_without_data_is_usage_error(capsys):

@@ -190,6 +190,16 @@ def test_center_on_generated_subring_has_index_many_characters(name):
         assert got == expected
 
 
+@pytest.mark.parametrize("name", COMMUTATIVE_NAMES)
+def test_grading_from_ambient_table_matches_restricted_route(name):
+    # the restricted ring and its own table stay the reference for the ambient one
+    ring = ring_of(name)
+    for i in range(ring.rank):
+        ambient = universal_grading(ring, i, fp_of(name), table_of(name))
+        assert ambient == universal_grading(ring, i), (name, i)
+        assert ambient.character_checked
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_profile_matches_tensor_powers(name):
     # brute-force oracle: the exact classes of the powers, and the iterative

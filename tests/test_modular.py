@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import MODULAR_NAMES, entry, fp_of, ring_of, table_of
+from conftest import MODULAR_NAMES, count_calls, entry, fp_of, ring_of, table_of
 from fusionring import (
     adjoint_class,
+    builtin,
     centralizer,
     characters_from_smatrix,
     generated_subcategory,
@@ -23,8 +24,10 @@ from fusionring.errors import (
     InvalidRing,
     InvariantFailed,
     NonIntegral,
+    VerlindeMismatch,
     ZeroEntry,
 )
+from fusionring import modular, ring as ring_module
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -203,3 +206,30 @@ def test_scale_invariance_quantum_trace_normalization():
     assert centralizer(md, 2).members == (0,)
     table = characters_from_smatrix(md)
     assert np.abs(table.characters - table_of("ising").characters).max() < 1e-8
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_non_finite_smatrix_rejected(value):
+    # every "x > tol" test is False for NaN, so it must be refused up front
+    S = entry("ising").smatrix.S.copy()
+    S[2, 2] = value
+    with pytest.raises(InvariantFailed):
+        modular_data(ring_of("ising"), S)
+    with pytest.raises(InvalidRing):
+        verlinde_ring(S)
+
+
+def test_modular_data_rejects_a_wrong_verlinde_ring():
+    # the Klein-group S-matrix passes every other check against Z4, but its
+    # Verlinde ring is Z2 x Z2
+    klein = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]],
+                     dtype=complex) / 2.0
+    with pytest.raises(VerlindeMismatch):
+        modular_data(ring_of("pointed_zn(4)"), klein)
+
+
+def test_builtin_validates_and_reconstructs_once(monkeypatch):
+    validations = count_calls(monkeypatch, ring_module.validate)
+    tensors = count_calls(monkeypatch, modular._verlinde_tensor)
+    assert builtin("su2_k(4)").smatrix is not None
+    assert len(validations) == 1 and len(tensors) == 1
