@@ -53,7 +53,13 @@ class ModularData:
 
 
 def modular_data(ring: FusionRing, S: np.ndarray, eps: float = AGGREGATE_EPS) -> ModularData:
-    """Validate an S-matrix against a ring, Verlinde round trip included (VerlindeMismatch)."""
+    """Validate an S-matrix against a ring, Verlinde round trip included.
+
+    Raises DimensionMismatch or InvariantFailed when S fails a basic check,
+    NonIntegral or InvalidRing when its Verlinde coefficients are not
+    nonnegative integers, and VerlindeMismatch when they are but do not
+    reproduce the ring's structure constants and duality.
+    """
     S = np.asarray(S, dtype=complex)
     r = ring.rank
     if S.shape != (r, r):
@@ -76,8 +82,8 @@ def modular_data(ring: FusionRing, S: np.ndarray, eps: float = AGGREGATE_EPS) ->
     dims = row.real / row.real[ring.unit]
     if np.abs(dims - fp.dims).max() > eps * max(1.0, fp.dims.max()):
         raise InvariantFailed("unit row of S is not proportional to the FP dimensions")
-    N = _verlinde_tensor(S / np.sqrt(g))
-    if not np.array_equal(N, ring.N) or dual_from_structure(N, 0) != ring.dual:
+    N = _verlinde_tensor(S / np.sqrt(g), ring.unit)
+    if not np.array_equal(N, ring.N) or dual_from_structure(N, ring.unit) != ring.dual:
         raise VerlindeMismatch(
             "Verlinde reconstruction from S does not reproduce the declared ring")
     return ModularData(S=S, ring=ring, global_dim=g)
@@ -117,7 +123,7 @@ def verlinde_ring(S: np.ndarray, labels: tuple[str, ...] | None = None) -> Fusio
     g = float(np.mean(np.diag(G)).real)
     if g <= 0 or np.abs(G - g * np.eye(r)).max() > AGGREGATE_EPS * max(1.0, g):
         raise InvalidRing("S conj(S) is not a positive multiple of the identity")
-    N = _verlinde_tensor(S / np.sqrt(g))
+    N = _verlinde_tensor(S / np.sqrt(g), 0)
     if labels is None:
         labels = tuple(f"x{i}" for i in range(r))
     try:
@@ -132,11 +138,11 @@ def verlinde_ring(S: np.ndarray, labels: tuple[str, ...] | None = None) -> Fusio
     return ring
 
 
-def _verlinde_tensor(U: np.ndarray) -> np.ndarray:
-    """Rounded, nonnegative Verlinde structure constants of a unitary U (see verlinde_ring)."""
-    if np.abs(U[0]).min() < 1e-12:
+def _verlinde_tensor(U: np.ndarray, unit: int) -> np.ndarray:
+    """Rounded, nonnegative Verlinde constants of a unitary U, divided by its unit row U[unit]."""
+    if np.abs(U[unit]).min() < 1e-12:
         raise InvalidRing("unit row of S has a vanishing entry")
-    weights = U.conj() / U[0][None, :]
+    weights = U.conj() / U[unit][None, :]
     Nc = np.einsum("im,jm,km->ijk", U, U, weights)
     Nr = np.rint(Nc.real)
     if np.abs(Nc - Nr).max() > _VERLINDE_INT_TOL:

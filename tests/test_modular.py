@@ -7,6 +7,7 @@ import pytest
 
 from conftest import MODULAR_NAMES, count_calls, entry, fp_of, ring_of, table_of
 from fusionring import (
+    FusionRing,
     adjoint_class,
     builtin,
     centralizer,
@@ -17,6 +18,7 @@ from fusionring import (
     kernel_of_class,
     modular_data,
     projective_centralizer,
+    validate,
     verlinde_ring,
 )
 from fusionring.errors import (
@@ -226,6 +228,43 @@ def test_modular_data_rejects_a_wrong_verlinde_ring():
                      dtype=complex) / 2.0
     with pytest.raises(VerlindeMismatch):
         modular_data(ring_of("pointed_zn(4)"), klein)
+
+
+def _permuted(name, order):
+    # the built-in ring and S-matrix in the basis order[0], order[1], ...
+    md = entry(name).smatrix
+    ring = md.ring
+    inv = [order.index(i) for i in range(ring.rank)]
+    permuted = FusionRing(
+        labels=tuple(ring.labels[i] for i in order),
+        N=ring.N[np.ix_(order, order, order)],
+        dual=tuple(inv[ring.dual[i]] for i in order),
+        unit=inv[ring.unit])
+    return permuted, md.S[np.ix_(order, order)]
+
+
+@pytest.mark.parametrize("name, order", [
+    ("ising", [1, 0, 2]),            # sigma's row of S holds a 0
+    ("pointed_zn(3)", [1, 0, 2]),
+    ("fibonacci", [1, 0]),
+])
+def test_modular_data_accepts_a_unit_away_from_index_zero(name, order):
+    ring, S = _permuted(name, order)
+    assert ring.unit == 1 and validate(ring).valid
+    md = modular_data(ring, S)
+    assert abs(md.global_dim - entry(name).smatrix.global_dim) < 1e-8
+    assert centralizer(md, ring.unit).members == tuple(range(ring.rank))
+    characters_from_smatrix(md)
+
+
+def test_modular_data_with_a_moved_unit_still_checks_the_ring():
+    # Z4 with its unit at index 1 against the permuted Klein S-matrix
+    ring, _ = _permuted("pointed_zn(4)", [1, 0, 2, 3])
+    klein = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]],
+                     dtype=complex) / 2.0
+    klein = klein[np.ix_([1, 0, 2, 3], [1, 0, 2, 3])]
+    with pytest.raises(VerlindeMismatch):
+        modular_data(ring, klein)
 
 
 def test_builtin_validates_and_reconstructs_once(monkeypatch):
