@@ -164,10 +164,15 @@ def _run_checks(ring, fp, table, eps, seed) -> list[dict]:
     return checks
 
 
-def _analyze_report(ring, eps, seed, with_checks=True) -> dict:
-    fp = spectral.fp_character(ring, eps=eps)
-    commutative = spectral.is_commutative(ring)
+def _spectral_data(ring, eps, seed):
+    """(fp, commutative, table) of a ring; table is None when it is noncommutative."""
+    fp, commutative = spectral.fp_character(ring, eps=eps), spectral.is_commutative(ring)
     table = spectral.character_table(ring, eps=eps, seed=seed) if commutative else None
+    return fp, commutative, table
+
+
+def _analyze_report(ring, eps, seed, with_checks=True) -> dict:
+    fp, commutative, table = _spectral_data(ring, eps, seed)
     report: dict = {"ring": _ring_block(ring, fp, commutative)}
     if table is not None:
         report["character_table"] = _character_block(ring, table)
@@ -357,9 +362,7 @@ def main(argv=None) -> int:
 
         elif args.command in ("kernel", "grading", "brauer"):
             i = _object_index(ring, args.object, parser)
-            fp = spectral.fp_character(ring, eps=eps)
-            commutative = spectral.is_commutative(ring)
-            table = spectral.character_table(ring, eps=eps, seed=seed) if commutative else None
+            fp, _, table = _spectral_data(ring, eps, seed)
             if args.command == "kernel":
                 if table is None:
                     raise NonCommutative("kernel of a class requires a commutative ring")

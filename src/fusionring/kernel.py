@@ -4,7 +4,8 @@ The kernel of a character is the set of simples on which it equals FPdim;
 it always spans a fusion subcategory. The kernel of an object class is the
 set of characters taking the FPdim value on it; the object is faithful
 exactly when this kernel is trivial, and in that case every simple occurs
-in some tensor power of the object (the Brauer property). The exponents of
+in some tensor power of the object (the Brauer property). "Equals" is
+decided by spectral.within_eps, the one tolerance rule. The exponents of
 first occurrence are the breadth-first levels of the object's fusion
 digraph (see subcat.object_profile).
 """
@@ -21,8 +22,8 @@ from .spectral import (
     DEFAULT_EPS,
     CharacterTable,
     FPData,
-    fp_character,
     fpdim_of_class,
+    within_eps,
 )
 from .subcat import (
     Subcategory,
@@ -30,8 +31,6 @@ from .subcat import (
     generated_subcategory,
     is_faithful,
     object_profile,
-    restrict,
-    restriction_order,
 )
 
 
@@ -62,36 +61,38 @@ def _check_class(ring: FusionRing, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def kernel_of_character(ring: FusionRing, fp: FPData, table: CharacterTable,
-                        t: int, eps: float = DEFAULT_EPS) -> Subcategory:
-    """Simples on which character t equals FPdim, as a closed subcategory."""
-    mu = table.characters[t]
-    members = [j for j in range(ring.rank) if abs(mu[j] - fp.dims[j]) < eps]
+def _closed_kernel(ring: FusionRing, values: np.ndarray, dims: np.ndarray,
+                   eps: float, message: str) -> Subcategory:
+    """Simples j with values[j] within eps of dims[j]; ClosureViolation unless they are closed."""
+    members = within_eps(values, dims, eps)
     defect = closure_defect(ring, members)
     if defect is not None:
         kind, witness = defect
-        raise ClosureViolation(
-            f"character kernel not closed under {kind} at {witness}; "
-            "lower eps or re-examine the table")
-    return Subcategory(members=tuple(sorted(members)))
+        raise ClosureViolation(message.format(kind=kind, witness=witness))
+    return Subcategory(members=tuple(members))
+
+
+def kernel_of_character(ring: FusionRing, fp: FPData, table: CharacterTable,
+                        t: int, eps: float = DEFAULT_EPS) -> Subcategory:
+    """Simples on which character t equals FPdim, as a closed subcategory."""
+    return _closed_kernel(ring, table.characters[t], fp.dims, eps,
+                          "character kernel not closed under {kind} at {witness}; "
+                          "lower eps or re-examine the table")
 
 
 def kernel_of_class(ring: FusionRing, fp: FPData, table: CharacterTable,
                     x: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """Characters taking the value FPdim(x) on the class x."""
     x = _check_class(ring, x)
-    target = fpdim_of_class(fp, x)
-    values = table.characters @ x.astype(complex)
-    return frozenset(t for t in range(table.count) if abs(values[t] - target) < eps)
+    return frozenset(within_eps(table.characters @ x.astype(complex), fpdim_of_class(fp, x), eps))
 
 
 def center_of_class(ring: FusionRing, fp: FPData, table: CharacterTable,
                     x: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """Characters whose modulus on the class x attains FPdim(x)."""
     x = _check_class(ring, x)
-    target = fpdim_of_class(fp, x)
-    values = table.characters @ x.astype(complex)
-    return frozenset(t for t in range(table.count) if abs(abs(values[t]) - target) < eps)
+    return frozenset(within_eps(table.characters @ x.astype(complex), fpdim_of_class(fp, x),
+                                eps, modulus=True))
 
 
 def default_brauer_cap(ring: FusionRing, i: int) -> int:
@@ -139,15 +140,11 @@ def kernel_via_subring_idempotents(ring: FusionRing, fp: FPData, table: Characte
                                    i: int, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """Kernel of e_i through the idempotent of its generated subring.
 
-    Forms the regular idempotent of C(e_i), embeds it in the ambient basis,
-    and returns the characters evaluating to 1 on it; evaluation on a
-    central idempotent is always 0 or 1.
+    Forms the regular idempotent of C(e_i) in the ambient basis from fp (FP
+    dimensions restrict to subrings) and returns the characters evaluating
+    to 1 on it; evaluation on a central idempotent is always 0 or 1.
     """
-    sub = generated_subcategory(ring, [i])
-    small = restrict(ring, sub)
-    small_fp = fp_character(small, eps=eps)
+    members = list(generated_subcategory(ring, [i]).members)
     e = np.zeros(ring.rank, dtype=complex)
-    for local, ambient in enumerate(restriction_order(ring, sub)):
-        e[ambient] = small_fp.dims[local] / small_fp.global_dim
-    values = table.characters @ e
-    return frozenset(t for t in range(table.count) if abs(values[t] - 1.0) < max(eps, 1e-9))
+    e[members] = fp.dims[members] / np.sum(fp.dims[members] ** 2)
+    return frozenset(within_eps(table.characters @ e, 1.0, max(eps, 1e-9)))

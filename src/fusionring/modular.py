@@ -3,9 +3,10 @@
 An S-matrix is accepted at any positive scale: symmetry, nondegeneracy
 (S conj(S) is a positive multiple of the identity) and pseudo-unitarity
 (unit row positive and proportional to the FP dimensions) are validated,
-and the scale is absorbed into global_dim. Normalized rows of S are the
-ring homomorphisms of the Grothendieck ring; their kernels and centers
-give centralizers and projective centralizers.
+and the scale is absorbed into global_dim. Normalized rows s_i of S are the
+ring homomorphisms of the Grothendieck ring; their kernels and centers give
+centralizers and projective centralizers, measured by spectral.within_eps
+against the unit row s_unit, which modular_data checked against FPdim.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ClosureViolation,
     DegenerateCombination,
     DimensionMismatch,
     InternalInconsistency,
@@ -25,6 +25,7 @@ from .errors import (
     VerlindeMismatch,
     ZeroEntry,
 )
+from .kernel import _closed_kernel
 from .ring import FusionRing, dual_from_structure, validate
 from .spectral import (
     AGGREGATE_EPS,
@@ -33,8 +34,9 @@ from .spectral import (
     FPData,
     build_table,
     fp_character,
+    within_eps,
 )
-from .subcat import Subcategory, closure_defect
+from .subcat import Subcategory
 
 _VERLINDE_INT_TOL = 1e-6
 
@@ -164,32 +166,22 @@ def _s_character(md: ModularData, i: int) -> np.ndarray:
 
 
 def centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> Subcategory:
-    """Simples centralizing e_i: the kernel of the S-matrix character of e_i."""
-    fp = fp_character(md.ring)
-    s = _s_character(md, i)
-    members = [j for j in range(md.ring.rank) if abs(s[j] - fp.dims[j]) < eps]
-    defect = closure_defect(md.ring, members)
-    if defect is not None:
-        kind, witness = defect
-        raise ClosureViolation(f"centralizer not closed under {kind} at {witness}")
-    return Subcategory(members=tuple(sorted(members)))
+    """Simples centralizing e_i: the kernel of s_i, against s_unit = S[unit] / S[unit][unit]."""
+    return _closed_kernel(md.ring, _s_character(md, i), _s_character(md, md.ring.unit).real,
+                          eps, "centralizer not closed under {kind} at {witness}")
 
 
 def projective_centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> frozenset[int]:
-    """Simples projectively centralizing e_i: |s_i(Y)| attains FPdim(Y)."""
-    fp = fp_character(md.ring)
-    s = _s_character(md, i)
-    return frozenset(j for j in range(md.ring.rank) if abs(abs(s[j]) - fp.dims[j]) < eps)
+    """Simples projectively centralizing e_i: |s_i(Y)| attains s_unit(Y) = FPdim(Y)."""
+    return frozenset(within_eps(_s_character(md, i), _s_character(md, md.ring.unit).real,
+                                eps, modulus=True))
 
 
 def invertibles(ring: FusionRing, fp: FPData, eps: float = DEFAULT_EPS) -> frozenset[int]:
-    """Simples of FP dimension 1; cross-checked exactly via e_j * e_{j*} = unit."""
-    by_dim = frozenset(j for j in range(ring.rank) if abs(fp.dims[j] - 1.0) < eps)
-    unit_vec = ring.basis_vector(ring.unit)
-    exact = frozenset(
-        j for j in range(ring.rank)
-        if np.array_equal(
-            ring.multiply(ring.basis_vector(j), ring.basis_vector(ring.dual[j])), unit_vec))
+    """Simples of FP dimension 1; cross-checked exactly: e_j * e_{j*} = unit, read off N[j, j*]."""
+    by_dim = frozenset(within_eps(fp.dims, 1.0, eps))
+    unit_rows = ring.N[np.arange(ring.rank), list(ring.dual)] == ring.basis_vector(ring.unit)
+    exact = frozenset(np.flatnonzero(unit_rows.all(axis=1)).tolist())
     if by_dim != exact:
         raise InternalInconsistency(
             f"dimension-1 set {sorted(by_dim)} disagrees with exact invertibles {sorted(exact)}")

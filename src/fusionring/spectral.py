@@ -19,7 +19,7 @@ from .errors import (
     NonCommutative,
     SingularCharacterMatrix,
 )
-from .ring import FusionRing
+from .ring import FusionRing, exact_matvec
 
 #: equality tolerance for complex scalars
 DEFAULT_EPS = 1e-9
@@ -102,6 +102,15 @@ def fp_character(ring: FusionRing, eps: float = DEFAULT_EPS,
     return FPData(dims=dims, global_dim=float(np.sum(dims**2)))
 
 
+def within_eps(values, targets, eps: float = DEFAULT_EPS, modulus: bool = False) -> list[int]:
+    """Indices k with |values[k] - targets[k]| < eps, or ||values[k]| - targets[k]| < eps.
+
+    The one tolerance rule of kernels, centers, centralizers and invertibles.
+    """
+    values = np.abs(values) if modulus else np.asarray(values)
+    return np.flatnonzero(np.abs(values - targets) < eps).tolist()
+
+
 def regular_element(ring: FusionRing, fp: FPData) -> np.ndarray:
     """The virtual regular element: sum_j FPdim(e_j) e_j."""
     return fp.dims.astype(float).copy()
@@ -114,10 +123,8 @@ def fpdim_of_class(fp: FPData, x: np.ndarray) -> float:
 
 def adjoint_class(ring: FusionRing) -> np.ndarray:
     """Class of the adjoint object: sum over simples j of e_j * e_{j*}."""
-    out = np.zeros(ring.rank, dtype=np.int64)
-    for j in range(ring.rank):
-        out = out + ring.multiply(ring.basis_vector(j), ring.basis_vector(ring.dual[j]))
-    return out
+    return exact_matvec(ring.N[np.arange(ring.rank), list(ring.dual)].T,
+                        np.ones(ring.rank, dtype=np.int64))
 
 
 def bilinear_m(ring: FusionRing, u: np.ndarray, v: np.ndarray) -> int:
