@@ -269,7 +269,7 @@ def load_ring(path) -> FusionRing:
     declared = data.get("dual")
     if declared is not None:
         if (not isinstance(declared, list) or len(declared) != rank
-                or not all(isinstance(d, int) and 0 <= d < rank for d in declared)):
+                or not all(type(d) is int and 0 <= d < rank for d in declared)):
             raise ParseError(f"{ctx}: dual must be a permutation list of length {rank}")
 
     if unit != 0:
@@ -325,7 +325,7 @@ def load_smatrix(path, ring: FusionRing) -> ModularData:
             raise DimensionMismatch(f"{ctx}: S row {i} does not have {r} entries")
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) for x in entry)):
+                    or not all(type(x) in (int, float) for x in entry)):
                 raise ParseError(f"{ctx}: S[{i}][{j}] must be a [re, im] pair")
             S[i, j] = complex(entry[0], entry[1])
     return modular_data(ring, S)

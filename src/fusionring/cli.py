@@ -81,27 +81,31 @@ def _kernel_and_center(ring, fp, table, i, eps) -> list[list[str]]:
 
 
 def _power_sweep(ring: FusionRing, ind: list[int]):
-    """Support sweep over the powers of all simples at once, exact as N >= 0.
+    """Support sweep over the powers of each simple, exact as N >= 0.
 
-    Row i of supp is the support of the n-th power of e_i, followed up to
-    n = 3 * rank * ind[i]. Returns the first (generator, simple, exponent,
-    later exponent) whose exponents differ by a non-multiple of ind, or None,
-    and per simple the least n >= 1 whose power holds the unit (0 if none).
+    The support of the n-th power of e_i is followed up to n = 3 * rank * ind[i],
+    or until it equals the support ind[i] steps earlier: from there on the
+    supports cycle with period ind[i] through ones already seen, so neither a
+    new residue clash nor a first unit return can appear. Returns the first
+    (generator, simple, exponent, later exponent) whose exponents differ by a
+    non-multiple of ind, or None, and per simple the least n >= 1 whose power
+    holds the unit (0 if none).
     """
-    ind, edges = np.asarray(ind), ring.N > 0
-    caps = 3 * ring.rank * ind
-    supp = (np.arange(ring.rank) == ring.unit)[None, None, :].repeat(ring.rank, axis=0)
-    first = np.where(supp[:, 0], 0, -1)
-    returns, clash = np.zeros(ring.rank, dtype=np.int64), None
-    for n in range(1, int(caps.max(initial=0)) + 1):
-        supp = supp @ edges  # boolean: some j in the support has an edge j -> k
-        live = supp[:, 0] & (n <= caps)[:, None]
-        first[live & (first < 0)] = n
-        returns[(returns == 0) & live[:, ring.unit]] = n
-        bad = live & ((n - first) % ind[:, None] != 0)
-        if clash is None and bad.any():
-            i, k = np.argwhere(bad)[0].tolist()
-            clash = (i, k, int(first[i, k]), n)
+    edges, start = ring.N > 0, np.arange(ring.rank) == ring.unit
+    clash, returns = None, np.zeros(ring.rank, dtype=np.int64)
+    for i, p in enumerate(ind):
+        supports, first = [start], np.where(start, 0, -1)
+        for n in range(1, 3 * ring.rank * p + 1):
+            supp = supports[-1] @ edges[i]  # boolean: some j in the support has an edge j -> k
+            supports.append(supp)
+            first[supp & (first < 0)] = n
+            if returns[i] == 0 and supp[ring.unit]:
+                returns[i] = n
+            bad = np.flatnonzero(supp & ((n - first) % p != 0))
+            if bad.size and (clash is None or n < clash[3]):
+                clash = (i, int(bad[0]), int(first[bad[0]]), n)
+            if n >= p and np.array_equal(supp, supports[n - p]):
+                break
     return clash, returns
 
 

@@ -4,6 +4,7 @@ Computes the Frobenius-Perron character (the unique basis-positive ring
 homomorphism), the full character table by simultaneous diagonalization of
 the commuting left-multiplication matrices, formal codegrees
 f_t = sum_j mu_t(j) mu_t(j*), and the primitive central idempotents.
+within_eps holds the one tolerance rule of every membership test.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ def is_commutative(ring: FusionRing) -> bool:
     return bool(np.array_equal(ring.N, ring.N.transpose(1, 0, 2)))
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < np.inf:  # also refuses NaN
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+
+
 def fp_character(ring: FusionRing, eps: float = DEFAULT_EPS,
                  max_iter: int = _POWER_ITERATION_CAP) -> FPData:
     """Frobenius-Perron dimensions via power iteration.
@@ -82,6 +88,7 @@ def fp_character(ring: FusionRing, eps: float = DEFAULT_EPS,
     stopping residual, so the margin keeps the returned dims accurate to
     eps); d is then normalized so that d[unit] = 1.
     """
+    _check_eps(eps)
     r = ring.rank
     M = ring.N.sum(axis=0).astype(float)
     threshold = eps * 1e-2
@@ -107,6 +114,7 @@ def within_eps(values, targets, eps: float = DEFAULT_EPS, modulus: bool = False)
 
     The one tolerance rule of kernels, centers, centralizers and invertibles.
     """
+    _check_eps(eps)
     values = np.abs(values) if modulus else np.asarray(values)
     return np.flatnonzero(np.abs(values - targets) < eps).tolist()
 
@@ -196,6 +204,7 @@ def character_table(ring: FusionRing, eps: float = DEFAULT_EPS,
     combination (deterministic seed, default 0) and retry with seed+1, up
     to 8 times, on eigenvalue collision or any verification failure.
     """
+    _check_eps(eps)
     if not is_commutative(ring):
         raise NonCommutative("character table requires a commutative Grothendieck ring")
     r = ring.rank

@@ -221,3 +221,20 @@ def test_load_smatrix_bad_entries(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ParseError):
         load_smatrix(path, ring_of("pointed_zn(2)"))
+
+
+def test_load_smatrix_rejects_a_boolean_entry(tmp_path):
+    path = tmp_path / "s.json"
+    data = {"ring": "z2", "S": [[[True, 0], [1, 0]], [[1, 0], [-1, 0]]]}
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        load_smatrix(path, ring_of("pointed_zn(2)"))
+
+
+def test_load_ring_rejects_a_boolean_in_the_declared_dual(tmp_path):
+    data = {"name": "z2", "rank": 2, "labels": ["1", "g"], "unit": 0, "dual": [0, True],
+            "N": ring_of("pointed_zn(2)").N.tolist()}
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        load_ring(path)

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import count_calls, entry, ring_of
+from conftest import SAMPLE_NAMES, count_calls, entry, ring_of
 from fusionring import modular, save_ring, save_smatrix
 from fusionring import ring as ring_module
-from fusionring.cli import main
+from fusionring.cli import _power_sweep, main
 
 
 def run(capsys, *argv):
@@ -239,3 +239,35 @@ def test_power_checks_catch_a_wrong_index_or_order(capsys, monkeypatch, name, sk
     verdicts = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
     assert verdicts[check] is False
     assert verdicts["brauer_equivalence"] and verdicts["character_orthogonality"]
+
+
+def _full_cap_sweep(ring, ind):
+    """_power_sweep without its early stop: the exact powers up to 3 * rank * ind."""
+    clashes, returns = [], []
+    for i, p in enumerate(ind):
+        cap, power, first, ret = 3 * ring.rank * p, ring.tensor_power(i, 0), {ring.unit: 0}, 0
+        for n in range(1, cap + 1):
+            power = ring.multiply(ring.basis_vector(i), power)
+            for k in np.flatnonzero(power).tolist():
+                first.setdefault(k, n)
+                if (n - first[k]) % p:
+                    clashes.append((n, i, k, first[k]))
+            ret = ret or (n if power[ring.unit] else 0)
+        assert np.array_equal(power, ring.tensor_power(i, cap))
+        returns.append(ret)
+    if not clashes:
+        return None, returns
+    n, i, k, m = min(clashes)
+    return (i, k, m, n), returns
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("name", SAMPLE_NAMES)
+def test_power_sweep_stops_early_with_the_full_sweep_result(name, factor):
+    from fusionring import grading
+
+    ring = ring_of(name)
+    ind = [factor * grading.object_index(ring, i) for i in range(ring.rank)]
+    clash, returns = _power_sweep(ring, ind)
+    assert (clash, returns.tolist()) == _full_cap_sweep(ring, ind)
+    assert (clash is None) == (factor == 1)  # the unit alone clashes at twice its index

@@ -15,6 +15,7 @@ from fusionring import (
     generated_subcategory,
     invertibles,
     is_faithful,
+    kernel_of_character,
     kernel_of_class,
     modular_data,
     projective_centralizer,
@@ -22,6 +23,7 @@ from fusionring import (
     verlinde_ring,
 )
 from fusionring.errors import (
+    ClosureViolation,
     DimensionMismatch,
     InvalidRing,
     InvariantFailed,
@@ -272,3 +274,37 @@ def test_builtin_validates_and_reconstructs_once(monkeypatch):
     tensors = count_calls(monkeypatch, modular._verlinde_tensor)
     assert builtin("su2_k(4)").smatrix is not None
     assert len(validations) == 1 and len(tensors) == 1
+
+
+def test_modular_report_runs_fp_character_at_most_twice(monkeypatch, capsys):
+    # once in modular_data, once for the report; centralizers read the S unit row
+    from fusionring import spectral
+    from fusionring.cli import main
+
+    calls = count_calls(monkeypatch, spectral.fp_character)
+    assert main(["modular", "--ring", "su2_k(10)"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 2
+
+
+def test_centralizers_compare_against_the_unit_row_of_s():
+    # the scaled unit row is still accepted as FP dimensions (within 1e-8), but it
+    # sits 6.5e-9 from fp_character's dims, beyond the default eps of 1e-9
+    S = np.array(entry("fibonacci").smatrix.S)
+    S[0, 1] *= 1 + 4e-9
+    S[1, 0] *= 1 + 4e-9
+    md = modular_data(ring_of("fibonacci"), S)
+    assert centralizer(md, 0).members == (0, 1)
+    assert projective_centralizer(md, 0) == {0, 1}
+
+
+def test_kernels_and_centralizers_refuse_a_set_that_is_not_closed():
+    # at eps = 1.5 the Ising character (1, -1, 0) reaches FPdim on sigma but not on psi
+    ring, fp, table = ring_of("ising"), fp_of("ising"), table_of("ising")
+    t = int(np.argmin(np.abs(table.characters - [1, -1, 0]).max(axis=1)))
+    with pytest.raises(ClosureViolation, match=r"^character kernel not closed under "
+                                               r"product at \(2, 2, 1\); lower eps"):
+        kernel_of_character(ring, fp, table, t, eps=1.5)
+    with pytest.raises(ClosureViolation,
+                       match=r"^centralizer not closed under product at \(2, 2, 1\)$"):
+        centralizer(entry("ising").smatrix, 2, eps=1.5)

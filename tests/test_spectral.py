@@ -16,7 +16,7 @@ from fusionring import (
     regular_element,
 )
 from fusionring.errors import NonCommutative
-from fusionring.spectral import AGGREGATE_EPS
+from fusionring.spectral import AGGREGATE_EPS, fp_character, within_eps
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -245,3 +245,19 @@ def test_adjoint_class_examples():
 def test_fp_character_matches_table_everywhere():
     for name in COMMUTATIVE_NAMES:
         assert np.abs(table_of(name).characters[0] - fp_of(name).dims).max() < 1e-8
+
+
+def test_within_eps_is_strict_and_can_compare_moduli():
+    assert within_eps([1.0, 1.5, 2.0], 1.0, 0.5) == [0]  # 0.5 away is outside
+    assert within_eps([1.0, 1j, -2.0], [1.0, 1.0, 1.0], 0.1, modulus=True) == [0, 1]
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused(eps):
+    ising = ring_of("ising")
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        fp_character(ising, eps=eps)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        character_table(ising, eps=eps)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        within_eps([1.0], 1.0, eps)
