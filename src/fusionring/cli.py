@@ -286,6 +286,7 @@ def _add_common(p: argparse.ArgumentParser, ring_required=True):
                    type=_number(int, lambda x: x >= 0, "a nonnegative integer"))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusionring",

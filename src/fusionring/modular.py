@@ -16,11 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AmbiguousDual,
     DegenerateCombination,
     DimensionMismatch,
     InternalInconsistency,
     InvalidRing,
     InvariantFailed,
+    NoDual,
     NonIntegral,
     VerlindeMismatch,
     ZeroEntry,
@@ -54,7 +56,20 @@ class ModularData:
     global_dim: float
 
 
-def modular_data(ring: FusionRing, S: np.ndarray, eps: float = AGGREGATE_EPS) -> ModularData:
+def _nondegenerate(S: np.ndarray, rank: int, error: type[Exception]) -> float:
+    """The g > 0 with S conj(S) = g * I; raises error for a non-finite or degenerate S."""
+    if S.shape != (rank, rank):
+        raise DimensionMismatch(f"S-matrix shape {S.shape} does not match rank {rank}")
+    if not np.isfinite(S).all():
+        raise error("S-matrix has a non-finite entry")
+    G = S @ S.conj()
+    g = float(np.mean(np.diag(G)).real)
+    if g <= 0 or np.abs(G - g * np.eye(rank)).max() > AGGREGATE_EPS * max(1.0, g):
+        raise error("S conj(S) is not a positive multiple of the identity")
+    return g
+
+
+def modular_data(ring: FusionRing, S: np.ndarray) -> ModularData:
     """Validate an S-matrix against a ring, Verlinde round trip included.
 
     Raises DimensionMismatch or InvariantFailed when S fails a basic check,
@@ -63,26 +78,16 @@ def modular_data(ring: FusionRing, S: np.ndarray, eps: float = AGGREGATE_EPS) ->
     reproduce the ring's structure constants and duality.
     """
     S = np.asarray(S, dtype=complex)
-    r = ring.rank
-    if S.shape != (r, r):
-        raise DimensionMismatch(f"S-matrix shape {S.shape} does not match rank {r}")
-    if not np.isfinite(S).all():
-        raise InvariantFailed("S-matrix has a non-finite entry")
+    g = _nondegenerate(S, ring.rank, InvariantFailed)
     scale = float(np.abs(S).max())
-    if scale == 0.0:
-        raise InvariantFailed("S-matrix is zero")
-    if np.abs(S - S.T).max() > eps * scale:
+    if np.abs(S - S.T).max() > AGGREGATE_EPS * scale:
         raise InvariantFailed("S-matrix is not symmetric")
-    G = S @ S.conj()
-    g = float(np.mean(np.diag(G)).real)
-    if g <= 0 or np.abs(G - g * np.eye(r)).max() > eps * max(1.0, g):
-        raise InvariantFailed("S conj(S) is not a positive multiple of the identity")
     row = S[ring.unit]
-    if np.abs(row.imag).max() > eps * scale or row.real.min() <= 0:
+    if np.abs(row.imag).max() > AGGREGATE_EPS * scale or row.real.min() <= 0:
         raise InvariantFailed("unit row of S is not strictly positive (pseudo-unitarity)")
     fp = fp_character(ring)
     dims = row.real / row.real[ring.unit]
-    if np.abs(dims - fp.dims).max() > eps * max(1.0, fp.dims.max()):
+    if np.abs(dims - fp.dims).max() > AGGREGATE_EPS * max(1.0, fp.dims.max()):
         raise InvariantFailed("unit row of S is not proportional to the FP dimensions")
     N = _verlinde_tensor(S / np.sqrt(g), ring.unit)
     if not np.array_equal(N, ring.N) or dual_from_structure(N, ring.unit) != ring.dual:
@@ -116,21 +121,14 @@ def verlinde_ring(S: np.ndarray, labels: tuple[str, ...] | None = None) -> Fusio
     the nearest integer (tolerance 1e-6). The result must validate.
     """
     S = np.asarray(S, dtype=complex)
-    r = S.shape[0]
-    if S.shape != (r, r):
-        raise DimensionMismatch("S-matrix must be square")
-    if not np.isfinite(S).all():
-        raise InvalidRing("S-matrix has a non-finite entry")
-    G = S @ S.conj()
-    g = float(np.mean(np.diag(G)).real)
-    if g <= 0 or np.abs(G - g * np.eye(r)).max() > AGGREGATE_EPS * max(1.0, g):
-        raise InvalidRing("S conj(S) is not a positive multiple of the identity")
+    r = len(S)
+    g = _nondegenerate(S, r, InvalidRing)
     N = _verlinde_tensor(S / np.sqrt(g), 0)
     if labels is None:
         labels = tuple(f"x{i}" for i in range(r))
     try:
         dual = dual_from_structure(N, 0)
-    except Exception as exc:
+    except (NoDual, AmbiguousDual) as exc:
         raise InvalidRing(f"reconstructed tensor has no duality: {exc}") from exc
     ring = FusionRing(labels=labels, N=N, dual=dual, unit=0)
     report = validate(ring)

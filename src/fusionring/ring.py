@@ -3,8 +3,9 @@
 A fusion ring of rank r is a based ring with basis e_0, ..., e_{r-1}, unit
 e_0 (by normalization), a duality involution, and nonnegative integer
 structure constants N[i][j][k] giving the multiplicity of e_k in e_i * e_j.
-All arithmetic in this module is exact: products that would overflow int64
-transparently fall back to Python integers.
+All integer arithmetic in this module is exact and goes through one product,
+:func:`exact_matvec`: float64 while every partial sum is provably an exact
+integer, Python integers otherwise, so it never wraps around.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmbiguousDual, DimensionMismatch, NoDual
-
-# Headroom bound for exact int64 arithmetic; above it we switch to Python ints.
-_INT64_SAFE = 2**62
 
 
 def basis_vector(rank: int, i: int) -> np.ndarray:
@@ -29,22 +27,22 @@ def basis_vector(rank: int, i: int) -> np.ndarray:
 def _max_abs(v: np.ndarray) -> int:
     if v.size == 0:
         return 0
-    return max(abs(int(x)) for x in v.flat) if v.dtype == object else int(np.abs(v).max())
+    if v.dtype == object:
+        return max(abs(int(x)) for x in v.flat)
+    return max(int(v.max()), -int(v.min()))
 
 
 def exact_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A @ v over the integers, exactly.
+    """A @ v over the integers, exactly; v is a vector or a matrix.
 
-    Uses int64 while the result provably fits, otherwise Python-int (object
-    dtype) arithmetic. A is expected small and nonnegative.
+    While max|A| * max|v| * (inner size) < 2**53, every partial sum is an
+    integer that float64 holds exactly, so the product runs as a float64
+    matmul cast back to int64. Otherwise it runs on Python ints (object dtype).
     """
-    r = A.shape[1]
-    if v.dtype != object:
-        bound = _max_abs(v) * int(A.max(initial=0)) * r
-        if bound < _INT64_SAFE:
-            return A.astype(np.int64) @ v.astype(np.int64)
-        v = v.astype(object)
-    return A.astype(object).dot(v)
+    if A.dtype != object and v.dtype != object:
+        if _max_abs(A) * _max_abs(v) * A.shape[-1] < 2**53:
+            return (A.astype(np.float64) @ v.astype(np.float64)).astype(np.int64)
+    return A.astype(object).dot(v.astype(object))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,38 +109,20 @@ class FusionRing:
     def multiply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Product of two class vectors: (u*v)[k] = sum_ij u[i] v[j] N[i][j][k].
 
-        Integer inputs are multiplied exactly; float/complex inputs use the
-        same bilinear extension in floating point.
+        Integer and object inputs are multiplied exactly by two exact_matvec
+        calls, through X[j][k] = sum_i u[i] N[i][j][k]; float/complex inputs
+        use the same bilinear extension in floating point.
         """
         u = np.asarray(u)
         v = np.asarray(v)
-        if u.shape != (self.rank,) or v.shape != (self.rank,):
+        r = self.rank
+        if u.shape != (r,) or v.shape != (r,):
             raise DimensionMismatch("class vectors must have length equal to the rank")
-        if u.dtype == object or v.dtype == object:
-            return self._multiply_exact(u.astype(object), v.astype(object))
-        if np.issubdtype(u.dtype, np.integer) and np.issubdtype(v.dtype, np.integer):
-            bound = _max_abs(u) * _max_abs(v) * int(self.N.max(initial=0)) * self.rank**2
-            if bound >= _INT64_SAFE:
-                return self._multiply_exact(u.astype(object), v.astype(object))
-            u = u.astype(np.int64)
-            v = v.astype(np.int64)
-            nz_u = np.nonzero(u)[0]
-            nz_v = np.nonzero(v)[0]
-            if nz_u.size * nz_v.size <= self.rank:
-                out = np.zeros(self.rank, dtype=np.int64)
-                for i in nz_u:
-                    out += u[i] * (v[nz_v] @ self.N[i][nz_v])
-                return out
-            return np.einsum("i,j,ijk->k", u, v, self.N)
+        if all(x.dtype == object or np.issubdtype(x.dtype, np.integer) for x in (u, v)):
+            X = exact_matvec(self.N.reshape(r, r * r).T, u).reshape(r, r)
+            return exact_matvec(X.T, v)
         # float/complex inputs: plain bilinear extension, numpy promotes the dtype
         return np.einsum("i,j,ijk->k", u, v, self.N)
-
-    def _multiply_exact(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.rank, dtype=object)
-        for i in np.nonzero(u)[0]:
-            for j in np.nonzero(v)[0]:
-                out += int(u[i]) * int(v[j]) * self.N[i, j].astype(object)
-        return out
 
     def tensor_power(self, i: int, n: int) -> np.ndarray:
         """Class of the n-th power of e_i; n = 0 gives the unit class."""
@@ -192,11 +172,14 @@ def validate(ring: FusionRing) -> ValidationReport:
     if w is not None:
         violations.append(("unit", w))
 
-    lhs = np.einsum("ijm,mkl->ijkl", N, N)
-    rhs = np.einsum("jkm,iml->ijkl", N, N)
-    w = _first_mismatch(lhs != rhs)
-    if w is not None:
-        violations.append(("associativity", w))
+    # (e_i e_j) e_k = e_i (e_j e_k), one i at a time: r^3 memory, not r^4
+    for i in range(r):
+        lhs = exact_matvec(N[i], N.reshape(r, r * r)).reshape(r, r, r)
+        rhs = exact_matvec(N.reshape(r * r, r), N[i]).reshape(r, r, r)
+        w = _first_mismatch(lhs != rhs)
+        if w is not None:
+            violations.append(("associativity", (i, *w)))
+            break
 
     expected = np.zeros((r, r), dtype=np.int64)
     expected[np.arange(r), dual] = 1

@@ -3,7 +3,9 @@
 import sys
 from functools import lru_cache
 
-from fusionring import builtin, character_table, fp_character, is_commutative
+import numpy as np
+
+from fusionring import FusionRing, builtin, character_table, fp_character, is_commutative
 from fusionring.catalog import all_builtin_names
 
 ALL_NAMES = all_builtin_names()
@@ -37,6 +39,17 @@ def table_of(name):
 
 def commutative(name):
     return is_commutative(ring_of(name))
+
+
+def wrap_ring():
+    """Self-dual rank 3 ring, not associative; int64 sums of its products wrap around."""
+    big = 2**32
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    N[0] = N[:, 0] = np.eye(3, dtype=np.int64)
+    N[1, 1] = [1, 0, 1]
+    N[1, 2] = N[2, 1] = [0, 1, big]
+    N[2, 2] = [1, big, 0]
+    return FusionRing(labels=("1", "a", "b"), N=N, dual=(0, 1, 2), name="wrap")
 
 
 def count_calls(monkeypatch, fn):

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import SAMPLE_NAMES, count_calls, entry, ring_of
+from conftest import SAMPLE_NAMES, count_calls, entry, ring_of, wrap_ring
 from fusionring import modular, save_ring, save_smatrix
 from fusionring import ring as ring_module
-from fusionring.cli import _power_sweep, main
+from fusionring.cli import _build_parser, _power_sweep, main
 
 
 def run(capsys, *argv):
@@ -35,6 +35,18 @@ def test_validate_invalid_file_reports_axioms(capsys, tmp_path):
     # other subcommands refuse the invalid file outright
     code, _, err = run(capsys, "analyze", "--ring", str(path))
     assert code == 1 and "ValidationFailed" in err
+
+
+def test_validate_file_whose_products_pass_int64(capsys, tmp_path):
+    path = tmp_path / "wrap.json"
+    save_ring(wrap_ring(), path)
+    code, out, _ = run(capsys, "validate", "--ring", str(path))
+    assert code == 1
+    assert "valid: False" in out and "violated associativity at (a, a, b, b)" in out
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_analyze_ising_text(capsys):

@@ -171,6 +171,14 @@ def test_modular_data_rejects_degenerate():
         modular_data(ring, S)
 
 
+def test_zero_smatrix_is_degenerate():
+    S = np.zeros((2, 2), dtype=complex)
+    with pytest.raises(InvariantFailed, match="positive multiple of the identity"):
+        modular_data(ring_of("pointed_zn(2)"), S)
+    with pytest.raises(InvalidRing, match="positive multiple of the identity"):
+        verlinde_ring(S)
+
+
 def test_modular_data_rejects_non_pseudounitary():
     ring = ring_of("pointed_zn(2)")
     S = np.array([[1, -1], [-1, -1]], dtype=complex) / SQRT2  # negative in row 0

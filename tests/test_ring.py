@@ -1,11 +1,14 @@
 """Axiom validation, duality recovery, and exact multiplication."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import ALL_NAMES, ring_of
+from conftest import ALL_NAMES, SAMPLE_NAMES, ring_of, wrap_ring
 from fusionring import FusionRing, basis_vector, dual_from_structure, validate
 from fusionring.errors import AmbiguousDual, DimensionMismatch, NoDual
+from fusionring.ring import exact_matvec
 
 
 def ising_tensor():
@@ -185,3 +188,52 @@ def test_tensor_power_exact_big_integers():
     power = fib.tensor_power(1, 120)
     assert int(power[0]) == a and int(power[1]) == b
     assert int(power[1]) == 5358359254990966640871840  # F(120), exceeds int64
+
+
+def test_associativity_is_decided_past_int64():
+    # ((a a) b)[b] = 1 against (a (a b))[b] = 1 + 2^64: equal in wrapped int64
+    assert validate(wrap_ring()).violations == [("associativity", (1, 1, 2, 2))]
+
+
+def test_exact_matvec_bound_counts_the_inner_size():
+    # every entry is below 2^53, the sum is not: float64 would round it to 2^53
+    assert exact_matvec(np.array([[2**52, 2**52, 1]]), np.array([1, 1, 1]))[0] == 2**53 + 1
+
+
+def loop_associativity_witness(N):
+    r = len(N)
+    for i, j, k, l in itertools.product(range(r), repeat=4):
+        lhs = sum(int(N[i, j, m]) * int(N[m, k, l]) for m in range(r))
+        rhs = sum(int(N[j, k, m]) * int(N[i, m, l]) for m in range(r))
+        if lhs != rhs:
+            return (i, j, k, l)
+    return None
+
+
+SMALL_NAMES = [n for n in SAMPLE_NAMES + ["vec_s3"] if ring_of(n).rank <= 6]
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_associativity_witness_matches_a_quadruple_loop(name):
+    ring = ring_of(name)
+    r = ring.rank
+    rng = np.random.default_rng(SMALL_NAMES.index(name))
+    for value in (0, 1, 2, 3, 2**40):
+        N = np.array(ring.N)
+        N[tuple(rng.integers(0, r, 3))] = value
+        report = validate(FusionRing(labels=ring.labels, N=N, dual=ring.dual))
+        assert dict(report.violations).get("associativity") == loop_associativity_witness(N)
+
+
+@pytest.mark.parametrize("name", ["ising", "rep_q8", "vec_s3", "su2_k(4)"])
+def test_multiply_matches_a_double_loop(name):
+    ring = ring_of(name)
+    r = ring.rank
+    rng = np.random.default_rng(r)
+    for scale in (3, 2**28, 2**40, 2**62):
+        u, v = rng.integers(-scale, scale, size=(2, r), endpoint=True)
+        inputs = [(u, v), (u.astype(object) * 2**20, v.astype(object))]
+        for x, y in inputs:
+            want = [sum(int(x[i]) * int(y[j]) * int(ring.N[i, j, k])
+                        for i in range(r) for j in range(r)) for k in range(r)]
+            assert [int(c) for c in ring.multiply(x, y)] == want
