@@ -27,7 +27,7 @@ from .spectral import (
     fp_character,
     is_commutative,
 )
-from .subcat import generated_subcategory, object_profile, restrict, restriction_order
+from .subcat import Subcategory, object_profile, restrict, restriction_order
 
 
 @dataclass
@@ -72,17 +72,17 @@ def universal_grading(ring: FusionRing, i: int,
                       table: CharacterTable | None = None,
                       eps: float = DEFAULT_EPS,
                       seed: int = DEFAULT_SEED) -> GradingData:
-    """Universal cyclic grading of the subcategory generated by e_i.
+    """Cyclic exponent grading of C(e_i): simples first occurring in e_i^n have grade n mod ind.
 
-    Grades are computed by the exponent construction (grade n mod ind for
-    constituents of the n-th power) and, when the restricted ring is
-    commutative, cross-checked against the character taking the value
-    xi * FPdim on the generator, xi = exp(2*pi*i/ind). Disagreement between
-    the two assignments raises MethodDisagreement. Given the ambient fp and
-    table, the characters of C(e_i) are read as restrictions of ambient ones.
+    It is the universal grading of C(e_i), and of the ring when e_i is faithful,
+    by the paper's theorem ind X = |U(C)| for faithful X, which is assumed here.
+    When the restricted ring is commutative, grades are cross-checked against
+    the character taking the value xi * FPdim on the generator, xi =
+    exp(2*pi*i/ind); disagreement raises MethodDisagreement. Given the ambient fp
+    and table, the characters of C(e_i) are read as restrictions of ambient ones.
     """
     profile = object_profile(ring, i)
-    sub = generated_subcategory(ring, [i])
+    sub = Subcategory(members=profile.members)
     order_list = restriction_order(ring, sub)
     ind = profile.index
     grades = {k: profile.level[k] % ind for k in order_list}

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, ClosureViolation, InternalInconsistency, ZeroClass
+from .errors import (
+    CapExceeded, ClosureViolation, DimensionMismatch, InternalInconsistency, ZeroClass)
 from .ring import FusionRing
 from .spectral import (
     DEFAULT_EPS,
@@ -28,7 +29,6 @@ from .spectral import (
 from .subcat import (
     Subcategory,
     closure_defect,
-    generated_subcategory,
     is_faithful,
     object_profile,
 )
@@ -53,11 +53,12 @@ class BrauerReport:
 def _check_class(ring: FusionRing, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (ring.rank,):
-        raise ZeroClass("class vector has the wrong length")
-    if all(int(c) == 0 for c in x):
+        raise DimensionMismatch("class vectors must have length equal to the rank")
+    coeffs = x.tolist()
+    if not all(c >= 0 and (isinstance(c, int) or float(c).is_integer()) for c in coeffs):
+        raise ValueError("object classes must have nonnegative integer coefficients")
+    if not any(coeffs):
         raise ZeroClass("class vector is zero")
-    if any(int(c) < 0 for c in x):
-        raise ValueError("object classes must have nonnegative coefficients")
     return x
 
 
@@ -144,7 +145,7 @@ def kernel_via_subring_idempotents(ring: FusionRing, fp: FPData, table: Characte
     dimensions restrict to subrings) and returns the characters evaluating
     to 1 on it; evaluation on a central idempotent is always 0 or 1.
     """
-    members = list(generated_subcategory(ring, [i]).members)
+    members = list(object_profile(ring, i).members)
     e = np.zeros(ring.rank, dtype=complex)
     e[members] = fp.dims[members] / np.sum(fp.dims[members] ** 2)
     return frozenset(within_eps(table.characters @ e, 1.0, max(eps, 1e-9)))

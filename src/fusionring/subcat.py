@@ -2,10 +2,11 @@
 
 A subcategory is represented by the set of basis indices of its simples;
 it must contain the unit and be closed under duals and under constituents
-of pairwise products. What the powers of one simple decide is read off one
-cached breadth-first search (ObjectProfile). Faithfulness of a simple is
-equivalent to indecomposability of its fusion matrix, tested independently
-and exactly by strong connectivity of the fusion digraph.
+of pairwise products. What the powers of an object decide, and the subcategory
+any set of simples generates, is read off one cached breadth-first search per
+support (ObjectProfile). Faithfulness of a simple is equivalent to
+indecomposability of its fusion matrix, tested independently and exactly by
+strong connectivity of the fusion digraph.
 """
 
 from __future__ import annotations
@@ -35,14 +36,16 @@ class Subcategory:
 
 @dataclass(frozen=True)
 class ObjectProfile:
-    """What the powers of one simple X decide, from one BFS of its fusion digraph.
+    """What the powers of an object X decide, from one BFS of its fusion digraph.
 
-    The digraph has an edge j -> k when e_k occurs in X * e_j. As N >= 0, the
-    support of X^n is exactly the set of simples reached from the unit by walks
-    of length n. So level[k] is the least n with e_k in X^n (-1 if none);
-    members, the simples reached, form C(X); index, the period of the digraph,
-    is the gcd of level(u) + 1 - level(v) over its edges u -> v; and order,
-    the least n >= 1 with the unit in X^n, is level(X*) + 1.
+    The digraph has an edge j -> k when e_k occurs in e_s * e_j for a simple s
+    in the support of X. As N >= 0, the support of X^n is exactly the set of
+    simples reached from the unit by walks of length n, so the support of X
+    decides all. level[k] is the least n with e_k in X^n (-1 if none); members,
+    the simples reached, form C(X); index, the period of the digraph, is the gcd
+    of level(u) + 1 - level(v) over its edges u -> v; and order, the first
+    return to the unit, is 1 + the least level of a member with an edge into
+    the unit. The empty support reaches the unit alone, with index and order 0.
     """
 
     level: tuple[int, ...]
@@ -51,7 +54,7 @@ class ObjectProfile:
     order: int
 
 
-# ring -> {simple: profile}; an entry goes when its ring is collected
+# ring -> {support: profile}; an entry goes when its ring is collected
 _PROFILES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -67,27 +70,31 @@ def _levels(adj: np.ndarray, start: int) -> np.ndarray:
     return level
 
 
-def _build_profile(ring: FusionRing, i: int) -> ObjectProfile:
-    adj = ring.N[i] > 0  # adj[j, k]: e_k occurs in X * e_j
+def _build_profile(ring: FusionRing, support: frozenset[int]) -> ObjectProfile:
+    adj = (ring.N[sorted(support)] > 0).any(axis=0)  # adj[j, k]: e_k occurs in X * e_j
     level = _levels(adj, ring.unit)
     members = np.flatnonzero(level >= 0)
+    returns = level[members[adj[members, ring.unit]]]
     # every walk from a member stays in C(X), so C(X) is strongly connected
-    # iff every member reaches the unit; X* is a member, as X * X* holds the unit
-    if (_levels(adj.T, ring.unit)[members] < 0).any() or level[ring.dual[i]] < 0:
+    # iff every member reaches the unit; then a nonempty support returns to it
+    if (_levels(adj.T, ring.unit)[members] < 0).any() or (support and not returns.size):
         raise InternalInconsistency(
-            f"fusion digraph of simple {i} is not strongly connected on its own subcategory")
+            f"fusion digraph of {sorted(support)} is not strongly connected on its subcategory")
     u, v = np.nonzero(adj[members])
     return ObjectProfile(level=tuple(level.tolist()), members=tuple(members.tolist()),
                          index=int(np.gcd.reduce(level[members[u]] + 1 - level[v])),
-                         order=int(level[ring.dual[i]]) + 1)
+                         order=int(returns.min()) + 1 if returns.size else 0)
 
 
-def object_profile(ring: FusionRing, i: int) -> ObjectProfile:
-    """Profile of e_i, computed once per ring and simple."""
+def object_profile(ring: FusionRing, *simples: int) -> ObjectProfile:
+    """Profile of any object whose support is `simples`, computed once per ring and support."""
     profiles = _PROFILES.setdefault(ring, {})
-    if i not in profiles:
-        profiles[i] = _build_profile(ring, i)
-    return profiles[i]
+    support = frozenset(simples)
+    if support not in profiles:
+        if support and not 0 <= min(support) <= max(support) < ring.rank:
+            raise IndexError(f"simple indices {sorted(support)} out of range for rank {ring.rank}")
+        profiles[support] = _build_profile(ring, support)
+    return profiles[support]
 
 
 def closure_defect(ring: FusionRing, members: Iterable[int]):
@@ -112,18 +119,10 @@ def closure_defect(ring: FusionRing, members: Iterable[int]):
 def generated_subcategory(ring: FusionRing, gens: Iterable[int]) -> Subcategory:
     """Least closed set of simples containing the generators and the unit.
 
-    One generator is read off its profile; several are closed by iteration.
+    It is C(x) for any object x with support `gens`: the members of the profile
+    of that support, the simples in some power of x (the unit alone if none).
     """
-    gens = [int(g) for g in gens]
-    if len(gens) == 1:
-        return Subcategory(members=object_profile(ring, gens[0]).members)
-    S = set(gens) | {ring.unit}
-    while True:
-        new = {ring.dual[i] for i in S}
-        new.update(int(k) for i in S for j in S for k in np.nonzero(ring.N[i, j])[0])
-        if new <= S:
-            return Subcategory(members=tuple(sorted(S)))
-        S |= new
+    return Subcategory(members=object_profile(ring, *gens).members)
 
 
 def is_faithful(ring: FusionRing, i: int) -> bool:

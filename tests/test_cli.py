@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SAMPLE_NAMES, count_calls, entry, ring_of, wrap_ring
-from fusionring import modular, save_ring, save_smatrix
+from fusionring import modular, save_ring, save_smatrix, subcat
 from fusionring import ring as ring_module
 from fusionring.cli import _build_parser, _power_sweep, main
 
@@ -283,3 +283,12 @@ def test_power_sweep_stops_early_with_the_full_sweep_result(name, factor):
     clash, returns = _power_sweep(ring, ind)
     assert (clash, returns.tolist()) == _full_cap_sweep(ring, ind)
     assert (clash is None) == (factor == 1)  # the unit alone clashes at twice its index
+
+
+def test_analyze_builds_one_profile_per_simple(capsys, monkeypatch):
+    builds = count_calls(monkeypatch, subcat._build_profile)
+    for name in SAMPLE_NAMES:
+        builds.clear()
+        code, _, _ = run(capsys, "analyze", "--ring", name, "--format", "json")
+        supports = sorted((s for _, s in builds), key=min)
+        assert code == 0 and supports == [frozenset({i}) for i in range(ring_of(name).rank)], name

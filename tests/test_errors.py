@@ -5,10 +5,15 @@ import pytest
 
 from conftest import fp_of, ring_of, table_of
 from fusionring import (
+    center_of_class,
     character_table,
     fp_character,
+    generated_subcategory,
     invertibles,
+    is_faithful,
     kernel_of_character,
+    kernel_of_class,
+    object_index,
     primitive_idempotents,
     universal_grading,
 )
@@ -16,6 +21,7 @@ from fusionring.errors import (
     ClosureViolation,
     ConvergenceFailure,
     DegenerateCombination,
+    DimensionMismatch,
     InternalInconsistency,
     MethodDisagreement,
     SingularCharacterMatrix,
@@ -108,3 +114,25 @@ def test_profile_rejects_a_digraph_that_never_returns_to_the_unit():
     ring = FusionRing(labels=("1", "a", "b"), N=N, dual=(0, 1, 2))
     with pytest.raises(InternalInconsistency):
         object_index(ring, 1)
+
+
+def test_simple_indices_outside_the_rank_are_rejected():
+    ring = ring_of("ising")
+    with pytest.raises(IndexError):
+        generated_subcategory(ring, [-1, -1])
+    with pytest.raises(IndexError):
+        is_faithful(ring, -1)
+    with pytest.raises(IndexError):
+        object_index(ring, 3)
+
+
+def test_class_vectors_must_be_integral_and_of_the_rank():
+    ring, fp, table = ring_of("ising"), fp_of("ising"), table_of("ising")
+    for of_class in (kernel_of_class, center_of_class):
+        for x in ([0.5, 0, 0], [-0.5, 0, 1], [1, 0, float("nan")]):
+            with pytest.raises(ValueError):
+                of_class(ring, fp, table, np.array(x))
+        with pytest.raises(DimensionMismatch):
+            of_class(ring, fp, table, np.array([1, 0]))
+        assert (of_class(ring, fp, table, np.array([1.0, 0.0, 2.0]))
+                == of_class(ring, fp, table, np.array([1, 0, 2])))

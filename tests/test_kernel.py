@@ -1,5 +1,7 @@
 """Kernels and centers of characters and classes; the tensor-power property."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from conftest import COMMUTATIVE_NAMES, fp_of, ring_of, table_of
 from fusionring import (
     adjoint_class,
     center_of_class,
+    generated_subcategory,
     is_faithful,
+    is_indecomposable_matrix,
     kernel_of_character,
     kernel_of_class,
     kernel_via_subring_idempotents,
@@ -164,3 +168,19 @@ def test_subcategory_spanned_by_kernel_faithful_on_quotient_generator():
     for t in range(table.count):
         sub = kernel_of_character(ring, fp, table, t)
         assert validate(restrict(ring, sub)).valid
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE_NAMES)
+def test_brauer_analogue_for_objects(name):
+    # trivial kernel <=> the support generates the ring <=> sum x_g A_g is indecomposable
+    ring, fp, table = ring_of(name), fp_of(name), table_of(name)
+    rng = random.Random(name)
+    for _ in range(20):
+        support = rng.sample(range(ring.rank), rng.randint(1, min(4, ring.rank)))
+        x = np.zeros(ring.rank, dtype=np.int64)
+        for g in support:
+            x[g] = rng.randint(1, 2)
+        trivial = kernel_of_class(ring, fp, table, x) == {table.fp_index}
+        generates = len(generated_subcategory(ring, support)) == ring.rank
+        matrix = sum(x[g] * ring.fusion_matrix(g) for g in support)
+        assert trivial == generates == is_indecomposable_matrix(matrix), (name, x.tolist())

@@ -1,5 +1,7 @@
 """Generated subcategories, restriction, faithfulness, indecomposability."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from fusionring import (
     validate,
 )
 from fusionring.errors import NotClosed
+from fusionring.subcat import closure_defect, object_profile
 
 
 def test_generated_subcategory_examples():
@@ -92,3 +95,25 @@ def test_restrict_generated_is_valid_and_faithful(name):
         assert validate(small).valid
         order = [ring.unit] + [m for m in sub.members if m != ring.unit]
         assert is_faithful(small, order.index(i))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_object_profile_matches_exact_powers(name):
+    # x = sum of a seeded support of 0-4 simples; the reference is the exact powers of x
+    ring = ring_of(name)
+    r = ring.rank
+    rng = random.Random(name)
+    for _ in range(6):
+        support = rng.sample(range(r), rng.randint(0, min(4, r)))
+        x = np.zeros(r, dtype=np.int64)
+        x[support] = 1
+        powers = [ring.basis_vector(ring.unit)]
+        for _ in range(2 * r):
+            powers.append(ring.multiply(x, powers[-1]))
+        level = tuple(next((n for n, p in enumerate(powers) if p[k] > 0), -1) for k in range(r))
+        profile = object_profile(ring, *support)
+        assert profile.level == level, (name, support)
+        assert profile.order == next((n for n in range(1, 2 * r + 1) if powers[n][ring.unit] > 0), 0)
+        assert profile.members == tuple(k for k in range(r) if level[k] >= 0)
+        assert generated_subcategory(ring, support).members == profile.members
+        assert closure_defect(ring, profile.members) is None, (name, support)
