@@ -81,18 +81,29 @@ def kernel_of_character(ring: FusionRing, fp: FPData, table: CharacterTable,
                           "lower eps or re-examine the table")
 
 
+def _support_class(ring: FusionRing, x: np.ndarray) -> np.ndarray:
+    """The 0/1 support vector of the object class x.
+
+    For x >= 0, chi(x) = FPdim(x) exactly when chi(e_j) = FPdim(e_j) for every
+    j in supp(x), and |chi(x)| = FPdim(x) exactly when the chi(e_j) also share
+    one phase; both depend on supp(x) only. Deciding them on the support keeps
+    coefficients past 2**53 out of the floating-point sums.
+    """
+    return (_check_class(ring, x) != 0).astype(np.int64)
+
+
 def kernel_of_class(ring: FusionRing, fp: FPData, table: CharacterTable,
                     x: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
-    """Characters taking the value FPdim(x) on the class x."""
-    x = _check_class(ring, x)
-    return frozenset(within_eps(table.characters @ x.astype(complex), fpdim_of_class(fp, x), eps))
+    """Characters taking the value FPdim(x) on the class x, decided on supp(x)."""
+    s = _support_class(ring, x)
+    return frozenset(within_eps(table.characters @ s.astype(complex), fpdim_of_class(fp, s), eps))
 
 
 def center_of_class(ring: FusionRing, fp: FPData, table: CharacterTable,
                     x: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
-    """Characters whose modulus on the class x attains FPdim(x)."""
-    x = _check_class(ring, x)
-    return frozenset(within_eps(table.characters @ x.astype(complex), fpdim_of_class(fp, x),
+    """Characters whose modulus on the class x attains FPdim(x), decided on supp(x)."""
+    s = _support_class(ring, x)
+    return frozenset(within_eps(table.characters @ s.astype(complex), fpdim_of_class(fp, s),
                                 eps, modulus=True))
 
 

@@ -139,11 +139,19 @@ def verlinde_ring(S: np.ndarray, labels: tuple[str, ...] | None = None) -> Fusio
 
 
 def _verlinde_tensor(U: np.ndarray, unit: int) -> np.ndarray:
-    """Rounded, nonnegative Verlinde constants of a unitary U, divided by its unit row U[unit]."""
+    """Rounded, nonnegative Verlinde constants of a unitary U, divided by its unit row U[unit].
+
+    N[i][j][k] = sum_m U[i][m] U[j][m] conj(U[k][m]) / U[unit][m], formed as
+    one r x r complex GEMM per i, (U[i] * U) @ weights.T, into a preallocated
+    r^3 array.
+    """
     if np.abs(U[unit]).min() < 1e-12:
         raise InvalidRing("unit row of S has a vanishing entry")
     weights = U.conj() / U[unit][None, :]
-    Nc = np.einsum("im,jm,km->ijk", U, U, weights)
+    r = len(U)
+    Nc = np.empty((r, r, r), dtype=complex)
+    for i in range(r):
+        np.matmul(U[i] * U, weights.T, out=Nc[i])
     Nr = np.rint(Nc.real)
     if np.abs(Nc - Nr).max() > _VERLINDE_INT_TOL:
         worst = np.unravel_index(np.argmax(np.abs(Nc - Nr)), Nc.shape)

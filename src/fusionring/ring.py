@@ -3,9 +3,10 @@
 A fusion ring of rank r is a based ring with basis e_0, ..., e_{r-1}, unit
 e_0 (by normalization), a duality involution, and nonnegative integer
 structure constants N[i][j][k] giving the multiplicity of e_k in e_i * e_j.
-All integer arithmetic in this module is exact and goes through one product,
-:func:`exact_matvec`: float64 while every partial sum is provably an exact
-integer, Python integers otherwise, so it never wraps around.
+All integer arithmetic in this module is exact and follows one rule,
+:func:`_float64_exact`: float64 while every partial sum is provably an exact
+integer, Python integers otherwise, so it never rounds or wraps around.
+:func:`exact_matvec` applies it per product, :func:`validate` once per call.
 """
 
 from __future__ import annotations
@@ -32,15 +33,26 @@ def _max_abs(v: np.ndarray) -> int:
     return max(int(v.max()), -int(v.min()))
 
 
+def _float64_exact(bound_a: int, bound_b: int, inner: int) -> bool:
+    """The 2**53 rule of every exact product.
+
+    A product of integer arrays bounded by bound_a and bound_b in modulus,
+    summing `inner` terms per entry, has every partial sum below
+    bound_a * bound_b * inner; below 2**53 float64 holds each one exactly.
+    """
+    return bound_a * bound_b * inner < 2**53
+
+
 def exact_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A @ v over the integers, exactly; v is a vector or a matrix.
 
-    While max|A| * max|v| * (inner size) < 2**53, every partial sum is an
-    integer that float64 holds exactly, so the product runs as a float64
-    matmul cast back to int64. Otherwise it runs on Python ints (object dtype).
+    When _float64_exact(max|A|, max|v|, inner size) holds, the product runs
+    as a float64 matmul cast back to int64. Otherwise it runs on Python ints
+    (object dtype). :func:`validate` applies the same rule once per call to
+    the one operand N of all its products.
     """
     if A.dtype != object and v.dtype != object:
-        if _max_abs(A) * _max_abs(v) * A.shape[-1] < 2**53:
+        if _float64_exact(_max_abs(A), _max_abs(v), A.shape[-1]):
             return (A.astype(np.float64) @ v.astype(np.float64)).astype(np.int64)
     return A.astype(object).dot(v.astype(object))
 
@@ -110,8 +122,9 @@ class FusionRing:
         """Product of two class vectors: (u*v)[k] = sum_ij u[i] v[j] N[i][j][k].
 
         Integer and object inputs are multiplied exactly by two exact_matvec
-        calls, through X[j][k] = sum_i u[i] N[i][j][k]; float/complex inputs
-        use the same bilinear extension in floating point.
+        calls, through X[j][k] = sum_i u[i] N[i][j][k] over the support of u
+        only; float/complex inputs use the same bilinear extension in floating
+        point.
         """
         u = np.asarray(u)
         v = np.asarray(v)
@@ -119,7 +132,8 @@ class FusionRing:
         if u.shape != (r,) or v.shape != (r,):
             raise DimensionMismatch("class vectors must have length equal to the rank")
         if all(x.dtype == object or np.issubdtype(x.dtype, np.integer) for x in (u, v)):
-            X = exact_matvec(self.N.reshape(r, r * r).T, u).reshape(r, r)
+            nz = np.flatnonzero(u)
+            X = exact_matvec(self.N[nz].reshape(len(nz), r * r).T, u[nz]).reshape(r, r)
             return exact_matvec(X.T, v)
         # float/complex inputs: plain bilinear extension, numpy promotes the dtype
         return np.einsum("i,j,ijk->k", u, v, self.N)
@@ -152,11 +166,37 @@ def _first_mismatch(diff: np.ndarray):
     return tuple(int(x) for x in idx[0]) if idx.size else None
 
 
+def _associativity_witness(N: np.ndarray):
+    """First (i, j, k, l) in C order with ((e_i e_j) e_k)[l] != (e_i (e_j e_k))[l], or None.
+
+    One i at a time, in r^3 memory, not r^4: lhs[j][k][l] = sum_m N[i][j][m]
+    N[m][k][l] and rhs[j][k][l] = sum_m N[j][k][m] N[i][m][l], written into
+    two buffers that every i reuses.
+    """
+    r = len(N)
+    bound = _max_abs(N)
+    M = N.astype(np.float64 if _float64_exact(bound, bound, r) else object)
+    lhs, rhs = np.empty((2, r, r, r), dtype=M.dtype)
+    for i in range(r):
+        np.matmul(M[i], M.reshape(r, r * r), out=lhs.reshape(r, r * r))
+        np.matmul(M.reshape(r * r, r), M[i], out=rhs.reshape(r * r, r))
+        if not np.array_equal(lhs, rhs):
+            return (i, *_first_mismatch(lhs != rhs))
+    return None
+
+
 def validate(ring: FusionRing) -> ValidationReport:
     """Check unit law, associativity, duality, Frobenius reciprocity, involution.
 
     Returns a report listing every violated axiom with one witness index
     tuple; a valid ring returns an empty violation list.
+
+    Associativity is checked exactly, one simple at a time in r^3 memory.
+    The operand of all 2r products is decided once per call: one bound
+    max|N|, then one cast of N, to float64 when _float64_exact(max|N|,
+    max|N|, r) holds and to Python ints otherwise. For each i the two sides
+    are GEMMs on that operand, compared with np.array_equal; the C-order
+    witness is looked for only when they differ.
     """
     N = ring.N
     r = ring.rank
@@ -172,14 +212,9 @@ def validate(ring: FusionRing) -> ValidationReport:
     if w is not None:
         violations.append(("unit", w))
 
-    # (e_i e_j) e_k = e_i (e_j e_k), one i at a time: r^3 memory, not r^4
-    for i in range(r):
-        lhs = exact_matvec(N[i], N.reshape(r, r * r)).reshape(r, r, r)
-        rhs = exact_matvec(N.reshape(r * r, r), N[i]).reshape(r, r, r)
-        w = _first_mismatch(lhs != rhs)
-        if w is not None:
-            violations.append(("associativity", (i, *w)))
-            break
+    w = _associativity_witness(N)
+    if w is not None:
+        violations.append(("associativity", w))
 
     expected = np.zeros((r, r), dtype=np.int64)
     expected[np.arange(r), dual] = 1

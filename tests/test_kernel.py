@@ -18,6 +18,7 @@ from fusionring import (
     verify_brauer,
 )
 from fusionring.errors import CapExceeded, ZeroClass
+from fusionring.spectral import fpdim_of_class, within_eps
 
 
 def char_index(name, values, tol=1e-8):
@@ -184,3 +185,27 @@ def test_brauer_analogue_for_objects(name):
         generates = len(generated_subcategory(ring, support)) == ring.rank
         matrix = sum(x[g] * ring.fusion_matrix(g) for g in support)
         assert trivial == generates == is_indecomposable_matrix(matrix), (name, x.tolist())
+
+
+def test_class_kernels_are_decided_past_2_53():
+    # 2**80 + sigma: in float64 the sigma term vanishes and every character matched
+    ring, fp, table = ring_of("ising"), fp_of("ising"), table_of("ising")
+    x = np.array([2**80, 0, 1], dtype=object)
+    assert kernel_of_class(ring, fp, table, x) == {0}
+    assert center_of_class(ring, fp, table, x) == {0}
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE_NAMES)
+def test_class_kernels_agree_with_the_support(name):
+    ring, fp, table = ring_of(name), fp_of(name), table_of(name)
+    rng = random.Random(name)
+    for _ in range(10):
+        x = np.zeros(ring.rank, dtype=np.int64)
+        for g in rng.sample(range(ring.rank), rng.randint(1, min(4, ring.rank))):
+            x[g] = rng.randint(1, 5)
+        values, dim = table.characters @ x.astype(complex), fpdim_of_class(fp, x)
+        support = (x > 0).astype(np.int64)
+        assert (kernel_of_class(ring, fp, table, x) == kernel_of_class(ring, fp, table, support)
+                == frozenset(within_eps(values, dim))), (name, x.tolist())
+        assert (center_of_class(ring, fp, table, x) == center_of_class(ring, fp, table, support)
+                == frozenset(within_eps(values, dim, modulus=True))), (name, x.tolist())

@@ -31,7 +31,7 @@ from fusionring.errors import (
     VerlindeMismatch,
     ZeroEntry,
 )
-from fusionring import modular, ring as ring_module
+from fusionring import catalog, modular, ring as ring_module
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -80,6 +80,34 @@ def test_verlinde_nonintegral_rejected():
     S[2, 2] = 0.3  # breaks unitarity scale, coefficients drift off the integers
     with pytest.raises((NonIntegral, InvalidRing)):
         verlinde_ring(S)
+
+
+def einsum_verlinde(U, unit):
+    """The Verlinde constants of a unitary U by one three-operand einsum, rounded."""
+    weights = U.conj() / U[unit][None, :]
+    return np.rint(np.einsum("im,jm,km->ijk", U, U, weights).real).astype(np.int64)
+
+
+LADDER = {"su2_k(40)": (catalog._su2_k(40), catalog._su2_k_smatrix(40)),
+          "pointed_zn(48)": (catalog._pointed_zn(48), catalog._pointed_zn_smatrix(48)),
+          "pointed_zn(64)": (catalog._pointed_zn(64), catalog._pointed_zn_smatrix(64))}
+
+
+@pytest.mark.parametrize("name", MODULAR_NAMES + list(LADDER))
+def test_verlinde_tensor_matches_an_einsum(name):
+    ring, S = LADDER[name] if name in LADDER else (ring_of(name), entry(name).smatrix.S)
+    U = S / np.sqrt(modular._nondegenerate(S, ring.rank, InvalidRing))
+    N = modular._verlinde_tensor(U, ring.unit)
+    assert N.dtype == np.int64
+    assert np.array_equal(N, einsum_verlinde(U, ring.unit))
+    assert np.array_equal(N, ring.N)
+
+
+def test_a_perturbed_smatrix_has_nonintegral_verlinde_constants():
+    S = entry("su2_k(10)").smatrix.S.copy()
+    S[2, 3] = S[3, 2] = S[2, 3] + 1e-3
+    with pytest.raises(NonIntegral):
+        modular._verlinde_tensor(S, 0)
 
 
 def test_centralizer_examples():

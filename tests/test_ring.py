@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import ALL_NAMES, SAMPLE_NAMES, ring_of, wrap_ring
+from conftest import ALL_NAMES, SAMPLE_NAMES, count_calls, ring_of, wrap_ring
 from fusionring import FusionRing, basis_vector, dual_from_structure, validate
+from fusionring import ring as ring_module
 from fusionring.errors import AmbiguousDual, DimensionMismatch, NoDual
 from fusionring.ring import exact_matvec
 
@@ -237,3 +238,76 @@ def test_multiply_matches_a_double_loop(name):
             want = [sum(int(x[i]) * int(y[j]) * int(ring.N[i, j, k])
                         for i in range(r) for j in range(r)) for k in range(r)]
             assert [int(c) for c in ring.multiply(x, y)] == want
+
+
+def reference_violations(ring):
+    """validate's violations for a ring whose duality is an involution fixing the unit.
+
+    Every axiom is spelled out on Python ints; associativity takes object-dtype
+    products one i at a time and stops at the first i that fails.
+    """
+    N, r, u, dual = ring.N.astype(object), ring.rank, ring.unit, ring.dual
+    assert sorted(dual) == list(range(r)) and dual[u] == u
+    assert all(dual[dual[i]] == i for i in range(r))
+    def cells(n):
+        return itertools.product(range(r), repeat=n)
+
+    found = {
+        "unit": next(((j, k) for j, k in cells(2)
+                      if N[u, j, k] != (j == k) or N[j, u, k] != (j == k)), None),
+        "associativity": None,
+        "duality": next(((i, j) for i, j in cells(2) if N[i, j, u] != (j == dual[i])), None),
+        "frobenius": next(((i, j, k) for i, j, k in cells(3)
+                           if N[i, j, k] != N[dual[i], k, j] or N[i, j, k] != N[k, dual[j], i]),
+                          None),
+    }
+    for i in range(r):
+        lhs = N[i].dot(N.reshape(r, r * r)).reshape(r, r, r)
+        rhs = N.reshape(r * r, r).dot(N[i]).reshape(r, r, r)
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            found["associativity"] = (i, *(int(x) for x in bad[0]))
+            break
+    return [(name, w) for name, w in found.items() if w is not None]
+
+
+@pytest.mark.parametrize("name", ["pointed_zn(24)", "su2_k(10)", "tambara_yamagami_zn(12)"])
+def test_validate_matches_a_reference_on_perturbed_rings(name):
+    # 2**40 squared times the rank passes 2**53, so those rings take the object route
+    ring = ring_of(name)
+    r = ring.rank
+    rng = np.random.default_rng(r)
+    for value in (0, 1, 2, 3, 2**40):
+        for low in (0, 1):  # anywhere, then off the unit's rows and columns
+            N = np.array(ring.N)
+            N[tuple(rng.integers(low, r, 3))] = value
+            perturbed = FusionRing(labels=ring.labels, N=N, dual=ring.dual)
+            report = validate(perturbed)
+            want = reference_violations(perturbed)
+            assert (report.valid, report.violations) == (not want, want), (value, low)
+
+
+def rounding_ring():
+    """Self-dual rank 3 ring, not associative: ((a a) b)[b] = 1 + 2^60, (a (a b))[b] = 2^60.
+
+    The two sides round to the same float64.
+    """
+    big = 2**30
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    N[0] = N[:, 0] = np.eye(3, dtype=np.int64)
+    N[1, 1] = N[2, 2] = [1, 0, big]
+    N[1, 2] = N[2, 1] = [0, big, 0]
+    return FusionRing(labels=("1", "a", "b"), N=N, dual=(0, 1, 2), name="rounding")
+
+
+@pytest.mark.parametrize("make", [wrap_ring, rounding_ring])
+def test_validate_matches_the_reference_past_2_53(make):
+    violations = validate(make()).violations
+    assert violations == reference_violations(make())
+    assert ("associativity", (1, 1, 2, 2)) in violations
+
+
+def test_validate_bounds_the_structure_constants_once(monkeypatch):
+    bounds = count_calls(monkeypatch, ring_module._max_abs)
+    assert validate(ring_of("pointed_zn(24)")).valid
+    assert len(bounds) == 1

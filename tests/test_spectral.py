@@ -15,8 +15,9 @@ from fusionring import (
     primitive_idempotents,
     regular_element,
 )
-from fusionring.errors import NonCommutative
-from fusionring.spectral import AGGREGATE_EPS, fp_character, within_eps
+from fusionring import catalog, spectral
+from fusionring.errors import DegenerateCombination, NonCommutative
+from fusionring.spectral import AGGREGATE_EPS, build_table, fp_character, within_eps
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -261,3 +262,26 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_refused(eps):
         character_table(ising, eps=eps)
     with pytest.raises(ValueError, match="eps must be positive and finite"):
         within_eps([1.0], 1.0, eps)
+
+
+@pytest.mark.parametrize("ring", [catalog._su2_k(10), catalog._pointed_zn(24),
+                                  catalog._pointed_zn(48)], ids=lambda ring: ring.name)
+def test_multiplicativity_residuals_match_a_per_row_einsum(ring):
+    # pointed_zn(48) takes several blocks, the others one
+    r = ring.rank
+    rows = np.random.default_rng(r).normal(size=(r, r)) + 1j
+    want = [np.abs(np.outer(row, row) - np.einsum("ijk,k->ij", ring.N, row)).max() for row in rows]
+    assert np.allclose(spectral._multiplicativity_residuals(ring, rows), want, rtol=1e-12)
+
+
+def test_build_table_reports_the_first_failing_row():
+    ring, rows = ring_of("pointed_zn(5)"), table_of("pointed_zn(5)").characters
+    not_multiplicative, not_normalized = rows.copy(), rows.copy()
+    not_multiplicative[1, 2] += 0.1
+    not_multiplicative[2, 0] = 2.0
+    not_normalized[1, 0] = 2.0
+    not_normalized[2, 2] += 0.1
+    with pytest.raises(DegenerateCombination, match="not multiplicative"):
+        build_table(ring, not_multiplicative)
+    with pytest.raises(DegenerateCombination, match="not normalized"):
+        build_table(ring, not_normalized)
