@@ -249,7 +249,7 @@ def load_ring(path) -> FusionRing:
     labels = _require(data, "labels", list, ctx)
     unit = _require(data, "unit", int, ctx)
     N_raw = _require(data, "N", list, ctx)
-    name = data.get("name", "")
+    name = _require(data, "name", str, ctx) if "name" in data else ""
     if len(labels) != rank or not all(isinstance(s, str) for s in labels):
         raise ParseError(f"{ctx}: labels must be {rank} strings")
     if len(set(labels)) != rank:
@@ -312,7 +312,11 @@ def save_ring(ring: FusionRing, path) -> None:
 
 
 def load_smatrix(path, ring: FusionRing) -> ModularData:
-    """Load an S-matrix file and validate it against the ring with modular_data."""
+    """Load an S-matrix file and validate it against the ring with modular_data.
+
+    Rows and columns follow the ring as loaded: load_ring moves the unit to
+    index 0, so S lists the unit first, then the other simples in file order.
+    """
     data = _read_json(path)
     ctx = str(path)
     raw = _require(data, "S", list, ctx)

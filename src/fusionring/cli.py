@@ -126,8 +126,7 @@ def _run_checks(ring, fp, table, eps, seed) -> list[dict]:
             indecomp = subcat.is_indecomposable_matrix(ring.fusion_matrix(i))
             assert faithful == indecomp, f"simple {ring.labels[i]}: faithful != indecomposable"
             if table is not None:
-                report = kernel.verify_brauer(ring, fp, table, i, eps=eps)
-                assert report.faithful_expected == faithful
+                kernel.verify_brauer(ring, fp, table, i, eps=eps)
 
     @functools.lru_cache(maxsize=None)
     def sweep():  # its own support sweep: the power checks test the profile, not reuse it
@@ -276,8 +275,8 @@ def _number(kind, ok, requirement):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser, ring_required=True):
-    p.add_argument("--ring", required=ring_required,
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--ring", required=True,
                    help="builtin name (see list-builtins) or path to a ring JSON file")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--epsilon", default=spectral.DEFAULT_EPS,
@@ -342,7 +341,7 @@ def main(argv=None) -> int:
             if args.command != "validate" or exc.ring is None:
                 raise
             ring, entry = exc.ring, None
-        eps, seed = getattr(args, "epsilon", spectral.DEFAULT_EPS), getattr(args, "seed", 0)
+        eps, seed = args.epsilon, args.seed
         code = 0
 
         if args.command == "validate":

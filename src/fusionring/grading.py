@@ -26,6 +26,7 @@ from .spectral import (
     character_table,
     fp_character,
     is_commutative,
+    within_eps,
 )
 from .subcat import Subcategory, object_profile, restrict, restriction_order
 
@@ -77,9 +78,11 @@ def universal_grading(ring: FusionRing, i: int,
     It is the universal grading of C(e_i), and of the ring when e_i is faithful,
     by the paper's theorem ind X = |U(C)| for faithful X, which is assumed here.
     When the restricted ring is commutative, grades are cross-checked against
-    the character taking the value xi * FPdim on the generator, xi =
-    exp(2*pi*i/ind); disagreement raises MethodDisagreement. Given the ambient fp
-    and table, the characters of C(e_i) are read as restrictions of ambient ones.
+    the first character mu with mu(e_i) = xi * FPdim(e_i), xi = exp(2*pi*i/ind):
+    mu(k) / FPdim(k) must be xi**grade(k) for every member k. spectral.within_eps
+    decides both, for all members at once; MethodDisagreement names the first
+    failing member, unit first. Given the ambient fp and table, the characters
+    of C(e_i) are read as restrictions of ambient ones.
     """
     profile = object_profile(ring, i)
     sub = Subcategory(members=profile.members)
@@ -100,20 +103,21 @@ def universal_grading(ring: FusionRing, i: int,
         loc = order_list.index(i)
         xi = np.exp(2j * np.pi / ind)
         target = xi * dims[loc]
-        mu = next((row for row in chars
-                   if abs(row[loc] - target) < AGGREGATE_EPS * max(1.0, abs(target))), None)
-        if mu is None:
+        hits = within_eps(chars[:, loc], target, AGGREGATE_EPS * max(1.0, abs(target)))
+        if not hits:
             raise MethodDisagreement(
                 f"no character takes the value xi*FPdim on the generator (ind={ind})")
-        for local, ambient in enumerate(order_list):
-            ratio = mu[local] / dims[local]
-            a = int(round((np.angle(ratio) / (2 * np.pi)) * ind)) % ind
-            if abs(ratio - xi**a) > AGGREGATE_EPS:
-                raise MethodDisagreement(
-                    f"character value on simple {ambient} is not a power of xi")
-            if a != grades[ambient]:
-                raise MethodDisagreement(
-                    f"simple {ambient}: exponent grade {grades[ambient]} vs character grade {a}")
+        ratio = chars[hits[0]] / dims
+        phase = np.rint(np.angle(ratio) / (2 * np.pi) * ind).astype(int) % ind
+        off_power = ~np.isin(np.arange(len(order_list)),
+                             within_eps(ratio, xi**phase, AGGREGATE_EPS))
+        wrong = np.flatnonzero(off_power | (phase != [grades[k] for k in order_list]))
+        if wrong.size:
+            local, ambient = wrong[0], order_list[wrong[0]]
+            raise MethodDisagreement(
+                f"character value on simple {ambient} is not a power of xi" if off_power[local]
+                else f"simple {ambient}: exponent grade {grades[ambient]} "
+                     f"vs character grade {phase[local]}")
 
     components = tuple(
         tuple(sorted(k for k, g in grades.items() if g == a)) for a in range(ind))

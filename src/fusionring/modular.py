@@ -96,19 +96,20 @@ def modular_data(ring: FusionRing, S: np.ndarray) -> ModularData:
     return ModularData(S=S, ring=ring, global_dim=g)
 
 
-def characters_from_smatrix(md: ModularData, eps: float = DEFAULT_EPS) -> CharacterTable:
-    """Character table read off the S-matrix rows: s_t(Y) = S[t][Y] / S[t][unit]."""
-    S = md.S
-    r = md.ring.rank
-    scale = float(np.abs(S).max())
-    units = S[:, md.ring.unit]
-    small = np.abs(units) < 1e-12 * scale
+def _s_characters(md: ModularData) -> np.ndarray:
+    """S-characters s_t = S[t] / S[t][unit], one per row; ZeroEntry if an S[t][unit] vanishes."""
+    units = md.S[:, md.ring.unit]
+    small = np.abs(units) < 1e-12 * float(np.abs(md.S).max())
     if small.any():
         raise ZeroEntry(
             f"S[t][unit] vanishes for t={int(np.argmax(small))}; not pseudo-unitary")
-    rows = S / units[:, None]
+    return md.S / units[:, None]
+
+
+def characters_from_smatrix(md: ModularData, eps: float = DEFAULT_EPS) -> CharacterTable:
+    """Character table of the S-characters s_t(Y) = S[t][Y] / S[t][unit], from build_table."""
     try:
-        return build_table(md.ring, rows, eps=eps)
+        return build_table(md.ring, _s_characters(md), eps=eps)
     except DegenerateCombination as exc:
         raise InvariantFailed(f"S-matrix rows are not ring characters: {exc}") from exc
 
@@ -164,23 +165,17 @@ def _verlinde_tensor(U: np.ndarray, unit: int) -> np.ndarray:
     return N
 
 
-def _s_character(md: ModularData, i: int) -> np.ndarray:
-    unit = md.ring.unit
-    if abs(md.S[i, unit]) < 1e-12 * float(np.abs(md.S).max()):
-        raise ZeroEntry(f"S[{i}][unit] vanishes")
-    return md.S[i] / md.S[i, unit]
-
-
 def centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> Subcategory:
     """Simples centralizing e_i: the kernel of s_i, against s_unit = S[unit] / S[unit][unit]."""
-    return _closed_kernel(md.ring, _s_character(md, i), _s_character(md, md.ring.unit).real,
-                          eps, "centralizer not closed under {kind} at {witness}")
+    s = _s_characters(md)
+    return _closed_kernel(md.ring, s[i], s[md.ring.unit].real, eps,
+                          "centralizer not closed under {kind} at {witness}")
 
 
 def projective_centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """Simples projectively centralizing e_i: |s_i(Y)| attains s_unit(Y) = FPdim(Y)."""
-    return frozenset(within_eps(_s_character(md, i), _s_character(md, md.ring.unit).real,
-                                eps, modulus=True))
+    s = _s_characters(md)
+    return frozenset(within_eps(s[i], s[md.ring.unit].real, eps, modulus=True))
 
 
 def invertibles(ring: FusionRing, fp: FPData, eps: float = DEFAULT_EPS) -> frozenset[int]:

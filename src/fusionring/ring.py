@@ -81,13 +81,11 @@ class FusionRing:
         N = np.ascontiguousarray(np.asarray(self.N))
         if N.shape != (r, r, r):
             raise DimensionMismatch(f"structure tensor shape {N.shape} != ({r}, {r}, {r})")
-        if not np.issubdtype(N.dtype, np.integer):
-            if not np.all(N == np.rint(N)):
-                raise ValueError("structure constants must be integers")
-            N = N.astype(np.int64)
+        if not np.issubdtype(N.dtype, np.integer) and not np.all(N == np.rint(N)):
+            raise ValueError("structure constants must be integers")
+        N = N.astype(np.int64)
         if N.size and N.min() < 0:
             raise ValueError("structure constants must be nonnegative")
-        N = N.astype(np.int64)
         N.setflags(write=False)
         object.__setattr__(self, "N", N)
         dual = tuple(int(d) for d in self.dual)

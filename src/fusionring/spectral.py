@@ -47,8 +47,8 @@ class FPData:
 class CharacterTable:
     """All ring homomorphisms to the complex numbers, one per row.
 
-    Row 0 is the Frobenius-Perron character; the remaining rows are sorted
-    lexicographically by (real, imaginary) parts of their value vectors.
+    Row 0 is the Frobenius-Perron character; the others are sorted by the real and
+    imaginary parts of their values rounded to 9 digits, first entry first.
     codegrees[t] = sum_j characters[t][j] * characters[t][dual(j)].
     """
 
@@ -138,11 +138,14 @@ def adjoint_class(ring: FusionRing) -> np.ndarray:
 
 
 def bilinear_m(ring: FusionRing, u: np.ndarray, v: np.ndarray) -> int:
-    """Hom-space pairing extended bilinearly; the simples are orthonormal."""
+    """Hom-space pairing extended bilinearly; the simples are orthonormal. Integers only."""
     u = np.asarray(u)
     v = np.asarray(v)
     if u.shape != (ring.rank,) or v.shape != (ring.rank,):
         raise DimensionMismatch("class vectors must have length equal to the rank")
+    u, v = u.tolist(), v.tolist()
+    if not all(isinstance(c, int) or float(c).is_integer() for c in u + v):
+        raise ValueError("class vectors must have integer coefficients")
     return int(sum(int(a) * int(b) for a, b in zip(u, v)))
 
 
@@ -165,42 +168,37 @@ def _multiplicativity_residuals(ring: FusionRing, rows: np.ndarray) -> np.ndarra
     return worst
 
 
-def _sort_key(row: np.ndarray):
-    return tuple((round(float(z.real), 9), round(float(z.imag), 9)) for z in row)
-
-
 def build_table(ring: FusionRing, rows: np.ndarray, eps: float = DEFAULT_EPS) -> CharacterTable:
-    """Assemble a canonical CharacterTable from raw character value rows.
+    """Assemble a canonical CharacterTable from raw character value rows, as whole arrays.
 
-    Verifies each row is a unit-normalized ring homomorphism, puts the
-    basis-positive (Frobenius-Perron) character first, sorts the rest
-    lexicographically, and computes the formal codegrees.
+    Raises for the first row not normalized at the unit or not multiplicative,
+    makes real the rows whose imaginary parts are below 1e-12 * max(1, max|row|),
+    puts the basis-positive (Frobenius-Perron) row first, orders the rest by one
+    np.lexsort of their rounded values, and computes the formal codegrees.
     """
     rows = np.asarray(rows, dtype=complex)
     r = ring.rank
     if rows.shape != (r, r):
         raise DimensionMismatch(f"expected {r} characters of length {r}, got {rows.shape}")
-    cleaned = []
-    for row, residual in zip(rows, _multiplicativity_residuals(ring, rows)):
-        if abs(row[ring.unit] - 1.0) > AGGREGATE_EPS:
-            raise DegenerateCombination("character row is not normalized at the unit")
-        if residual > AGGREGATE_EPS:
-            raise DegenerateCombination("character row is not multiplicative")
-        if np.abs(row.imag).max() < 1e-12 * max(1.0, np.abs(row).max()):
-            row = row.real.astype(complex)
-        cleaned.append(row)
+    unnormalized = np.abs(rows[:, ring.unit] - 1.0) > AGGREGATE_EPS
+    failing = unnormalized | (_multiplicativity_residuals(ring, rows) > AGGREGATE_EPS)
+    if failing.any():
+        raise DegenerateCombination("character row is not normalized at the unit"
+                                    if unnormalized[np.argmax(failing)]
+                                    else "character row is not multiplicative")
+    real = np.abs(rows.imag).max(axis=1) < 1e-12 * np.maximum(1.0, np.abs(rows).max(axis=1))
+    rows = np.where(real[:, None], rows.real + 0j, rows)
 
-    fp_rows = [t for t, row in enumerate(cleaned)
-               if np.abs(row.imag).max() < AGGREGATE_EPS and row.real.min() > eps]
+    fp_rows = np.flatnonzero((np.abs(rows.imag).max(axis=1) < AGGREGATE_EPS)
+                             & (rows.real.min(axis=1) > eps))
     if len(fp_rows) != 1:
         raise DegenerateCombination(
             f"expected exactly one basis-positive character, found {len(fp_rows)}")
-    fp_row = cleaned.pop(fp_rows[0])
-    ordered = [fp_row] + sorted(cleaned, key=_sort_key)
-    characters = np.array(ordered)
+    rest = np.delete(rows, fp_rows[0], axis=0)
+    keys = np.round(np.stack([rest.real, rest.imag], axis=2), 9).reshape(len(rest), 2 * r)
+    characters = np.vstack([rows[fp_rows], rest[np.lexsort(keys.T[::-1])]])
 
-    dual = list(ring.dual)
-    codegrees_c = np.array([np.sum(row * row[dual]) for row in characters])
+    codegrees_c = np.sum(characters * characters[:, list(ring.dual)], axis=1)
     if np.abs(codegrees_c.imag).max() > AGGREGATE_EPS or codegrees_c.real.min() <= 0:
         raise DegenerateCombination("formal codegrees are not real positive")
     codegrees = codegrees_c.real

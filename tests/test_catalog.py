@@ -166,6 +166,7 @@ def test_load_parse_errors(tmp_path):
     (lambda d: d["N"][1].__setitem__(1, [1]), "a ragged row"),
     (lambda d: d.__setitem__("labels", ["1", "1"]), "duplicate labels"),
     (lambda d: d.update(rank=True, labels=["1"], N=[[[1]]]), "a boolean rank"),
+    (lambda d: d.__setitem__("name", ["x"]), "a name that is not a string"),
 ])
 def test_load_ring_rejects_bad_entries_and_labels(tmp_path, change, why):
     data = {"name": "z2", "rank": 2, "labels": ["1", "g"], "unit": 0,

@@ -18,8 +18,9 @@ from fusionring import (
     restrict,
     universal_grading,
 )
-from fusionring.errors import CapExceeded
+from fusionring.errors import CapExceeded, MethodDisagreement
 from fusionring.ring import exact_matvec
+from fusionring.spectral import CharacterTable
 from fusionring.subcat import object_profile, restriction_order
 
 
@@ -224,3 +225,21 @@ def test_profile_cache_does_not_keep_its_ring_alive():
     del ring
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("values, message", [
+    # simple 2 is off every power of xi = i, simple 3 has the wrong phase
+    ([0.5, 1j], r"^character value on simple 2 is not a power of xi$"),
+    # simple 2 has the wrong phase, simple 3 is off every power
+    ([1.0, 0.5], r"^simple 2: exponent grade 2 vs character grade 0$"),
+])
+def test_grading_cross_check_names_the_first_failing_member(values, message):
+    # in pointed_zn(4), mu = (1, i, -1, -i) is the character taking i * FPdim on g1
+    ring, fp, table = ring_of("pointed_zn(4)"), fp_of("pointed_zn(4)"), table_of("pointed_zn(4)")
+    fake = table.characters.copy()
+    mu = int(np.argmin(np.abs(fake[:, 1] - 1j)))
+    assert np.abs(fake[mu] - [1, 1j, -1, -1j]).max() < 1e-12
+    fake[mu, 2:] = values
+    doctored = CharacterTable(characters=fake, codegrees=table.codegrees.copy())
+    with pytest.raises(MethodDisagreement, match=message):
+        universal_grading(ring, ring.index_of("g1"), fp, doctored)

@@ -344,3 +344,16 @@ def test_kernels_and_centralizers_refuse_a_set_that_is_not_closed():
     with pytest.raises(ClosureViolation,
                        match=r"^centralizer not closed under product at \(2, 2, 1\)$"):
         centralizer(entry("ising").smatrix, 2, eps=1.5)
+
+
+def test_centralizers_share_the_zero_entry_check_of_the_s_characters():
+    # every S-character is formed, so a vanishing S[1][unit] fails the unit's centralizer too
+    from fusionring.modular import ModularData
+
+    bad = ModularData(S=np.array([[1, 0], [0, -1]], dtype=complex), ring=ring_of("pointed_zn(2)"),
+                      global_dim=1.0)
+    for call in (characters_from_smatrix, lambda md: centralizer(md, 0),
+                 lambda md: projective_centralizer(md, 0)):
+        with pytest.raises(ZeroEntry,
+                           match=r"^S\[t\]\[unit\] vanishes for t=1; not pseudo-unitary$"):
+            call(bad)

@@ -311,3 +311,13 @@ def test_validate_bounds_the_structure_constants_once(monkeypatch):
     bounds = count_calls(monkeypatch, ring_module._max_abs)
     assert validate(ring_of("pointed_zn(24)")).valid
     assert len(bounds) == 1
+
+
+def test_structure_constants_must_be_nonnegative_int64_integers():
+    labels, dual = ("1", "g"), (0, 1)
+    N = ring_of("pointed_zn(2)").N
+    assert FusionRing(labels=labels, N=N.astype(float), dual=dual).N.dtype == np.int64
+    for bad, why in ((N + 0.5, "integers"), (-N, "nonnegative"),
+                     (np.where(N == 1, 2**63, 0).astype(np.uint64), "nonnegative")):
+        with pytest.raises(ValueError, match=f"must be {why}"):
+            FusionRing(labels=labels, N=bad, dual=dual)

@@ -285,3 +285,36 @@ def test_build_table_reports_the_first_failing_row():
         build_table(ring, not_multiplicative)
     with pytest.raises(DegenerateCombination, match="not normalized"):
         build_table(ring, not_normalized)
+
+
+def _python_sorted(rows):
+    """Rows sorted by Python round(., 9) tuples of (real, imaginary) parts, the order of reference."""
+    return sorted(rows, key=lambda row: tuple((round(float(z.real), 9), round(float(z.imag), 9))
+                                              for z in row))
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE_NAMES)
+def test_build_table_does_not_depend_on_the_row_order(name):
+    ring, table = ring_of(name), table_of(name)
+    real = np.abs(table.characters.imag).max(axis=1) == 0
+    noisy = table.characters + 1e-14j * real[:, None]  # below the 1e-12 cleaning threshold
+    rng = np.random.default_rng(ring.rank)
+    for rows in (table.characters, noisy):
+        for _ in range(3):
+            rebuilt = build_table(ring, rows[rng.permutation(ring.rank)])
+            assert np.array_equal(rebuilt.characters, table.characters)
+            assert np.array_equal(rebuilt.codegrees, table.codegrees)
+            assert not np.signbit(rebuilt.characters[real].imag).any()
+    reference = np.reshape(_python_sorted(table.characters[1:]), (-1, ring.rank))
+    assert np.array_equal(reference, table.characters[1:])
+
+
+def test_bilinear_m_refuses_non_integral_coefficients():
+    ising = ring_of("ising")
+    e0 = ising.basis_vector(0)
+    assert bilinear_m(ising, np.array([1.0, 0.0, 0.0]), e0) == 1
+    for u in ([0.5, 0, 0], [1.9, 0, 0]):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            bilinear_m(ising, np.array(u), e0)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            bilinear_m(ising, e0, np.array(u))
