@@ -18,7 +18,7 @@ import numpy as np
 
 from . import catalog, grading, kernel, modular, spectral, subcat
 from .errors import FusionRingError, NonCommutative, UnknownName, ValidationFailed
-from .ring import FusionRing, validate
+from .ring import FusionRing, ValidationReport
 
 
 def _complex_json(z: complex):
@@ -336,21 +336,21 @@ def main(argv=None) -> int:
 
         try:
             ring, entry = _load_ring_arg(args.ring)
+            verdict = ValidationReport(valid=True)  # the loader validated it
         except ValidationFailed as exc:
             # the validate subcommand still reports on a constructible-but-invalid ring
             if args.command != "validate" or exc.ring is None:
                 raise
-            ring, entry = exc.ring, None
+            ring, entry, verdict = exc.ring, None, exc.report
         eps, seed = args.epsilon, args.seed
         code = 0
 
         if args.command == "validate":
-            report_obj = validate(ring)
             report = {"name": ring.name,
-                      "validation": {"valid": report_obj.valid,
+                      "validation": {"valid": verdict.valid,
                                      "violations": [[n, [ring.labels[i] for i in w]]
-                                                    for n, w in report_obj.violations]}}
-            code = 0 if report_obj.valid else 1
+                                                    for n, w in verdict.violations]}}
+            code = 0 if verdict.valid else 1
 
         elif args.command == "analyze":
             report = _analyze_report(ring, eps, seed, with_checks=not args.no_verify)

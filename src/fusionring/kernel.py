@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (
     CapExceeded, ClosureViolation, DimensionMismatch, InternalInconsistency, ZeroClass)
-from .ring import FusionRing
+from .ring import FusionRing, check_simples
 from .spectral import (
     DEFAULT_EPS,
     CharacterTable,
@@ -76,6 +76,7 @@ def _closed_kernel(ring: FusionRing, values: np.ndarray, dims: np.ndarray,
 def kernel_of_character(ring: FusionRing, fp: FPData, table: CharacterTable,
                         t: int, eps: float = DEFAULT_EPS) -> Subcategory:
     """Simples on which character t equals FPdim, as a closed subcategory."""
+    check_simples(table.count, (t,))
     return _closed_kernel(ring, table.characters[t], fp.dims, eps,
                           "character kernel not closed under {kind} at {witness}; "
                           "lower eps or re-examine the table")

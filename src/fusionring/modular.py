@@ -28,7 +28,7 @@ from .errors import (
     ZeroEntry,
 )
 from .kernel import _closed_kernel
-from .ring import FusionRing, dual_from_structure, validate
+from .ring import FusionRing, check_simples, dual_from_structure, validate
 from .spectral import (
     AGGREGATE_EPS,
     DEFAULT_EPS,
@@ -167,6 +167,7 @@ def _verlinde_tensor(U: np.ndarray, unit: int) -> np.ndarray:
 
 def centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> Subcategory:
     """Simples centralizing e_i: the kernel of s_i, against s_unit = S[unit] / S[unit][unit]."""
+    check_simples(md.ring.rank, (i,))
     s = _s_characters(md)
     return _closed_kernel(md.ring, s[i], s[md.ring.unit].real, eps,
                           "centralizer not closed under {kind} at {witness}")
@@ -174,6 +175,7 @@ def centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> Subcategor
 
 def projective_centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """Simples projectively centralizing e_i: |s_i(Y)| attains s_unit(Y) = FPdim(Y)."""
+    check_simples(md.ring.rank, (i,))
     s = _s_characters(md)
     return frozenset(within_eps(s[i], s[md.ring.unit].real, eps, modulus=True))
 

@@ -18,8 +18,15 @@ import numpy as np
 from .errors import AmbiguousDual, DimensionMismatch, NoDual
 
 
+def check_simples(rank: int, simples) -> None:
+    """IndexError unless every index in `simples` is a basis index, 0 <= i < rank."""
+    if len(simples) and not 0 <= min(simples) <= max(simples) < rank:
+        raise IndexError(f"simple indices {sorted(simples)} out of range for rank {rank}")
+
+
 def basis_vector(rank: int, i: int) -> np.ndarray:
     """Class vector of the i-th basis element."""
+    check_simples(rank, (i,))
     v = np.zeros(rank, dtype=np.int64)
     v[i] = 1
     return v
@@ -81,11 +88,12 @@ class FusionRing:
         N = np.ascontiguousarray(np.asarray(self.N))
         if N.shape != (r, r, r):
             raise DimensionMismatch(f"structure tensor shape {N.shape} != ({r}, {r}, {r})")
-        if not np.issubdtype(N.dtype, np.integer) and not np.all(N == np.rint(N)):
+        # decided before the cast, which would wrap or saturate what int64 cannot hold
+        if not (np.issubdtype(N.dtype, np.integer) or np.all(np.isfinite(N) & (N == np.rint(N)))):
             raise ValueError("structure constants must be integers")
+        if N.size and not 0 <= int(N.min()) <= int(N.max()) < 2**63:
+            raise ValueError("structure constants must be nonnegative and below 2**63")
         N = N.astype(np.int64)
-        if N.size and N.min() < 0:
-            raise ValueError("structure constants must be nonnegative")
         N.setflags(write=False)
         object.__setattr__(self, "N", N)
         dual = tuple(int(d) for d in self.dual)
@@ -114,6 +122,7 @@ class FusionRing:
         Column j holds the decomposition of e_i * e_j, so A @ v implements
         left multiplication by e_i on class vectors.
         """
+        check_simples(self.rank, (i,))
         return self.N[i].T.copy()
 
     def multiply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -187,7 +196,8 @@ def validate(ring: FusionRing) -> ValidationReport:
     """Check unit law, associativity, duality, Frobenius reciprocity, involution.
 
     Returns a report listing every violated axiom with one witness index
-    tuple; a valid ring returns an empty violation list.
+    tuple, the first True entry of its mask; a valid ring returns an empty
+    violation list.
 
     Associativity is checked exactly, one simple at a time in r^3 memory.
     The operand of all 2r products is decided once per call: one bound
@@ -225,15 +235,12 @@ def validate(ring: FusionRing) -> ValidationReport:
     if w is not None:
         violations.append(("frobenius", w))
 
-    if sorted(ring.dual) != list(range(r)):
-        counts = np.bincount(dual, minlength=r)
-        violations.append(("involution", (int(np.argmax(counts != 1)),)))
-    elif ring.dual[u] != u:
-        violations.append(("involution", (u,)))
-    else:
-        bad = [i for i in range(r) if ring.dual[ring.dual[i]] != i]
-        if bad:
-            violations.append(("involution", (bad[0],)))
+    bad = np.bincount(dual, minlength=r) != 1
+    if not bad.any():
+        bad = np.arange(r) == u if dual[u] != u else dual[dual] != np.arange(r)
+    w = _first_mismatch(bad)
+    if w is not None:
+        violations.append(("involution", w))
 
     return ValidationReport(valid=not violations, violations=violations)
 
@@ -241,20 +248,16 @@ def validate(ring: FusionRing) -> ValidationReport:
 def dual_from_structure(N: np.ndarray, unit: int) -> tuple[int, ...]:
     """Recover the duality permutation: dual(i) is the unique j with N[i][j][unit] = 1.
 
-    Raises NoDual / AmbiguousDual when the unit column does not determine an
-    involution candidate for some i.
+    Read off the unit column N[:, :, unit] at once; its first row without a
+    single nonzero entry equal to 1 raises NoDual (none) or AmbiguousDual.
     """
     N = np.asarray(N)
     r = N.shape[0]
     if N.shape != (r, r, r):
         raise DimensionMismatch(f"structure tensor shape {N.shape} is not cubic")
-    dual = []
-    for i in range(r):
-        col = N[i, :, unit]
-        hits = np.nonzero(col)[0]
-        if hits.size == 0:
-            raise NoDual(i)
-        if hits.size > 1 or col[hits[0]] != 1:
-            raise AmbiguousDual(i)
-        dual.append(int(hits[0]))
-    return tuple(dual)
+    col = N[:, :, unit]
+    hits = np.count_nonzero(col, axis=1)
+    w = _first_mismatch((hits != 1) | (col.max(axis=1) != 1))
+    if w is not None:
+        raise (NoDual if hits[w] == 0 else AmbiguousDual)(*w)
+    return tuple(col.argmax(axis=1).tolist())

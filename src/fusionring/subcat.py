@@ -6,7 +6,7 @@ of pairwise products. What the powers of an object decide, and the subcategory
 any set of simples generates, is read off one cached breadth-first search per
 support (ObjectProfile). Faithfulness of a simple is equivalent to
 indecomposability of its fusion matrix, tested independently and exactly by
-strong connectivity of the fusion digraph.
+the Frobenius criterion (I + A)^(n-1) > 0.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InternalInconsistency, NotClosed
-from .ring import FusionRing
+from .ring import FusionRing, check_simples
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def object_profile(ring: FusionRing, *simples: int) -> ObjectProfile:
     profiles = _PROFILES.setdefault(ring, {})
     support = frozenset(simples)
     if support not in profiles:
-        if support and not 0 <= min(support) <= max(support) < ring.rank:
-            raise IndexError(f"simple indices {sorted(support)} out of range for rank {ring.rank}")
+        check_simples(ring.rank, support)
         profiles[support] = _build_profile(ring, support)
     return profiles[support]
 
@@ -100,19 +99,20 @@ def object_profile(ring: FusionRing, *simples: int) -> ObjectProfile:
 def closure_defect(ring: FusionRing, members: Iterable[int]):
     """First witness that `members` is not closed, or None if it is closed.
 
-    Checks unit membership, duals, and constituents of pairwise products.
+    Checks, on one membership mask, the unit, the duals, then the constituents
+    of pairwise products; each witness is the first failure in sorted order.
     """
-    S = set(int(m) for m in members)
-    if ring.unit not in S:
+    S = sorted({int(m) for m in members})
+    check_simples(ring.rank, S)
+    inside = np.isin(np.arange(ring.rank), S)
+    if not inside[ring.unit]:
         return ("unit", (ring.unit,))
-    for i in S:
-        if ring.dual[i] not in S:
-            return ("dual", (i,))
-    for i in S:
-        for j in S:
-            for k in np.nonzero(ring.N[i, j])[0]:
-                if int(k) not in S:
-                    return ("product", (i, j, int(k)))
+    out = np.flatnonzero(~inside[np.asarray(ring.dual)[S]])
+    if out.size:
+        return ("dual", (S[out[0]],))
+    i, j, k = np.nonzero((ring.N[np.ix_(S, S)] > 0) & ~inside)
+    if i.size:
+        return ("product", (S[i[0]], S[j[0]], int(k[0])))
     return None
 
 
@@ -134,24 +134,17 @@ def is_indecomposable_matrix(A: np.ndarray) -> bool:
     """Strong connectivity of the digraph with an edge j -> k when A[k][j] > 0.
 
     Equivalent to A admitting no partition of the index set into nonempty
-    M, N with A[m][n] = 0 for m in M, n in N. Exact integer test, no
-    floating point involved.
+    M, N with A[m][n] = 0 for m in M, n in N, and to (I + P)^(n-1) > 0 for its
+    0/1 pattern P: (n-1).bit_length() squarings, exact in float64 (entries <= n).
     """
     A = np.asarray(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
-    for M in (A, A.T):  # forward edges, then backward ones
-        seen = {0}
-        stack = [0]
-        while stack:
-            for v in np.nonzero(M[:, stack.pop()])[0].tolist():
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != n:
-            return False
-    return True
+    reach = np.eye(n) + (A > 0)
+    for _ in range((n - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return bool(reach.all())
 
 
 def restriction_order(ring: FusionRing, sub: Subcategory) -> list[int]:

@@ -292,3 +292,14 @@ def test_analyze_builds_one_profile_per_simple(capsys, monkeypatch):
         code, _, _ = run(capsys, "analyze", "--ring", name, "--format", "json")
         supports = sorted((s for _, s in builds), key=min)
         assert code == 0 and supports == [frozenset({i}) for i in range(ring_of(name).rank)], name
+
+
+def test_validate_subcommand_validates_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "ising.json"
+    save_ring(ring_of("ising"), path)
+    validations = count_calls(monkeypatch, ring_module.validate)
+    for ring_arg in ("ising", str(path)):
+        validations.clear()
+        code, out, _ = run(capsys, "validate", "--ring", ring_arg)
+        assert code == 0 and "valid: True" in out
+        assert len(validations) == 1, ring_arg

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import fp_of, ring_of, table_of
+from conftest import entry, fp_of, ring_of, table_of
 from fusionring import (
+    Subcategory,
     center_of_class,
+    centralizer,
     character_table,
     fp_character,
     generated_subcategory,
@@ -15,6 +17,8 @@ from fusionring import (
     kernel_of_class,
     object_index,
     primitive_idempotents,
+    projective_centralizer,
+    restrict,
     universal_grading,
 )
 from fusionring.errors import (
@@ -28,6 +32,7 @@ from fusionring.errors import (
     ZeroClass,
 )
 from fusionring.spectral import CharacterTable, FPData, build_table
+from fusionring.subcat import closure_defect
 
 
 def test_convergence_failure_on_tiny_budget():
@@ -136,3 +141,25 @@ def test_class_vectors_must_be_integral_and_of_the_rank():
             of_class(ring, fp, table, np.array([1, 0]))
         assert (of_class(ring, fp, table, np.array([1.0, 0.0, 2.0]))
                 == of_class(ring, fp, table, np.array([1, 0, 2])))
+
+
+OUT_OF_RANGE = {
+    "closure_defect": lambda ring, i: closure_defect(ring, (0, i, 1)),
+    "restrict": lambda ring, i: restrict(ring, Subcategory((0, i))),
+    "centralizer": lambda ring, i: centralizer(entry("ising").smatrix, i),
+    "projective_centralizer": lambda ring, i: projective_centralizer(entry("ising").smatrix, i),
+    "kernel_of_character": lambda ring, i: kernel_of_character(
+        ring, fp_of("ising"), table_of("ising"), i),
+    "basis_vector": lambda ring, i: ring.basis_vector(i),
+    "fusion_matrix": lambda ring, i: ring.fusion_matrix(i),
+    "tensor_power": lambda ring, i: ring.tensor_power(i, 2),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(OUT_OF_RANGE))
+def test_indices_outside_the_rank_are_not_wrapped(entry_point):
+    # a negative index would otherwise count from the end, and answer for another simple
+    ring = ring_of("ising")
+    for i in (-1, -2, 3):
+        with pytest.raises(IndexError, match=r"^simple indices \[.*\] out of range for rank 3$"):
+            OUT_OF_RANGE[entry_point](ring, i)

@@ -321,3 +321,13 @@ def test_structure_constants_must_be_nonnegative_int64_integers():
                      (np.where(N == 1, 2**63, 0).astype(np.uint64), "nonnegative")):
         with pytest.raises(ValueError, match=f"must be {why}"):
             FusionRing(labels=labels, N=bad, dual=dual)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e19, 2.0**63])
+def test_structure_constants_are_decided_before_the_int64_cast(value):
+    # the cast itself would turn these into some int64 (and warn); they must not get that far
+    N = np.array(ring_of("pointed_zn(2)").N, dtype=float)
+    N[1, 1, 0] = value
+    why = "integers" if not np.isfinite(value) else "nonnegative"
+    with pytest.raises(ValueError, match=f"must be {why}"):
+        FusionRing(labels=("1", "g"), N=N, dual=(0, 1))
