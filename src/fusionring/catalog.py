@@ -19,6 +19,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .ring import FusionRing, ValidationReport, dual_from_structure, validate
 _POINTED_MAX = 24
 _TY_MAX = 12
 _SU2_MAX = 10
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -263,9 +263,14 @@ def load_ring(path) -> FusionRing:
     if N.shape != (rank, rank, rank):
         raise ParseError(f"{ctx}: N has shape {N.shape}, expected cubic of rank {rank}")
     # type() and not isinstance(): JSON true/false must not pass as 1/0
-    if not all(type(x) is int and 0 <= x <= _INT64_MAX for x in N.flat):
+    integers = set(map(type, N.ravel())) <= {int}
+    if integers:
+        try:
+            N = N.astype(np.int64)
+        except OverflowError:  # a Python int outside int64
+            integers = False
+    if not integers or (N.size and N.min() < 0):
         raise ParseError(f"{ctx}: N entries must be nonnegative 64-bit integers")
-    N = N.astype(np.int64)
     declared = data.get("dual")
     if declared is not None:
         if (not isinstance(declared, list) or len(declared) != rank
@@ -323,16 +328,21 @@ def load_smatrix(path, ring: FusionRing) -> ModularData:
     r = ring.rank
     if len(raw) != r:
         raise DimensionMismatch(f"{ctx}: S has {len(raw)} rows, ring has rank {r}")
-    S = np.zeros((r, r), dtype=complex)
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != r:
             raise DimensionMismatch(f"{ctx}: S row {i} does not have {r} entries")
-        for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(type(x) in (int, float) for x in entry)):
-                raise ParseError(f"{ctx}: S[{i}][{j}] must be a [re, im] pair")
-            S[i, j] = complex(entry[0], entry[1])
+        if not _pairs(row):
+            j = next(j for j, entry in enumerate(row) if not _pairs([entry]))
+            raise ParseError(f"{ctx}: S[{i}][{j}] must be a [re, im] pair")
+    # (re, im) float64 pairs are the memory layout of complex128
+    S = np.array(raw, dtype=np.float64).reshape(r, 2 * r).view(np.complex128)
     return modular_data(ring, S)
+
+
+def _pairs(row: list) -> bool:
+    """Whether every entry of row is a [re, im] list of two JSON numbers, not booleans."""
+    return (set(map(type, row)) <= {list} and set(map(len, row)) <= {2}
+            and set(map(type, chain.from_iterable(row))) <= {int, float})
 
 
 def save_smatrix(md: ModularData, path, ring_name: str = "") -> None:

@@ -88,8 +88,14 @@ class FusionRing:
         N = np.ascontiguousarray(np.asarray(self.N))
         if N.shape != (r, r, r):
             raise DimensionMismatch(f"structure tensor shape {N.shape} != ({r}, {r}, {r})")
-        # decided before the cast, which would wrap or saturate what int64 cannot hold
-        if not (np.issubdtype(N.dtype, np.integer) or np.all(np.isfinite(N) & (N == np.rint(N)))):
+        # decided before the cast, which would wrap or saturate what int64 cannot hold;
+        # object entries are decided as Python ints, and only floats need rounding
+        if N.dtype == object:
+            integers = set(map(type, N.ravel())) <= {int}
+        else:
+            integers = N.dtype.kind in "biu" or (
+                N.dtype.kind == "f" and np.all(np.isfinite(N) & (N == np.rint(N))))
+        if not integers:
             raise ValueError("structure constants must be integers")
         if N.size and not 0 <= int(N.min()) <= int(N.max()) < 2**63:
             raise ValueError("structure constants must be nonnegative and below 2**63")
@@ -173,22 +179,47 @@ def _first_mismatch(diff: np.ndarray):
     return tuple(int(x) for x in idx[0]) if idx.size else None
 
 
-def _associativity_witness(N: np.ndarray):
+def _associative_on(M: np.ndarray, i: int, lhs: np.ndarray, rhs: np.ndarray) -> bool:
+    """Whether (e_i e_j) e_k = e_i (e_j e_k) for all j, k; both sides are left in lhs, rhs.
+
+    lhs[j][k][l] = sum_m M[i][j][m] M[m][k][l] and rhs[j][k][l] = sum_m
+    M[j][k][m] M[i][m][l], two GEMMs into r^3 buffers that the caller reuses.
+    """
+    r = len(M)
+    np.matmul(M[i], M.reshape(r, r * r), out=lhs.reshape(r, r * r))
+    np.matmul(M.reshape(r * r, r), M[i], out=rhs.reshape(r * r, r))
+    return np.array_equal(lhs, rhs)
+
+
+def _associativity_witness(N: np.ndarray, unit: int):
     """First (i, j, k, l) in C order with ((e_i e_j) e_k)[l] != (e_i (e_j e_k))[l], or None.
 
-    One i at a time, in r^3 memory, not r^4: lhs[j][k][l] = sum_m N[i][j][m]
-    N[m][k][l] and rhs[j][k][l] = sum_m N[j][k][m] N[i][m][l], written into
-    two buffers that every i reuses.
+    Only simples that generate the ring are checked. K = {x : (xy)z = x(yz) for
+    all y, z} is a subspace containing e_unit when the left unit law holds, and
+    ((uv)y)z = (u(vy))z = u((vy)z) = u(v(yz)) = (uv)(yz) makes it closed under
+    products. So `covered` simples lie in K, and if e_a e_b (a, b covered) has
+    exactly one uncovered constituent k, e_k = (e_a e_b - covered terms) / N[a][b][k]
+    is covered too. When no product adds one, the lowest uncovered simple is
+    checked by _associative_on; every simple below it lies in K, so the first
+    failing one and its C-order witness are those of checking every simple in turn.
     """
     r = len(N)
     bound = _max_abs(N)
     M = N.astype(np.float64 if _float64_exact(bound, bound, r) else object)
     lhs, rhs = np.empty((2, r, r, r), dtype=M.dtype)
-    for i in range(r):
-        np.matmul(M[i], M.reshape(r, r * r), out=lhs.reshape(r, r * r))
-        np.matmul(M.reshape(r * r, r), M[i], out=rhs.reshape(r * r, r))
-        if not np.array_equal(lhs, rhs):
+    edges = N > 0
+    covered = np.zeros(r, dtype=bool)
+    covered[unit] = np.array_equal(N[unit], np.eye(r, dtype=N.dtype))
+    while not covered.all():
+        out = edges[covered][:, covered] & ~covered
+        new = out[out.sum(axis=2) == 1].any(axis=0)
+        if new.any():
+            covered |= new
+            continue
+        i = int(np.argmin(covered))
+        if not _associative_on(M, i, lhs, rhs):
             return (i, *_first_mismatch(lhs != rhs))
+        covered[i] = True
     return None
 
 
@@ -199,12 +230,15 @@ def validate(ring: FusionRing) -> ValidationReport:
     tuple, the first True entry of its mask; a valid ring returns an empty
     violation list.
 
-    Associativity is checked exactly, one simple at a time in r^3 memory.
-    The operand of all 2r products is decided once per call: one bound
-    max|N|, then one cast of N, to float64 when _float64_exact(max|N|,
-    max|N|, r) holds and to Python ints otherwise. For each i the two sides
-    are GEMMs on that operand, compared with np.array_equal; the C-order
-    witness is looked for only when they differ.
+    Associativity is checked exactly, in r^3 memory, and only on simples
+    that generate the ring (see _associativity_witness): the unit, when the
+    left unit law holds, and each product constituent that is the only one
+    not yet covered count as checked. The operand of the GEMMs is decided
+    once per call: one bound max|N|, then one cast of N, to float64 when
+    _float64_exact(max|N|, max|N|, r) holds and to Python ints otherwise.
+    For each checked i the two sides are GEMMs on that operand, compared
+    with np.array_equal; the C-order witness is looked for only when they
+    differ, and is the one that checking every simple would report.
     """
     N = ring.N
     r = ring.rank
@@ -220,7 +254,7 @@ def validate(ring: FusionRing) -> ValidationReport:
     if w is not None:
         violations.append(("unit", w))
 
-    w = _associativity_witness(N)
+    w = _associativity_witness(N, u)
     if w is not None:
         violations.append(("associativity", w))
 

@@ -9,11 +9,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import ALL_NAMES, ring_of
+from conftest import ALL_NAMES, count_calls, ring_of, wrap_ring
 from fusionring import FusionRing, is_indecomposable_matrix, validate
+from fusionring import ring as ring_module
+from fusionring.catalog import _pointed_zn, _su2_k, _z2_plus_one
 from fusionring.errors import AmbiguousDual, NoDual
-from fusionring.ring import dual_from_structure
+from fusionring.ring import _float64_exact, _max_abs, dual_from_structure
 from fusionring.subcat import closure_defect
+from test_ring import rounding_ring
 
 
 def dfs_indecomposable(A):
@@ -206,3 +209,143 @@ def test_closure_defect_sees_even_multiplicities():
     ring = FusionRing(labels=("1", "g", "x", "xg"), N=N, dual=(0, 1, 2, 3))
     assert validate(ring).valid
     assert closure_defect(ring, [0, 3]) == loop_closure_defect(ring, [0, 3]) == ("product", (3, 3, 2))
+
+
+def every_simple_witness(N, unit):
+    """Reference: the two GEMMs and np.array_equal for every simple in turn, not only generators."""
+    r = len(N)
+    bound = _max_abs(N)
+    M = N.astype(np.float64 if _float64_exact(bound, bound, r) else object)
+    lhs, rhs = np.empty((2, r, r, r), dtype=M.dtype)
+    for i in range(r):
+        np.matmul(M[i], M.reshape(r, r * r), out=lhs.reshape(r, r * r))
+        np.matmul(M.reshape(r * r, r), M[i], out=rhs.reshape(r * r, r))
+        if not np.array_equal(lhs, rhs):
+            return (i, *np.argwhere(lhs != rhs)[0].tolist())
+    return None
+
+
+def assert_validate_matches_every_simple(ring, why=None):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring_module, "_associativity_witness", every_simple_witness)
+        want = validate(ring)
+    assert validate(ring) == want, why
+
+
+def with_N(ring, N):
+    return FusionRing(labels=ring.labels, N=N, dual=ring.dual, unit=ring.unit)
+
+
+def perturbed(ring, rng, low):
+    """ring with one to three structure constants N[i][j][k] changed, all of i, j, k >= low.
+
+    With the unit at 0, low = 1 keeps the unit law and low = 2 also the products of e_1.
+    """
+    N = np.array(ring.N)
+    low = min(low, ring.rank - 1)
+    for _ in range(rng.integers(1, 4)):
+        N[tuple(rng.integers(low, ring.rank, 3))] = rng.choice([0, 1, 2, 3, 2**40])
+    return with_N(ring, N)
+
+
+def unit_fixing_permutation(ring, rng):
+    r, u = ring.rank, ring.unit
+    perm = np.concatenate([[u], rng.permutation(np.delete(np.arange(r), u))])
+    inv = np.argsort(perm)
+    return FusionRing(labels=[ring.labels[p] for p in perm], N=ring.N[np.ix_(perm, perm, perm)],
+                      dual=inv[np.asarray(ring.dual)[perm]], unit=0, name=ring.name)
+
+
+def near_group(m):
+    """K(Z_2, m): simples 1, a, X with a * a = 1, a * X = X and X * X = 1 + a + m X."""
+    return _z2_plus_one(("1", "a", "X"), m, f"near_group(Z2, {m})")
+
+
+def deligne_product(R, S):
+    N = np.einsum("ace,bdf->abcdef", R.N, S.N).reshape((R.rank * S.rank,) * 3)
+    labels = [f"{a}.{b}" for a in R.labels for b in S.labels]
+    dual = [R.dual[a] * S.rank + S.dual[b] for a in range(R.rank) for b in range(S.rank)]
+    return FusionRing(labels=labels, N=N, dual=dual, name=f"{R.name} x {S.name}")
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_validate_matches_every_simple_on_perturbed_catalog_rings(name):
+    ring = ring_of(name)
+    rng = np.random.default_rng(ALL_NAMES.index(name))
+    assert_validate_matches_every_simple(ring)
+    for k in range(24):
+        assert_validate_matches_every_simple(perturbed(ring, rng, low=k % 3), k)
+
+
+@pytest.mark.parametrize("make, n", [(_su2_k, 40), (_pointed_zn, 48), (_pointed_zn, 64)])
+def test_validate_matches_every_simple_on_permuted_ladder_rings(make, n):
+    ring = make(n)
+    rng = np.random.default_rng(n)
+    for k in range(3):
+        permuted = unit_fixing_permutation(ring, rng)
+        assert_validate_matches_every_simple(permuted, k)
+        assert_validate_matches_every_simple(perturbed(permuted, rng, low=1), k)
+
+
+def test_validate_matches_every_simple_on_near_group_rings():
+    rng = np.random.default_rng(2)
+    rings = [near_group(m) for m in (2, 3)]
+    rings += [deligne_product(near_group(m), ring_of(f"pointed_zn({n})"))
+              for m, n in ((2, 3), (3, 4))]
+    rings += [deligne_product(ring_of("pointed_zn(2)"), near_group(3))]
+    for ring in rings:
+        assert ring.N.max() >= 2 and validate(ring).valid
+        assert_validate_matches_every_simple(ring)
+        for k in range(30):
+            assert_validate_matches_every_simple(perturbed(ring, rng, low=k % 2), ring.name)
+
+
+def test_validate_matches_every_simple_past_2_53():
+    for ring in (wrap_ring(), rounding_ring()):
+        assert validate(ring).violations[0][0] == "associativity"
+        assert_validate_matches_every_simple(ring)
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_NAMES if ring_of(n).dual != tuple(range(ring_of(n).rank))
+                                  and n != "vec_s3"])
+def test_validate_matches_every_simple_on_rings_twisted_by_duality(name):
+    # e_u * e_v = e_{u*} e_v: duality is an automorphism of a commutative ring, so self-dual
+    # simples and every e_u + e_{u*} stay associative, while a non-self-dual e_u does not.
+    # Self-dual simples first: in tambara_yamagami_zn(n >= 3), m * m = sum of the a_i is
+    # associative, but a_1 alone is not.
+    ring = ring_of(name)
+    r = ring.rank
+    dual = np.asarray(ring.dual)
+    order = np.argsort(dual != np.arange(r), kind="stable")
+    twisted = FusionRing(labels=[ring.labels[p] for p in order],
+                         N=ring.N[dual][np.ix_(order, order, order)],
+                         dual=np.argsort(order)[dual[order]], unit=0)
+    assert not validate(twisted).valid
+    assert_validate_matches_every_simple(twisted)
+
+
+@pytest.mark.parametrize("name", ["pointed_zn(12)", "su2_k(8)", "tambara_yamagami_zn(6)",
+                                  "rep_q8", "vec_s3"])
+def test_validate_matches_every_simple_when_the_unit_law_fails(name):
+    # a broken unit is not associative for free; breaking only its right law keeps it so
+    ring = ring_of(name)
+    r, u = ring.rank, ring.unit
+    rng = np.random.default_rng(r)
+    for k in range(20):
+        N = np.array(ring.N)
+        j, l = rng.integers(0, r, 2)
+        N[(u, j, l) if k % 2 else (j, u, l)] += rng.integers(1, 3)
+        broken = with_N(ring, N)
+        assert validate(broken).violations[0][0] == "unit"
+        assert_validate_matches_every_simple(broken, k)
+
+
+def test_validate_checks_few_simples_explicitly(monkeypatch):
+    checks = count_calls(monkeypatch, ring_module._associative_on)
+    for name in ALL_NAMES:
+        checks.clear()
+        assert validate(ring_of(name)).valid
+        assert 1 <= len(checks) <= 3 or ring_of(name).rank == 1, (name, len(checks))
+    checks.clear()
+    assert validate(ring_of("pointed_zn(24)")).valid
+    assert len(checks) == 1

@@ -1,6 +1,7 @@
 """Built-in catalog coverage and ring / S-matrix file handling."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -239,3 +240,48 @@ def test_load_ring_rejects_a_boolean_in_the_declared_dual(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ParseError):
         load_ring(path)
+
+
+@pytest.mark.parametrize("value", [False, 2.5, -2**63, -2**70, 2**63, None])
+def test_load_ring_rejects_every_kind_of_bad_entry(tmp_path, value):
+    # a JSON false, a float, negatives down past int64, the first entry beyond int64, a null
+    data = {"name": "z2", "rank": 2, "labels": ["1", "g"], "unit": 0,
+            "N": ring_of("pointed_zn(2)").N.tolist()}
+    data["N"][1][0][1] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match="N entries must be nonnegative 64-bit integers"):
+        load_ring(path)
+
+
+@pytest.mark.parametrize("entry, error, where", [
+    ([1, 0, 0], ParseError, "S[1][0]"),
+    ([1], ParseError, "S[1][0]"),
+    ("1", ParseError, "S[1][0]"),
+    (None, ParseError, "S[1][0]"),
+    ([1, None], ParseError, "S[1][0]"),
+    ([1, False], ParseError, "S[1][0]"),
+    ([[1], 0], ParseError, "S[1][0]"),
+])
+def test_load_smatrix_names_the_first_bad_entry(tmp_path, entry, error, where):
+    path = tmp_path / "s.json"
+    S = [[[1, 0], [1, 0]], [entry, [-1.0, 0.0]]]
+    path.write_text(json.dumps({"S": S}))
+    with pytest.raises(error, match=re.escape(where)):
+        load_smatrix(path, ring_of("pointed_zn(2)"))
+    # a bad entry in an earlier row is reported first; a short row is a dimension error
+    S[0][1] = "x"
+    path.write_text(json.dumps({"S": S}))
+    with pytest.raises(ParseError, match=re.escape("S[0][1]")):
+        load_smatrix(path, ring_of("pointed_zn(2)"))
+    path.write_text(json.dumps({"S": [[[1, 0]], [entry, [-1, 0]]]}))
+    with pytest.raises(DimensionMismatch, match="S row 0"):
+        load_smatrix(path, ring_of("pointed_zn(2)"))
+
+
+def test_load_smatrix_reads_pairs_as_complex_numbers(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text('{"S": [[[0.5, -0.0], [0.5, 1e-17]], [[0.5, 0], [-0.5, 0]]]}')
+    md = load_smatrix(path, ring_of("pointed_zn(2)"))
+    want = np.array([[complex(0.5, -0.0), complex(0.5, 1e-17)], [0.5, -0.5]])
+    assert md.S.dtype == np.complex128 and md.S.tobytes() == want.tobytes()

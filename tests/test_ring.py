@@ -331,3 +331,23 @@ def test_structure_constants_are_decided_before_the_int64_cast(value):
     why = "integers" if not np.isfinite(value) else "nonnegative"
     with pytest.raises(ValueError, match=f"must be {why}"):
         FusionRing(labels=("1", "g"), N=N, dual=(0, 1))
+
+
+def test_object_structure_constants_are_decided_as_python_ints():
+    labels, dual = ("1", "g"), (0, 1)
+    N = np.zeros((2, 2, 2), dtype=object)
+    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
+    ring = FusionRing(labels=labels, N=N, dual=dual)
+    assert ring.N.dtype == np.int64 and validate(ring).valid
+    nested = ring_of("pointed_zn(2)").N.tolist()
+    for value, why in ((2**64, "nonnegative and below 2\\*\\*63"), (-2**64, "nonnegative"),
+                       (2**63, "nonnegative"), (1.0, "integers"), ("1", "integers"),
+                       (None, "integers"), (True, "integers")):
+        bad = N.copy()
+        bad[1, 1, 1] = value
+        with pytest.raises(ValueError, match=f"must be {why}"):
+            FusionRing(labels=labels, N=bad, dual=dual)
+        if value in (2**64, -2**64, "1", None):  # nested lists of which numpy makes no numbers
+            nested[1][1][1] = value
+            with pytest.raises(ValueError, match=f"must be {why}"):
+                FusionRing(labels=labels, N=nested, dual=dual)
