@@ -1,11 +1,14 @@
 """Built-in example fusion rings with modular data, and ring/S-matrix files.
 
-Built-ins cover the standard small examples: group rings (pointed
-categories), character rings of S3 and Q8, the Fibonacci and Ising rings,
-Tambara-Yamagami rings over Z_n, and the su(2) level-k Verlinde rings.
-Irrational constants are produced from exact expressions (sqrt, golden
-ratio, sines of rational angles) at construction time. Each ring is validated
-once; each S-matrix, built in or loaded, is checked once, by modular_data.
+Every built-in ring comes from one of three array rules. A group table sets
+N[i, j, table[i, j]] = 1: trivial, pointed_zn(n) (Z_n) and vec_s3 (S3). The
+near-group rule K(G, k) adds to G one simple m with g m = m g = m and
+m m = (sum of G) + k m: fibonacci = K(1, 1), ising = K(Z2, 0), rep_s3 =
+K(Z2, 1), rep_q8 = K(Z2 x Z2, 0) and tambara_yamagami_zn(n) = K(Z_n, 0). The
+su(2) level-k Verlinde ring su2_k(k) is the truncated Clebsch-Gordan mask.
+S-matrices come from exact expressions (sqrt, golden ratio, sines of rational
+angles). Each ring is validated once; each S-matrix, built in or loaded, is
+checked once, by modular_data.
 
 File formats (JSON, text):
   ring:     {"name": str, "rank": int, "labels": [str], "unit": int,
@@ -35,11 +38,6 @@ from .errors import (
 from .modular import ModularData, modular_data
 from .ring import FusionRing, ValidationReport, dual_from_structure, validate
 
-_POINTED_MAX = 24
-_TY_MAX = 12
-_SU2_MAX = 10
-
-
 @dataclass
 class CatalogEntry:
     name: str
@@ -48,53 +46,48 @@ class CatalogEntry:
     notes: str
 
 
-def _ring_from_table(labels, mult, name):
-    """Group ring from a multiplication table mult(i, j) -> k."""
-    r = len(labels)
+def _group_ring(labels, table, name, k=None):
+    """Group ring of e_i * e_j = e_table[i, j], unit 0; given k, the near-group ring K(G, k)
+    with one more simple m (the last label): g * m = m * g = m, m * m = sum of G + k m."""
+    n = len(table)
+    r = n if k is None else n + 1
     N = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            N[i, j, mult(i, j)] = 1
+    i, j = np.indices(table.shape)
+    N[i, j, table] = 1
+    if k is not None:
+        N[:n, n, n] = N[n, :n, n] = N[n, n, :n] = 1
+        N[n, n, n] = k
     return FusionRing(labels=tuple(labels), N=N, dual=dual_from_structure(N, 0),
                       unit=0, name=name)
 
 
+def _zn_table(n):
+    a = np.arange(n)
+    return np.add.outer(a, a) % n
+
+
 def _trivial():
-    return _ring_from_table(["1"], lambda i, j: 0, "trivial")
+    return _group_ring(["1"], _zn_table(1), "trivial")
 
 
 def _pointed_zn(n):
-    labels = [f"g{a}" for a in range(n)]
-    labels[0] = "1"
-    return _ring_from_table(labels, lambda i, j: (i + j) % n, f"pointed_zn({n})")
+    return _group_ring(["1"] + [f"g{a}" for a in range(1, n)], _zn_table(n), f"pointed_zn({n})")
 
 
 def _vec_s3():
-    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1)]
-    labels = ["e", "r", "rr", "s", "rs", "rrs"]
-    compose = lambda p, q: tuple(p[q[x]] for x in range(3))
-    index = {p: i for i, p in enumerate(perms)}
-    return _ring_from_table(labels, lambda i, j: index[compose(perms[i], perms[j])], "vec_s3")
+    # e_i * e_j is the permutation x -> P[i][P[j][x]], looked up among the rows of P
+    P = np.array([(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1)])
+    table = (P[:, P][:, :, None] == P).all(axis=-1).argmax(axis=-1)
+    return _group_ring(["e", "r", "rr", "s", "rs", "rrs"], table, "vec_s3")
 
 
 def _fibonacci():
-    N = np.zeros((2, 2, 2), dtype=np.int64)
-    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = 1
-    N[1, 1, 0] = N[1, 1, 1] = 1
-    return FusionRing(labels=("1", "tau"), N=N, dual=(0, 1), unit=0, name="fibonacci")
+    return _group_ring(("1", "tau"), _zn_table(1), "fibonacci", k=1)
 
 
 def _z2_plus_one(labels, m, name):
-    # basis (1, a, X): a*a = 1, a*X = X*a = X, X*X = 1 + a + m X
-    N = np.zeros((3, 3, 3), dtype=np.int64)
-    for j in range(3):
-        N[0, j, j] = 1
-        N[j, 0, j] = 1
-    N[1, 1, 0] = 1
-    N[1, 2, 2] = N[2, 1, 2] = 1
-    N[2, 2, 0] = N[2, 2, 1] = 1
-    N[2, 2, 2] = m
-    return FusionRing(labels=labels, N=N, dual=(0, 1, 2), unit=0, name=name)
+    # basis (1, a, X): a*a = 1, a*X = X*a = X, X*X = 1 + a + m X; K(Z2, m)
+    return _group_ring(labels, _zn_table(2), name, k=m)
 
 
 def _ising():
@@ -106,46 +99,24 @@ def _rep_s3():
 
 
 def _rep_q8():
-    # invertibles form Z2 x Z2; V*V is the sum of all invertibles
-    labels = ("1", "a", "b", "ab", "V")
-    N = np.zeros((5, 5, 5), dtype=np.int64)
-    k4 = {(i, j): i ^ j for i in range(4) for j in range(4)}
-    for i in range(4):
-        for j in range(4):
-            N[i, j, k4[(i, j)]] = 1
-    for i in range(4):
-        N[i, 4, 4] = N[4, i, 4] = 1
-    for k in range(4):
-        N[4, 4, k] = 1
-    return FusionRing(labels=labels, N=N, dual=(0, 1, 2, 3, 4), unit=0, name="rep_q8")
+    # invertibles form Z2 x Z2 (xor of the indices); V*V is the sum of all invertibles
+    a = np.arange(4)
+    return _group_ring(("1", "a", "b", "ab", "V"), np.bitwise_xor.outer(a, a), "rep_q8", k=0)
 
 
 def _tambara_yamagami_zn(n):
     # n invertibles a_0..a_{n-1} and one object m with m*m = sum of all a_i
-    labels = tuple([f"a{i}" for i in range(n)] + ["m"])
-    r = n + 1
-    N = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            N[i, j, (i + j) % n] = 1
-        N[i, n, n] = N[n, i, n] = 1
-    for k in range(n):
-        N[n, n, k] = 1
-    return FusionRing(labels=labels, N=N, dual=dual_from_structure(N, 0), unit=0,
-                      name=f"tambara_yamagami_zn({n})")
+    return _group_ring([f"a{i}" for i in range(n)] + ["m"], _zn_table(n),
+                       f"tambara_yamagami_zn({n})", k=0)
 
 
 def _su2_k(k):
     # truncated Clebsch-Gordan: l in i (x) j iff |i-j| <= l <= min(i+j, 2k-i-j),
     # l = i + j (mod 2); labels are twice the spin
-    r = k + 1
-    N = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            for l in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2):
-                N[i, j, l] = 1
-    return FusionRing(labels=tuple(str(i) for i in range(r)), N=N,
-                      dual=tuple(range(r)), unit=0, name=f"su2_k({k})")
+    i, j, l = np.indices((k + 1,) * 3)
+    N = (abs(i - j) <= l) & (l <= np.minimum(i + j, 2 * k - i - j)) & ((i + j + l) % 2 == 0)
+    return FusionRing(labels=tuple(map(str, range(k + 1))), N=N.astype(np.int64),
+                      dual=tuple(range(k + 1)), unit=0, name=f"su2_k({k})")
 
 
 def _ising_smatrix():
@@ -168,21 +139,19 @@ def _su2_k_smatrix(k):
     return np.sqrt(2.0 / (k + 2)) * np.sin(np.pi * (a + 1) * (b + 1) / (k + 2)).astype(complex)
 
 
-_PLAIN = {
-    "trivial": (_trivial, None, "one simple object; the unit ring"),
-    "fibonacci": (_fibonacci, _fibonacci_smatrix, "tau * tau = 1 + tau (golden ratio object)"),
-    "ising": (_ising, _ising_smatrix, "sigma * sigma = 1 + psi, psi * psi = 1"),
-    "rep_s3": (_rep_s3, None, "character ring of the symmetric group S3"),
-    "rep_q8": (_rep_q8, None, "character ring of the quaternion group Q8"),
-    "vec_s3": (_vec_s3, None, "group ring of S3 (noncommutative)"),
-}
-
-_PARAMETRIC = {
-    "pointed_zn": (_pointed_zn, _pointed_zn_smatrix, _POINTED_MAX,
+# family -> (ring, S-matrix or None, largest parameter or 0 if it takes none, notes)
+_CATALOG = {
+    "trivial": (_trivial, None, 0, "one simple object; the unit ring"),
+    "fibonacci": (_fibonacci, _fibonacci_smatrix, 0, "tau * tau = 1 + tau (golden ratio object)"),
+    "ising": (_ising, _ising_smatrix, 0, "sigma * sigma = 1 + psi, psi * psi = 1"),
+    "rep_s3": (_rep_s3, None, 0, "character ring of the symmetric group S3"),
+    "rep_q8": (_rep_q8, None, 0, "character ring of the quaternion group Q8"),
+    "vec_s3": (_vec_s3, None, 0, "group ring of S3 (noncommutative)"),
+    "pointed_zn": (_pointed_zn, _pointed_zn_smatrix, 24,
                    "group ring of Z_n; S from the standard pairing"),
-    "tambara_yamagami_zn": (_tambara_yamagami_zn, None, _TY_MAX,
+    "tambara_yamagami_zn": (_tambara_yamagami_zn, None, 12,
                             "Z_n invertibles plus one object of dimension sqrt(n)"),
-    "su2_k": (_su2_k, _su2_k_smatrix, _SU2_MAX,
+    "su2_k": (_su2_k, _su2_k_smatrix, 10,
               "su(2) level-k Verlinde ring, truncated Clebsch-Gordan rules"),
 }
 
@@ -190,33 +159,24 @@ _NAME_RE = re.compile(r"^([a-z0-9_]+)\((\d+)\)$")
 
 
 def all_builtin_names() -> list[str]:
-    names = list(_PLAIN)
-    for family, (_, _, top, _) in _PARAMETRIC.items():
-        names.extend(f"{family}({n})" for n in range(1, top + 1))
-    return names
+    return [f"{family}({n})" if top else family
+            for family, (_, _, top, _) in _CATALOG.items() for n in range(1, max(top, 1) + 1)]
 
 
 def builtin(name: str) -> CatalogEntry:
     """Construct the named built-in entry; raises UnknownName otherwise."""
-    if name in _PLAIN:
-        make_ring, make_s, notes = _PLAIN[name]
-        param = None
-    else:
-        m = _NAME_RE.match(name)
-        if not m or m.group(1) not in _PARAMETRIC:
-            raise UnknownName(f"no built-in named {name!r}; see list-builtins")
-        family, param = m.group(1), int(m.group(2))
-        make_ring, make_s, top, notes = _PARAMETRIC[family]
-        if not 1 <= param <= top:
-            raise UnknownName(f"{family} parameter must be in 1..{top}, got {param}")
-    ring = make_ring() if param is None else make_ring(param)
+    m = _NAME_RE.match(name)
+    family, args = (m.group(1), (int(m.group(2)),)) if m else (name, ())
+    if family not in _CATALOG or bool(_CATALOG[family][2]) != bool(args):
+        raise UnknownName(f"no built-in named {name!r}; see list-builtins")
+    make_ring, make_s, top, notes = _CATALOG[family]
+    if args and not 1 <= args[0] <= top:
+        raise UnknownName(f"{family} parameter must be in 1..{top}, got {args[0]}")
+    ring = make_ring(*args)
     report = validate(ring)
     if not report.valid:
         raise ValidationFailed(report)
-    md = None
-    if make_s is not None:
-        S = make_s() if param is None else make_s(param)
-        md = modular_data(ring, S)
+    md = None if make_s is None else modular_data(ring, make_s(*args))
     return CatalogEntry(name=name, ring=ring, smatrix=md, notes=notes)
 
 
@@ -334,8 +294,12 @@ def load_smatrix(path, ring: FusionRing) -> ModularData:
         if not _pairs(row):
             j = next(j for j, entry in enumerate(row) if not _pairs([entry]))
             raise ParseError(f"{ctx}: S[{i}][{j}] must be a [re, im] pair")
-    # (re, im) float64 pairs are the memory layout of complex128
-    S = np.array(raw, dtype=np.float64).reshape(r, 2 * r).view(np.complex128)
+    try:  # (re, im) float64 pairs are the memory layout of complex128
+        S = np.array(raw, dtype=np.float64).reshape(r, 2 * r).view(np.complex128)
+    except OverflowError:  # a JSON integer that float() would round past the largest float64
+        i, j = next((i, j) for i, row in enumerate(raw) for j, entry in enumerate(row)
+                    if any(type(x) is int and abs(x) >= 2**1024 - 2**970 for x in entry))
+        raise ParseError(f"{ctx}: S[{i}][{j}] is beyond the float64 range") from None
     return modular_data(ring, S)
 
 

@@ -89,11 +89,15 @@ class FusionRing:
         if N.shape != (r, r, r):
             raise DimensionMismatch(f"structure tensor shape {N.shape} != ({r}, {r}, {r})")
         # decided before the cast, which would wrap or saturate what int64 cannot hold;
-        # object entries are decided as Python ints, and only floats need rounding
+        # object entries are decided as Python ints, and only floats need rounding;
+        # booleans are not integers, also where numpy made them numbers (in a nested list)
         if N.dtype == object:
             integers = set(map(type, N.ravel())) <= {int}
+        elif not isinstance(self.N, np.ndarray) and {bool, np.bool_} & set(
+                map(type, np.asarray(self.N, dtype=object).ravel())):
+            integers = False
         else:
-            integers = N.dtype.kind in "biu" or (
+            integers = N.dtype.kind in "iu" or (
                 N.dtype.kind == "f" and np.all(np.isfinite(N) & (N == np.rint(N))))
         if not integers:
             raise ValueError("structure constants must be integers")

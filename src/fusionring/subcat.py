@@ -135,16 +135,25 @@ def is_indecomposable_matrix(A: np.ndarray) -> bool:
 
     Equivalent to A admitting no partition of the index set into nonempty
     M, N with A[m][n] = 0 for m in M, n in N, and to (I + P)^(n-1) > 0 for its
-    0/1 pattern P: (n-1).bit_length() squarings, exact in float64 (entries <= n).
+    0/1 pattern P: at most (n-1).bit_length() squarings, exact in float64 (entries <= n).
+    They stop once the pattern is all positive or a squaring leaves it unchanged,
+    as every later one would. The pattern holds I, so it only grows, and a
+    squaring that keeps its count of positive entries keeps the pattern.
     """
     A = np.asarray(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
-    reach = np.eye(n) + (A > 0)
+    reach = np.maximum(np.eye(n), A > 0)
+    count = np.count_nonzero(reach)
     for _ in range((n - 1).bit_length()):
+        if count == n * n:
+            break
         reach = np.minimum(reach @ reach, 1.0)
-    return bool(reach.all())
+        count, before = np.count_nonzero(reach), count
+        if count == before:
+            break
+    return count == n * n
 
 
 def restriction_order(ring: FusionRing, sub: Subcategory) -> list[int]:

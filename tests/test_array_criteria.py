@@ -1,9 +1,10 @@
-"""The structural tests as exact array criteria, against the per-simple walks they replace.
+"""The structural tests and catalog rules as exact array criteria, against the loops they replace.
 
 Each reference below is the loop the library used before it was stated as one
 array criterion; the two must agree everywhere, witnesses included.
 """
 
+import operator
 import random
 
 import numpy as np
@@ -132,6 +133,16 @@ def test_indecomposable_matches_the_dfs_on_random_patterns():
             assert not dfs_indecomposable(A)
             assert not is_indecomposable_matrix(A), A.tolist()
     assert seen == {True, False}
+
+
+def test_indecomposable_matches_the_dfs_on_every_pattern_of_four_nodes():
+    # every digraph on 4 nodes, so also those where a squaring adds only an entry or two
+    # and leaves a pair unreached (all edges but 0->2, 1->3, 0->3), which no early stop may end
+    off_diagonal = ~np.eye(4, dtype=bool)
+    for bits in range(2**12):
+        A = np.zeros((4, 4), dtype=np.int64)
+        A[off_diagonal] = [(bits >> b) & 1 for b in range(12)]
+        assert is_indecomposable_matrix(A) == dfs_indecomposable(A), A.tolist()
 
 
 @pytest.mark.parametrize("n", sorted({m for k in range(7) for m in (2**k + 1, 2**k + 2)}))
@@ -349,3 +360,76 @@ def test_validate_checks_few_simples_explicitly(monkeypatch):
     checks.clear()
     assert validate(ring_of("pointed_zn(24)")).valid
     assert len(checks) == 1
+
+
+def loop_group_ring(labels, mult, k=None):
+    """Reference: the group table e_i * e_j = e_mult(i, j) entry by entry; given k, the
+    near-group simple m (the last label) with g * m = m * g = m and m * m = sum of G + k m."""
+    r = len(labels)
+    n = r if k is None else r - 1
+    N = np.zeros((r, r, r), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            N[i, j, mult(i, j)] = 1
+    if k is not None:
+        for g in range(n):
+            N[g, n, n] = N[n, g, n] = N[n, n, g] = 1
+        N[n, n, n] = k
+    return N
+
+
+def loop_su2_k(k):
+    """Reference: l in i (x) j iff |i-j| <= l <= min(i+j, 2k-i-j), stepping l by 2."""
+    r = k + 1
+    N = np.zeros((r, r, r), dtype=np.int64)
+    for i in range(r):
+        for j in range(r):
+            for l in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2):
+                N[i, j, l] = 1
+    return N
+
+
+S3 = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1)]
+
+
+def s3_product(i, j):
+    return S3.index(tuple(S3[i][S3[j][x]] for x in range(3)))
+
+
+def zn(n):
+    return lambda i, j: (i + j) % n
+
+
+def loop_catalog_ring(family, n):
+    """Reference (labels, N) of a catalog family at parameter n (ignored by plain entries)."""
+    if family == "su2_k":
+        return tuple(str(i) for i in range(n + 1)), loop_su2_k(n)
+    labels, mult, k = {
+        "trivial": (["1"], zn(1), None),
+        "fibonacci": (["1", "tau"], zn(1), 1),
+        "ising": (["1", "psi", "sigma"], zn(2), 0),
+        "rep_s3": (["1", "eps", "V"], zn(2), 1),
+        "rep_q8": (["1", "a", "b", "ab", "V"], operator.xor, 0),
+        "vec_s3": (["e", "r", "rr", "s", "rs", "rrs"], s3_product, None),
+        "pointed_zn": (["1"] + [f"g{a}" for a in range(1, n)], zn(n), None),
+        "tambara_yamagami_zn": ([f"a{i}" for i in range(n)] + ["m"], zn(n), 0),
+    }[family]
+    return tuple(labels), loop_group_ring(labels, mult, k)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ["pointed_zn(48)", "su2_k(40)"])
+def test_catalog_rules_match_the_loops(name):
+    family, _, arg = name.rstrip(")").partition("(")
+    n = int(arg or 1)
+    ladder = {"pointed_zn": _pointed_zn, "su2_k": _su2_k}
+    ring = ring_of(name) if name in ALL_NAMES else ladder[family](n)
+    labels, N = loop_catalog_ring(family, n)
+    assert ring.labels == labels and ring.name == name
+    assert ring.N.dtype == np.int64 and np.array_equal(ring.N, N)
+    assert ring.dual == row_dual(N, 0)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_near_group_rule_matches_the_loop(k):
+    # K(Z2, k), which reaches multiplicities above 1 from k = 2 on
+    assert np.array_equal(near_group(k).N, loop_group_ring(["1", "a", "X"], operator.xor, k))

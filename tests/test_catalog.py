@@ -9,13 +9,16 @@ import pytest
 from conftest import ALL_NAMES, entry, ring_of, table_of
 from fusionring import (
     builtin,
+    fp_character,
+    is_faithful,
     load_ring,
     load_smatrix,
+    object_index,
     save_ring,
     save_smatrix,
     validate,
 )
-from fusionring.catalog import all_builtin_names
+from fusionring.catalog import _group_ring, _zn_table, all_builtin_names
 from fusionring.errors import (
     DimensionMismatch,
     DualMismatch,
@@ -262,6 +265,7 @@ def test_load_ring_rejects_every_kind_of_bad_entry(tmp_path, value):
     ([1, None], ParseError, "S[1][0]"),
     ([1, False], ParseError, "S[1][0]"),
     ([[1], 0], ParseError, "S[1][0]"),
+    ([10**400, 0], ParseError, "S[1][0]"),
 ])
 def test_load_smatrix_names_the_first_bad_entry(tmp_path, entry, error, where):
     path = tmp_path / "s.json"
@@ -285,3 +289,18 @@ def test_load_smatrix_reads_pairs_as_complex_numbers(tmp_path):
     md = load_smatrix(path, ring_of("pointed_zn(2)"))
     want = np.array([[complex(0.5, -0.0), complex(0.5, 1e-17)], [0.5, -0.5]])
     assert md.S.dtype == np.complex128 and md.S.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("group, table", [("Z3", _zn_table(3)),
+                                          ("Z2xZ2", np.bitwise_xor.outer(range(4), range(4)))])
+def test_near_group_rings(group, table, k):
+    # K(G, k): m * m = sum of G + k m, so FPdim(m) solves d^2 = |G| + k d; m generates
+    # the ring, and its index is 2 (G in even, m in odd tensor powers) exactly when k = 0
+    order = len(table)
+    ring = _group_ring([f"g{i}" for i in range(order)] + ["m"], table, f"K({group}, {k})", k=k)
+    m = ring.rank - 1
+    assert validate(ring).valid and ring.N[m, m, m] == k
+    assert fp_character(ring).dims[m] == pytest.approx((k + np.sqrt(k * k + 4 * order)) / 2)
+    assert is_faithful(ring, m)
+    assert object_index(ring, m) == (2 if k == 0 else 1)

@@ -351,3 +351,16 @@ def test_object_structure_constants_are_decided_as_python_ints():
             nested[1][1][1] = value
             with pytest.raises(ValueError, match=f"must be {why}"):
                 FusionRing(labels=labels, N=nested, dual=dual)
+
+
+def test_booleans_are_not_structure_constants():
+    # numpy makes them numbers: a bool tensor, or True inside a nested list of ints (int64)
+    labels, dual = ("1", "g"), (0, 1)
+    N = ring_of("pointed_zn(2)").N
+    nested = N.tolist()
+    nested[1][1][0] = True
+    assert np.asarray(nested).dtype == np.int64
+    for bad in (N.astype(bool), nested, list(N.astype(bool))):
+        with pytest.raises(ValueError, match="structure constants must be integers"):
+            FusionRing(labels=labels, N=bad, dual=dual)
+    assert validate(FusionRing(labels=labels, N=N.tolist(), dual=dual)).valid
