@@ -81,31 +81,49 @@ def _kernel_and_center(ring, fp, table, i, eps) -> list[list[str]]:
 
 
 def _power_sweep(ring: FusionRing, ind: list[int]):
-    """Support sweep over the powers of each simple, exact as N >= 0.
+    """Support sweep over the powers of all simples at once, exact as N >= 0.
 
-    The support of the n-th power of e_i is followed up to n = 3 * rank * ind[i],
-    or until it equals the support ind[i] steps earlier: from there on the
-    supports cycle with period ind[i] through ones already seen, so neither a
-    new residue clash nor a first unit return can appear. Returns the first
-    (generator, simple, exponent, later exponent) whose exponents differ by a
+    Step n takes, for every simple e_i still swept, the support of e_i^n from
+    the one before: e_k is in it when N[i][j][k] > 0 for some j in that
+    support, a gather of the rows of those (i, j) pairs, scattered into one
+    boolean matrix. Simple i is swept up to n = 3 * rank * ind[i], or until its
+    support equals the one ind[i] steps earlier (a ring buffer holds the last
+    max(ind) + 1 supports): from there on the supports cycle with period ind[i]
+    through ones already seen, so neither a new residue clash nor a first unit
+    return can appear. Returns the (generator, simple, exponent, later exponent)
+    least in (later exponent, generator, simple) whose exponents differ by a
     non-multiple of ind, or None, and per simple the least n >= 1 whose power
     holds the unit (0 if none).
     """
-    edges, start = ring.N > 0, np.arange(ring.rank) == ring.unit
-    clash, returns = None, np.zeros(ring.rank, dtype=np.int64)
-    for i, p in enumerate(ind):
-        supports, first = [start], np.where(start, 0, -1)
-        for n in range(1, 3 * ring.rank * p + 1):
-            supp = supports[-1] @ edges[i]  # boolean: some j in the support has an edge j -> k
-            supports.append(supp)
-            first[supp & (first < 0)] = n
-            if returns[i] == 0 and supp[ring.unit]:
-                returns[i] = n
-            bad = np.flatnonzero(supp & ((n - first) % p != 0))
-            if bad.size and (clash is None or n < clash[3]):
-                clash = (i, int(bad[0]), int(first[bad[0]]), n)
-            if n >= p and np.array_equal(supp, supports[n - p]):
-                break
+    r, unit, p = ring.rank, ring.unit, np.asarray(ind, dtype=np.int64)
+    edges, cap = ring.N > 0, 3 * r * p
+    window = int(p.max(initial=0)) + 1
+    supports = np.zeros((window, r, r), dtype=bool)  # supports[n % window, i]: that of e_i^n
+    supports[0, :, unit] = True
+    first = np.full((r, r), -1)  # first[i, k]: least n with e_k in e_i^n
+    first[:, unit] = 0
+    clash, returns = None, np.zeros(r, dtype=np.int64)
+    swept, n = np.flatnonzero(cap > 0), 0
+    while swept.size:
+        n += 1
+        pos, j = supports[(n - 1) % window, swept].nonzero()
+        pair, k = edges[swept[pos], j].nonzero()
+        supp = np.zeros((swept.size, r), dtype=bool)
+        supp[pos[pair], k] = True
+        supports[n % window, swept] = supp
+        seen = first[swept]
+        seen[supp & (seen < 0)] = n
+        first[swept] = seen
+        returns[swept[(returns[swept] == 0) & supp[:, unit]]] = n
+        if clash is None:
+            bad = np.argwhere(supp & ((n - seen) % p[swept, None] != 0))
+            if bad.size:
+                row, k = bad[0].tolist()
+                clash = (int(swept[row]), k, int(seen[row, k]), n)
+        period = p[swept]
+        done = (n >= cap[swept]) | ((n >= period) & (
+            supp == supports[(n - period) % window, swept]).all(axis=1))
+        swept = swept[~done]
     return clash, returns
 
 
@@ -181,6 +199,7 @@ def _analyze_report(ring, eps, seed, with_checks=True) -> dict:
         report["character_table"] = _character_block(ring, table)
     else:
         report["notice"] = "noncommutative Grothendieck ring: no character data"
+    subcat.profile_simples(ring)
     report["simples"] = [
         _simple_block(ring, fp, table, i, eps, seed) for i in range(ring.rank)]
     if with_checks:

@@ -206,6 +206,8 @@ def _associativity_witness(N: np.ndarray, unit: int):
     is covered too. When no product adds one, the lowest uncovered simple is
     checked by _associative_on; every simple below it lies in K, so the first
     failing one and its C-order witness are those of checking every simple in turn.
+    Products are only tried after a check: before the first, the covered set is
+    empty or the unit alone, whose square is itself, so a round there adds nothing.
     """
     r = len(N)
     bound = _max_abs(N)
@@ -215,15 +217,16 @@ def _associativity_witness(N: np.ndarray, unit: int):
     covered = np.zeros(r, dtype=bool)
     covered[unit] = np.array_equal(N[unit], np.eye(r, dtype=N.dtype))
     while not covered.all():
-        out = edges[covered][:, covered] & ~covered
-        new = out[out.sum(axis=2) == 1].any(axis=0)
-        if new.any():
-            covered |= new
-            continue
-        i = int(np.argmin(covered))
+        i = int(covered.argmin())
         if not _associative_on(M, i, lhs, rhs):
             return (i, *_first_mismatch(lhs != rhs))
         covered[i] = True
+        while not covered.all():
+            out = edges[covered][:, covered] & ~covered
+            new = out[out.sum(axis=2) == 1].any(axis=0)
+            if not new.any():
+                break
+            covered |= new
     return None
 
 

@@ -3,8 +3,10 @@
 A subcategory is represented by the set of basis indices of its simples;
 it must contain the unit and be closed under duals and under constituents
 of pairwise products. What the powers of an object decide, and the subcategory
-any set of simples generates, is read off one cached breadth-first search per
-support (ObjectProfile). Faithfulness of a simple is equivalent to
+any set of simples generates, is read off a breadth-first search of its fusion
+digraph, cached per support (ObjectProfile). The searches run batched: every
+simple of a ring at once (profile_simples), or a single support forwards and
+backwards in one pass. Faithfulness of a simple is equivalent to
 indecomposability of its fusion matrix, tested independently and exactly by
 the Frobenius criterion (I + A)^(n-1) > 0.
 """
@@ -36,7 +38,7 @@ class Subcategory:
 
 @dataclass(frozen=True)
 class ObjectProfile:
-    """What the powers of an object X decide, from one BFS of its fusion digraph.
+    """What the powers of an object X decide, from a breadth-first search of its fusion digraph.
 
     The digraph has an edge j -> k when e_k occurs in e_s * e_j for a simple s
     in the support of X. As N >= 0, the support of X^n is exactly the set of
@@ -46,6 +48,8 @@ class ObjectProfile:
     of level(u) + 1 - level(v) over its edges u -> v; and order, the first
     return to the unit, is 1 + the least level of a member with an edge into
     the unit. The empty support reaches the unit alone, with index and order 0.
+    A search backwards from the unit guards all of this: it must reach every
+    member, else InternalInconsistency.
     """
 
     level: tuple[int, ...]
@@ -58,32 +62,66 @@ class ObjectProfile:
 _PROFILES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal keys in a sorted array."""
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts.nonzero()[0]
+
+
 def _levels(adj: np.ndarray, start: int) -> np.ndarray:
-    """Breadth-first level of each node from start along the edges adj[u, v]; -1 if unreached."""
-    level = np.full(adj.shape[0], -1)
-    frontier = np.arange(adj.shape[0]) == start
-    n = 0
-    while frontier.any():
-        level[frontier] = n
-        frontier = adj[frontier].any(axis=0) & (level < 0)
+    """Breadth-first levels from start in each digraph adj[g] of a stack; -1 where unreached.
+
+    The frontier is a list of (digraph, node) pairs sorted by digraph. Each level
+    gathers their rows adj[g, u] at once and ORs them per digraph with one
+    reduceat, so every pair is expanded once and the work is that of the edges.
+    """
+    depth = np.zeros(adj.shape[:2], dtype=np.int64)  # level + 1, so 0 where unreached
+    rows = heads = np.arange(len(adj))
+    nodes = np.full(len(adj), start)
+    n = 1
+    while rows.size:
+        depth[rows, nodes] = n
+        reached = np.logical_or.reduceat(adj[rows, nodes], heads)
+        rows = rows[heads]
+        k, nodes = (reached > depth[rows]).nonzero()
+        rows, heads = rows[k], _run_starts(k)
         n += 1
-    return level
+    return depth - 1
 
 
-def _build_profile(ring: FusionRing, support: frozenset[int]) -> ObjectProfile:
-    adj = (ring.N[sorted(support)] > 0).any(axis=0)  # adj[j, k]: e_k occurs in X * e_j
-    level = _levels(adj, ring.unit)
-    members = np.flatnonzero(level >= 0)
-    returns = level[members[adj[members, ring.unit]]]
+def _build_profiles(ring: FusionRing, supports: list[frozenset[int]]) -> list[ObjectProfile]:
+    """Profiles of objects with the given supports, from batched searches forwards and back."""
+    r, unit, count = ring.rank, ring.unit, len(supports)
+    if count == r and supports == [frozenset({i}) for i in range(r)]:
+        # the digraphs of all simples are N > 0 itself, searched backwards as a view, not a copy
+        adj = ring.N > 0  # adj[g, j, k]: e_k occurs in e_g * e_j
+        level, back = _levels(adj, unit), _levels(adj.transpose(0, 2, 1), unit)
+    else:  # a few digraphs: one search runs both ways
+        adj = np.array([ring.N[sorted(s)].any(axis=0) for s in supports])
+        both = _levels(np.concatenate((adj, adj.transpose(0, 2, 1))), unit)
+        level, back = both[:count], both[count:]
+    member = level >= 0
+    # 1 + the least level of a member with an edge into the unit; r + 1 (none) wraps to 0
+    into_unit = member & adj[:, :, unit]
+    order = (np.minimum.reduce(level, axis=1, initial=r, where=into_unit) + 1) % (r + 1)
     # every walk from a member stays in C(X), so C(X) is strongly connected
     # iff every member reaches the unit; then a nonempty support returns to it
-    if (_levels(adj.T, ring.unit)[members] < 0).any() or (support and not returns.size):
-        raise InternalInconsistency(
-            f"fusion digraph of {sorted(support)} is not strongly connected on its subcategory")
-    u, v = np.nonzero(adj[members])
-    return ObjectProfile(level=tuple(level.tolist()), members=tuple(members.tolist()),
-                         index=int(np.gcd.reduce(level[members[u]] + 1 - level[v])),
-                         order=int(returns.min()) + 1 if returns.size else 0)
+    stuck = (member & (back < 0)).any(axis=1) | ((order == 0) & [len(s) > 0 for s in supports])
+    if stuck.any():
+        raise InternalInconsistency(f"fusion digraph of {sorted(supports[int(stuck.argmax())])} "
+                                    "is not strongly connected on its subcategory")
+    g, u, v = adj.nonzero()  # the edge list, sorted by digraph
+    tail = level[g, u]
+    inside = tail >= 0
+    g, gap = g[inside], (tail + 1 - level[g, v])[inside]
+    heads = _run_starts(g)
+    index = np.zeros(count, dtype=np.int64)
+    index[g[heads]] = np.gcd.reduceat(gap, heads)
+    return [ObjectProfile(level=tuple(row), members=tuple(k for k, n in enumerate(row) if n >= 0),
+                          index=i, order=o)
+            for row, i, o in zip(level.tolist(), index.tolist(), order.tolist())]
 
 
 def object_profile(ring: FusionRing, *simples: int) -> ObjectProfile:
@@ -92,8 +130,19 @@ def object_profile(ring: FusionRing, *simples: int) -> ObjectProfile:
     support = frozenset(simples)
     if support not in profiles:
         check_simples(ring.rank, support)
-        profiles[support] = _build_profile(ring, support)
+        profiles[support] = _build_profiles(ring, [support])[0]
     return profiles[support]
+
+
+def profile_simples(ring: FusionRing) -> None:
+    """Profile every simple of the ring not yet profiled, all in one batch.
+
+    Afterwards object_profile(ring, i) reads each simple's profile from the cache.
+    """
+    profiles = _PROFILES.setdefault(ring, {})
+    missing = [s for s in (frozenset({i}) for i in range(ring.rank)) if s not in profiles]
+    if missing:
+        profiles.update(zip(missing, _build_profiles(ring, missing)))
 
 
 def closure_defect(ring: FusionRing, members: Iterable[int]):

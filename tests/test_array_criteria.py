@@ -1,4 +1,4 @@
-"""The structural tests and catalog rules as exact array criteria, against the loops they replace.
+"""Structural tests, catalog rules and power sweep as array steps, against the loops they replace.
 
 Each reference below is the loop the library used before it was stated as one
 array criterion; the two must agree everywhere, witnesses included.
@@ -14,7 +14,9 @@ from conftest import ALL_NAMES, count_calls, ring_of, wrap_ring
 from fusionring import FusionRing, is_indecomposable_matrix, validate
 from fusionring import ring as ring_module
 from fusionring.catalog import _pointed_zn, _su2_k, _z2_plus_one
+from fusionring.cli import _power_sweep
 from fusionring.errors import AmbiguousDual, NoDual
+from fusionring.grading import object_index
 from fusionring.ring import _float64_exact, _max_abs, dual_from_structure
 from fusionring.subcat import closure_defect
 from test_ring import rounding_ring
@@ -433,3 +435,41 @@ def test_catalog_rules_match_the_loops(name):
 def test_near_group_rule_matches_the_loop(k):
     # K(Z2, k), which reaches multiplicities above 1 from k = 2 on
     assert np.array_equal(near_group(k).N, loop_group_ring(["1", "a", "X"], operator.xor, k))
+
+
+def loop_power_sweep(ring, ind):
+    """Reference: the support sweep of one simple at a time, one boolean product per exponent."""
+    edges, start = ring.N > 0, np.arange(ring.rank) == ring.unit
+    clash, returns = None, np.zeros(ring.rank, dtype=np.int64)
+    for i, p in enumerate(ind):
+        supports, first = [start], np.where(start, 0, -1)
+        for n in range(1, 3 * ring.rank * p + 1):
+            supp = supports[-1] @ edges[i]  # boolean: some j in the support has an edge j -> k
+            supports.append(supp)
+            first[supp & (first < 0)] = n
+            if returns[i] == 0 and supp[ring.unit]:
+                returns[i] = n
+            bad = np.flatnonzero(supp & ((n - first) % p != 0))
+            if bad.size and (clash is None or n < clash[3]):
+                clash = (i, int(bad[0]), int(first[bad[0]]), n)
+            if n >= p and np.array_equal(supp, supports[n - p]):
+                break
+    return clash, returns
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ["near_group(Z2, 2)", "near_group(Z2, 3)"])
+def test_power_sweep_matches_the_loop(name):
+    # with ind no simple clashes; with 2 ind the unit clashes first, at n = 1; doubling all
+    # but the unit ties generators at the least n (rep_q8: a, b and ab at n = 2); one index
+    # skewed by one, tried for each simple in turn, ties simples (su2_k(8) with ind[6] + 1:
+    # simples 2 and 4 at n = 3)
+    ring = near_group(int(name[-2])) if name.startswith("near_group") else ring_of(name)
+    ind = [object_index(ring, i) for i in range(ring.rank)]
+    trials = [ind, [2 * p for p in ind]]
+    trials += [[p if i == ring.unit else 2 * p for i, p in enumerate(ind)]]
+    trials += [ind[:j] + [ind[j] + 1] + ind[j + 1:] for j in range(ring.rank)]
+    for trial in trials:
+        clash, returns = _power_sweep(ring, trial)
+        want_clash, want_returns = loop_power_sweep(ring, trial)
+        assert clash == want_clash and np.array_equal(returns, want_returns), trial
+        assert (clash is None) == (trial == ind), trial

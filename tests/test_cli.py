@@ -286,11 +286,11 @@ def test_power_sweep_stops_early_with_the_full_sweep_result(name, factor):
 
 
 def test_analyze_builds_one_profile_per_simple(capsys, monkeypatch):
-    builds = count_calls(monkeypatch, subcat._build_profile)
+    builds = count_calls(monkeypatch, subcat._build_profiles)
     for name in SAMPLE_NAMES:
         builds.clear()
         code, _, _ = run(capsys, "analyze", "--ring", name, "--format", "json")
-        supports = sorted((s for _, s in builds), key=min)
+        supports = sorted((s for _, batch in builds for s in batch), key=min)
         assert code == 0 and supports == [frozenset({i}) for i in range(ring_of(name).rank)], name
 
 

@@ -32,7 +32,7 @@ from fusionring.errors import (
     ZeroClass,
 )
 from fusionring.spectral import CharacterTable, FPData, build_table
-from fusionring.subcat import closure_defect
+from fusionring.subcat import _build_profiles, closure_defect, profile_simples
 
 
 def test_convergence_failure_on_tiny_budget():
@@ -119,6 +119,27 @@ def test_profile_rejects_a_digraph_that_never_returns_to_the_unit():
     ring = FusionRing(labels=("1", "a", "b"), N=N, dual=(0, 1, 2))
     with pytest.raises(InternalInconsistency):
         object_index(ring, 1)
+    # in a batch, the first support that never returns is named; the unit alone returns
+    with pytest.raises(InternalInconsistency, match=r"of \[1\] is not strongly connected"):
+        _build_profiles(ring, [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})])
+    with pytest.raises(InternalInconsistency, match=r"of \[0, 1\] is not strongly connected"):
+        _build_profiles(ring, [frozenset({0}), frozenset({0, 1}), frozenset({1})])
+    with pytest.raises(InternalInconsistency, match=r"of \[1\] is not strongly connected"):
+        profile_simples(ring)
+
+
+def test_profile_rejects_a_member_that_never_reaches_the_unit():
+    # a*a = 1 + b, a*b = b: the unit recurs in the powers of a, but b never leads back to it
+    from fusionring import FusionRing, object_index
+
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    for j in range(3):
+        N[0, j, j] = N[j, 0, j] = 1
+    N[1, 1, 0] = N[1, 1, 2] = N[1, 2, 2] = 1
+    ring = FusionRing(labels=("1", "a", "b"), N=N, dual=(0, 1, 2))
+    for profile in (lambda: object_index(ring, 1), lambda: profile_simples(ring)):
+        with pytest.raises(InternalInconsistency, match=r"of \[1\] is not strongly connected"):
+            profile()
 
 
 def test_simple_indices_outside_the_rank_are_rejected():

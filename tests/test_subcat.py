@@ -15,7 +15,8 @@ from fusionring import (
     validate,
 )
 from fusionring.errors import NotClosed
-from fusionring.subcat import closure_defect, object_profile
+from fusionring.subcat import _build_profiles, closure_defect, object_profile, profile_simples
+from test_array_criteria import near_group
 
 
 def test_generated_subcategory_examples():
@@ -117,3 +118,16 @@ def test_object_profile_matches_exact_powers(name):
         assert profile.members == tuple(k for k in range(r) if level[k] >= 0)
         assert generated_subcategory(ring, support).members == profile.members
         assert closure_defect(ring, profile.members) is None, (name, support)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ["near_group(Z2, 2)", "near_group(Z2, 3)"])
+def test_a_batch_of_profiles_equals_one_build_per_support(name):
+    ring = near_group(int(name[-2])) if name.startswith("near_group") else ring_of(name)
+    r = ring.rank
+    rng = random.Random(name)
+    singletons = [frozenset({i}) for i in range(r)]
+    seeded = [frozenset(rng.sample(range(r), rng.randint(0, min(4, r)))) for _ in range(8)]
+    for batch in (singletons, seeded, singletons[::-1] + seeded):
+        assert _build_profiles(ring, batch) == [_build_profiles(ring, [s])[0] for s in batch], batch
+    profile_simples(ring)
+    assert [object_profile(ring, i) for i in range(r)] == _build_profiles(ring, singletons)
