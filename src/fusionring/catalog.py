@@ -8,7 +8,7 @@ K(Z2, 1), rep_q8 = K(Z2 x Z2, 0) and tambara_yamagami_zn(n) = K(Z_n, 0). The
 su(2) level-k Verlinde ring su2_k(k) is the truncated Clebsch-Gordan mask.
 S-matrices come from exact expressions (sqrt, golden ratio, sines of rational
 angles). Each ring is validated once; each S-matrix, built in or loaded, is
-checked once, by modular_data.
+checked once, by modular_data: a built-in one on first use of entry.smatrix.
 
 File formats (JSON, text):
   ring:     {"name": str, "rank": int, "labels": [str], "unit": int,
@@ -21,8 +21,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -40,10 +42,20 @@ from .ring import FusionRing, ValidationReport, dual_from_structure, validate
 
 @dataclass
 class CatalogEntry:
+    """A built-in ring, its notes, and its modular data if it ships with an S-matrix.
+
+    smatrix is built and checked by modular_data on first access, once per
+    entry, and is None for an entry without an S-matrix.
+    """
+
     name: str
     ring: FusionRing
-    smatrix: ModularData | None
     notes: str
+    make_smatrix: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def smatrix(self) -> ModularData | None:
+        return None if self.make_smatrix is None else modular_data(self.ring, self.make_smatrix())
 
 
 def _group_ring(labels, table, name, k=None):
@@ -176,8 +188,8 @@ def builtin(name: str) -> CatalogEntry:
     report = validate(ring)
     if not report.valid:
         raise ValidationFailed(report)
-    md = None if make_s is None else modular_data(ring, make_s(*args))
-    return CatalogEntry(name=name, ring=ring, smatrix=md, notes=notes)
+    return CatalogEntry(name=name, ring=ring, notes=notes,
+                        make_smatrix=None if make_s is None else partial(make_s, *args))
 
 
 def _require(data: dict, key: str, kind, context: str):

@@ -57,8 +57,7 @@ def _character_block(ring: FusionRing, table: spectral.CharacterTable) -> dict:
     }
 
 
-def _simple_block(ring, fp, table, i, eps, seed) -> dict:
-    grad = grading.universal_grading(ring, i, fp, table, eps=eps, seed=seed)
+def _simple_block(ring, i, grad, kern, center) -> dict:
     block: dict = {
         "label": ring.labels[i],
         "faithful": subcat.is_faithful(ring, i),
@@ -67,17 +66,13 @@ def _simple_block(ring, fp, table, i, eps, seed) -> dict:
         "grading_components": [[ring.labels[m] for m in comp] for comp in grad.components],
         "grading_character_checked": grad.character_checked,
     }
-    if table is not None:
-        block["kernel_characters"], block["center_characters"] = _kernel_and_center(
-            ring, fp, table, i, eps)
+    if kern is not None:
+        block["kernel_characters"], block["center_characters"] = _names(kern), _names(center)
     return block
 
 
-def _kernel_and_center(ring, fp, table, i, eps) -> list[list[str]]:
-    """Names of the characters in the kernel and in the center of simple i."""
-    e = ring.basis_vector(i)
-    return [sorted(f"chi{t}" for t in of_class(ring, fp, table, e, eps=eps))
-            for of_class in (kernel.kernel_of_class, kernel.center_of_class)]
+def _names(characters) -> list[str]:
+    return sorted(f"chi{t}" for t in characters)
 
 
 def _power_sweep(ring: FusionRing, ind: list[int]):
@@ -127,8 +122,11 @@ def _power_sweep(ring: FusionRing, ind: list[int]):
     return clash, returns
 
 
-def _run_checks(ring, fp, table, eps, seed) -> list[dict]:
-    """Theorem checks reported in analyze; one pass/fail entry each."""
+def _run_checks(ring, table, kernels) -> list[dict]:
+    """Theorem checks reported in analyze; one pass/fail entry each.
+
+    kernels holds the kernel of each simple (None without a character table).
+    """
     checks = []
 
     def record(name, fn):
@@ -139,12 +137,14 @@ def _run_checks(ring, fp, table, eps, seed) -> list[dict]:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
 
     def brauer_equivalence():
-        for i in range(ring.rank):
-            faithful = subcat.is_faithful(ring, i)
-            indecomp = subcat.is_indecomposable_matrix(ring.fusion_matrix(i))
-            assert faithful == indecomp, f"simple {ring.labels[i]}: faithful != indecomposable"
-            if table is not None:
-                kernel.verify_brauer(ring, fp, table, i, eps=eps)
+        # each simple fails as when the simples were checked in turn, both tests on each:
+        # the Brauer check covers the simples before the first faithful/indecomposable mismatch
+        split = next((i for i in range(ring.rank) if subcat.is_faithful(ring, i)
+                      != subcat.is_indecomposable_matrix(ring.fusion_matrix(i))), ring.rank)
+        if table is not None:
+            kernel.check_brauer(ring, range(split),
+                                [k == {table.fp_index} for k in kernels[:split]])
+        assert split == ring.rank, f"simple {ring.labels[split]}: faithful != indecomposable"
 
     @functools.lru_cache(maxsize=None)
     def sweep():  # its own support sweep: the power checks test the profile, not reuse it
@@ -200,10 +200,16 @@ def _analyze_report(ring, eps, seed, with_checks=True) -> dict:
     else:
         report["notice"] = "noncommutative Grothendieck ring: no character data"
     subcat.profile_simples(ring)
-    report["simples"] = [
-        _simple_block(ring, fp, table, i, eps, seed) for i in range(ring.rank)]
+    simples = range(ring.rank)
+    gradings = grading.grade_simples(ring, simples, fp, table, eps=eps, seed=seed)
+    kernels = centers = [None] * ring.rank
+    if table is not None:  # the support matrix of the simples is the identity
+        kernels, centers = (kernel.characters_at_fpdim(fp, table, np.eye(ring.rank), eps, modulus)
+                            for modulus in (False, True))
+    report["simples"] = [_simple_block(ring, i, gradings[i], kernels[i], centers[i])
+                         for i in simples]
     if with_checks:
-        report["checks"] = _run_checks(ring, fp, table, eps, seed)
+        report["checks"] = _run_checks(ring, table, kernels)
     return report
 
 
@@ -389,8 +395,10 @@ def main(argv=None) -> int:
             if args.command == "kernel":
                 if table is None:
                     raise NonCommutative("kernel of a class requires a commutative ring")
-                kern, center = _kernel_and_center(ring, fp, table, i, eps)
-                report = {"label": args.object, "kernel": kern, "center": center}
+                e = ring.basis_vector(i)
+                report = {"label": args.object,
+                          "kernel": _names(kernel.kernel_of_class(ring, fp, table, e, eps)),
+                          "center": _names(kernel.center_of_class(ring, fp, table, e, eps))}
             elif args.command == "grading":
                 grad = grading.universal_grading(ring, i, fp, table, eps=eps, seed=seed)
                 report = {"label": args.object,

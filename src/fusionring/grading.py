@@ -6,12 +6,16 @@ eigenvalues of the fusion matrix and the order of the universal grading
 group of that subcategory. Index, order and grades are read off the
 breadth-first profile of X (see subcat.object_profile): a simple first
 occurring in X^n has grade n mod ind. The grading is cross-checked against
-the character whose value on X is exp(2*pi*i/ind) * FPdim(X).
+the character whose value on X is exp(2*pi*i/ind) * FPdim(X). grade_simples
+grades a batch of simples as array steps over their stacked levels, one row
+per simple; universal_grading is its batch of one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -77,49 +81,105 @@ def universal_grading(ring: FusionRing, i: int,
 
     It is the universal grading of C(e_i), and of the ring when e_i is faithful,
     by the paper's theorem ind X = |U(C)| for faithful X, which is assumed here.
-    When the restricted ring is commutative, grades are cross-checked against
-    the first character mu with mu(e_i) = xi * FPdim(e_i), xi = exp(2*pi*i/ind):
-    mu(k) / FPdim(k) must be xi**grade(k) for every member k. spectral.within_eps
-    decides both, for all members at once; MethodDisagreement names the first
-    failing member, unit first. Given the ambient fp and table, the characters
-    of C(e_i) are read as restrictions of ambient ones.
+    When the restricted ring is commutative, grades are cross-checked against a
+    character; see grade_simples, of which this is the batch of one simple.
     """
-    profile = object_profile(ring, i)
-    sub = Subcategory(members=profile.members)
-    order_list = restriction_order(ring, sub)
-    ind = profile.index
-    grades = {k: profile.level[k] % ind for k in order_list}
+    return grade_simples(ring, [i], fp, table, eps=eps, seed=seed)[0]
 
-    chars = None
+
+def grade_simples(ring: FusionRing, simples: Sequence[int],
+                  fp: FPData | None = None,
+                  table: CharacterTable | None = None,
+                  eps: float = DEFAULT_EPS,
+                  seed: int = DEFAULT_SEED) -> list[GradingData]:
+    """The grading of C(e_i) for every simple i of the batch, as array steps over all of them.
+
+    Grades are the profile levels modulo the index, stacked one row per simple.
+    When the restricted ring is commutative, each row is cross-checked against
+    the first character mu with mu(e_i) = xi * FPdim(e_i), xi = exp(2*pi*i/ind):
+    mu(k) / FPdim(k) must be a power of xi, namely xi**grade(k), for every member
+    k. spectral.within_eps decides both; MethodDisagreement names the first
+    failing simple of the batch and its first failing member, unit first. Given
+    the ambient fp and table, the characters of every C(e_i) are restrictions of
+    ambient ones and the whole batch is checked at once; otherwise each simple
+    is checked against the character table of its restricted ring.
+    """
+    simples = list(simples)
+    r, unit, count = ring.rank, ring.unit, len(simples)
+    profiles = [object_profile(ring, i) for i in simples]
+    level = np.array([p.level for p in profiles], dtype=np.int64).reshape(count, r)
+    ind = np.array([p.index for p in profiles], dtype=np.int64)[:, None]
+    member = level >= 0
+    grade = np.where(member, level % ind, ind)  # ind off the members
+
     if fp is not None and table is not None:
-        dims, chars = fp.dims[order_list], table.characters[:, order_list]
+        _cross_check(ring, simples, grade, ind, member, fp.dims, table.characters)
+        checked = [True] * count
     else:
-        small = restrict(ring, sub)
-        if is_commutative(small):
-            dims = fp_character(small, eps=eps).dims
-            chars = character_table(small, eps=eps, seed=seed).characters
+        checked = []
+        for row, (i, profile) in enumerate(zip(simples, profiles)):
+            sub = Subcategory(members=profile.members)
+            small = restrict(ring, sub)
+            checked.append(is_commutative(small))
+            if checked[-1]:  # the characters of C(e_i), spread over the ambient basis
+                order_list = restriction_order(ring, sub)
+                dims = np.ones(r)
+                dims[order_list] = fp_character(small, eps=eps).dims
+                small_chars = character_table(small, eps=eps, seed=seed).characters
+                chars = np.zeros((len(small_chars), r), dtype=complex)
+                chars[:, order_list] = small_chars
+                at = slice(row, row + 1)
+                _cross_check(ring, [i], grade[at], ind[at], member[at], dims, chars)
 
-    if chars is not None:
-        loc = order_list.index(i)
-        xi = np.exp(2j * np.pi / ind)
-        target = xi * dims[loc]
-        hits = within_eps(chars[:, loc], target, AGGREGATE_EPS * max(1.0, abs(target)))
-        if not hits:
-            raise MethodDisagreement(
-                f"no character takes the value xi*FPdim on the generator (ind={ind})")
-        ratio = chars[hits[0]] / dims
-        phase = np.rint(np.angle(ratio) / (2 * np.pi) * ind).astype(int) % ind
-        off_power = ~np.isin(np.arange(len(order_list)),
-                             within_eps(ratio, xi**phase, AGGREGATE_EPS))
-        wrong = np.flatnonzero(off_power | (phase != [grades[k] for k in order_list]))
-        if wrong.size:
-            local, ambient = wrong[0], order_list[wrong[0]]
-            raise MethodDisagreement(
-                f"character value on simple {ambient} is not a power of xi" if off_power[local]
-                else f"simple {ambient}: exponent grade {grades[ambient]} "
-                     f"vs character grade {phase[local]}")
+    # one sort per row of grade * r + k, members first: each component is a slice of it
+    keys = np.sort(grade * r + np.arange(r), axis=1).tolist()
+    rows, ks = member.nonzero()  # the members of each row, ascending
+    gs, ks = grade[rows, ks].tolist(), ks.tolist()
+    start, result = 0, []
+    for row, profile in enumerate(profiles):
+        stop = start + len(profile.members)
+        grades = {unit: profile.level[unit] % profile.index}  # unit first, then ascending
+        grades.update(zip(ks[start:stop], gs[start:stop]))
+        bounds = [bisect_left(keys[row], a * r) for a in range(profile.index + 1)]
+        members = [key % r for key in keys[row][:stop - start]]
+        components = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
+        result.append(GradingData(index=profile.index, order=profile.order, grades=grades,
+                                  components=components, character_checked=checked[row]))
+        start = stop
+    return result
 
-    components = tuple(
-        tuple(sorted(k for k, g in grades.items() if g == a)) for a in range(ind))
-    return GradingData(index=ind, order=profile.order, grades=grades,
-                       components=components, character_checked=chars is not None)
+
+def _cross_check(ring: FusionRing, simples: list[int], grade: np.ndarray, ind: np.ndarray,
+                 member: np.ndarray, dims: np.ndarray, chars: np.ndarray) -> None:
+    """MethodDisagreement unless the character phases give the grades; see grade_simples.
+
+    grade, ind and member have a row per simple; chars and dims span the
+    ambient basis, so one ratio row per simple holds all its members at once.
+    """
+    count, size, unit = len(simples), len(chars), ring.unit
+    xi = np.exp(1j * (2 * np.pi / ind))
+    target = xi * dims[simples][:, None]
+    hits = within_eps(chars.T[simples], target, AGGREGATE_EPS * np.maximum(1.0, np.abs(target)))
+    first = {}  # hits holds row * size + t in order, so a row's first hit is its least t
+    for flat in hits:
+        first.setdefault(*divmod(flat, size))
+    ratio = chars[[first.get(row, 0) for row in range(count)]] / dims
+    angle = np.arctan2(ratio.imag, ratio.real)  # np.angle(ratio), bit for bit
+    phase = np.rint(angle / (2 * np.pi) * ind).astype(np.int64) % ind
+    near = np.zeros(ratio.shape, dtype=bool)
+    near.ravel()[within_eps(ratio, xi ** phase, AGGREGATE_EPS)] = True
+    wrong = member & (~near | (phase != grade))
+    failed = [row for row in range(count) if row not in first]
+    at = wrong.ravel().nonzero()[0]
+    if at.size:
+        failed.append(int(at[0]) // wrong.shape[1])
+    if not failed:
+        return
+    row = min(failed)
+    if row not in first:
+        raise MethodDisagreement(
+            f"no character takes the value xi*FPdim on the generator (ind={ind[row, 0]})")
+    k = unit if wrong[row, unit] else int(wrong[row].argmax())
+    raise MethodDisagreement(
+        f"character value on simple {k} is not a power of xi" if not near[row, k]
+        else f"simple {k}: exponent grade {grade[row, k]} vs character grade {phase[row, k]}")

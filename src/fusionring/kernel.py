@@ -7,31 +7,25 @@ exactly when this kernel is trivial, and in that case every simple occurs
 in some tensor power of the object (the Brauer property). "Equals" is
 decided by spectral.within_eps, the one tolerance rule. The exponents of
 first occurrence are the breadth-first levels of the object's fusion
-digraph (see subcat.object_profile).
+digraph (see subcat.object_profile). Kernels, centers and the Brauer check
+run on batches: characters_at_fpdim decides the kernels, or the centers, of many supports
+on one support matrix, and check_brauer tests the Brauer property of many
+simples as arrays; the one-object functions are their batches of one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     CapExceeded, ClosureViolation, DimensionMismatch, InternalInconsistency, ZeroClass)
 from .ring import FusionRing, check_simples
-from .spectral import (
-    DEFAULT_EPS,
-    CharacterTable,
-    FPData,
-    fpdim_of_class,
-    within_eps,
-)
-from .subcat import (
-    Subcategory,
-    closure_defect,
-    is_faithful,
-    object_profile,
-)
+from .spectral import DEFAULT_EPS, CharacterTable, FPData, within_eps
+from .subcat import Subcategory, closure_defect, object_profile
 
 
 @dataclass
@@ -83,70 +77,102 @@ def kernel_of_character(ring: FusionRing, fp: FPData, table: CharacterTable,
 
 
 def _support_class(ring: FusionRing, x: np.ndarray) -> np.ndarray:
-    """The 0/1 support vector of the object class x.
+    """The boolean support vector of the object class x.
 
     For x >= 0, chi(x) = FPdim(x) exactly when chi(e_j) = FPdim(e_j) for every
     j in supp(x), and |chi(x)| = FPdim(x) exactly when the chi(e_j) also share
     one phase; both depend on supp(x) only. Deciding them on the support keeps
     coefficients past 2**53 out of the floating-point sums.
     """
-    return (_check_class(ring, x) != 0).astype(np.int64)
+    return _check_class(ring, x).astype(bool)
+
+
+def characters_at_fpdim(fp: FPData, table: CharacterTable, supports: np.ndarray,
+                        eps: float = DEFAULT_EPS, modulus: bool = False) -> list[frozenset[int]]:
+    """The kernel, or with modulus=True the center, of every column of a 0/1 support matrix.
+
+    Column c stands for the objects with that support: its values are
+    characters @ supports[:, c] and its target FPdim is dims @ supports[:, c].
+    The kernel holds the characters whose value is within eps of the target,
+    the center those whose modulus is; one within_eps call decides all columns.
+    """
+    supports = np.asarray(supports)
+    size = table.count
+    values = supports.T.dot(table.characters.T)  # a row per column of supports
+    flat = within_eps(values, fp.dims.dot(supports)[:, None], eps, modulus=modulus)
+    # flat = c * size + t, sorted, so column c holds the run from c * size to (c + 1) * size
+    starts = range(0, (supports.shape[1] + 1) * size, size)
+    bounds = [bisect_left(flat, start) for start in starts]
+    return [frozenset(map(start.__rsub__, flat[a:b]))
+            for start, a, b in zip(starts, bounds, bounds[1:])]
 
 
 def kernel_of_class(ring: FusionRing, fp: FPData, table: CharacterTable,
                     x: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """Characters taking the value FPdim(x) on the class x, decided on supp(x)."""
-    s = _support_class(ring, x)
-    return frozenset(within_eps(table.characters @ s.astype(complex), fpdim_of_class(fp, s), eps))
+    return characters_at_fpdim(fp, table, _support_class(ring, x)[:, None], eps)[0]
 
 
 def center_of_class(ring: FusionRing, fp: FPData, table: CharacterTable,
                     x: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """Characters whose modulus on the class x attains FPdim(x), decided on supp(x)."""
-    s = _support_class(ring, x)
-    return frozenset(within_eps(table.characters @ s.astype(complex), fpdim_of_class(fp, s),
-                                eps, modulus=True))
-
-
-def default_brauer_cap(ring: FusionRing, i: int) -> int:
-    """Wielandt-style cap: (r-1)^2 + 1 + ind on the generated subcategory."""
-    profile = object_profile(ring, i)
-    return (len(profile.members) - 1) ** 2 + 1 + profile.index
+    return characters_at_fpdim(fp, table, _support_class(ring, x)[:, None], eps, modulus=True)[0]
 
 
 def verify_brauer(ring: FusionRing, fp: FPData, table: CharacterTable,
                   i: int, cap: int | None = None,
                   eps: float = DEFAULT_EPS) -> BrauerReport:
-    """Check the tensor-power property of e_i against its kernel.
+    """Check the tensor-power property of e_i against its kernel; see check_brauer.
 
     Records the first exponent n <= cap at which each simple occurs in the
-    n-th power of e_i, which is its level in the profile of e_i. A trivial
-    kernel must, and a nontrivial one must not, produce every simple; the
-    generated-subcategory notion of faithfulness must agree with both.
-    CapExceeded is raised when a predicted-faithful simple runs out of
-    budget before covering the basis.
+    n-th power of e_i, which is its level in the profile of e_i.
     """
-    if cap is None:
-        cap = default_brauer_cap(ring, i)
-    if cap < 1:
+    kernel = characters_at_fpdim(fp, table, ring.basis_vector(i)[:, None], eps)[0]
+    trivial = kernel == {table.fp_index}
+    cap_used = check_brauer(ring, [i], [trivial], cap)[0]
+    profile = object_profile(ring, i)
+    exponents = {k: n for k, n in enumerate(profile.level) if 0 <= n <= cap_used}
+    return BrauerReport(trivial, exponents, cap_used, len(profile.members) == ring.rank)
+
+
+def check_brauer(ring: FusionRing, simples: Sequence[int], trivial: Sequence[bool],
+                 cap: int | None = None) -> list[int]:
+    """Check the tensor-power property of every simple of the batch against its kernel.
+
+    trivial[k] says whether the kernel of simples[k] is trivial. A trivial
+    kernel must, and a nontrivial one must not, produce every simple in the
+    powers e_i^n with n <= cap; the generated-subcategory notion of
+    faithfulness must agree with both. Each is one array over the batch, read
+    off the cached profiles: e_i covers the basis within the cap when C(e_i)
+    is the whole ring and its deepest level is at most the cap. The first
+    failing simple of the batch is named: CapExceeded when a predicted-faithful
+    simple runs out of budget before covering the basis, InternalInconsistency
+    otherwise. The cap defaults per simple to the Wielandt-style
+    (|C(e_i)| - 1)^2 + 1 + ind. Returns the cap of each simple.
+    """
+    if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1")
-    kernel = kernel_of_class(ring, fp, table, ring.basis_vector(i), eps=eps)
-    faithful_expected = kernel == {table.fp_index}
-    faithful_actual = is_faithful(ring, i)
-
-    exponents = {k: n for k, n in enumerate(object_profile(ring, i).level) if 0 <= n <= cap}
-    all_found = len(exponents) == ring.rank
-
-    if faithful_expected and not all_found:
-        raise CapExceeded(
-            f"kernel of simple {i} is trivial but powers up to {cap} missed "
-            f"{ring.rank - len(exponents)} simples (closure says faithful={faithful_actual})")
-    if faithful_expected != all_found or faithful_expected != faithful_actual:
+    profiles = [object_profile(ring, i) for i in simples]
+    missing, depth, caps = np.array(
+        [(ring.rank - len(p.members), max(p.level),
+          (len(p.members) - 1) ** 2 + 1 + p.index if cap is None else cap) for p in profiles],
+        dtype=np.int64).reshape(-1, 3).T
+    actual = np.logical_not(missing)  # C(e_i) is the whole ring
+    covered = (actual & (depth <= caps)).tolist()
+    expected, actual = [bool(t) for t in trivial], actual.tolist()
+    if len(expected) != len(profiles):
+        raise ValueError("check_brauer takes one kernel flag per simple")
+    if expected != covered or expected != actual:
+        k = next(k for k, flags in enumerate(zip(expected, covered, actual)) if len(set(flags)) > 1)
+        if expected[k] and not covered[k]:
+            found = sum(0 <= n <= caps[k] for n in profiles[k].level)
+            raise CapExceeded(
+                f"kernel of simple {simples[k]} is trivial but powers up to {caps[k]} missed "
+                f"{ring.rank - found} simples (closure says faithful={actual[k]})")
         raise InternalInconsistency(
-            f"simple {i}: kernel-trivial={faithful_expected}, covered={all_found}, "
-            f"closure-faithful={faithful_actual}")
-    return BrauerReport(faithful_expected=faithful_expected, exponents=exponents,
-                        cap_used=cap, faithful_actual=faithful_actual)
+            f"simple {simples[k]}: kernel-trivial={expected[k]}, covered={covered[k]}, "
+            f"closure-faithful={actual[k]}")
+    return caps.tolist()
 
 
 def kernel_via_subring_idempotents(ring: FusionRing, fp: FPData, table: CharacterTable,

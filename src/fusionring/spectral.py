@@ -73,9 +73,11 @@ def is_commutative(ring: FusionRing) -> bool:
     return bool(np.array_equal(ring.N, ring.N.transpose(1, 0, 2)))
 
 
-def _check_eps(eps: float) -> None:
-    if not 0 < eps < np.inf:  # also refuses NaN
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+def _check_eps(eps) -> None:
+    """ValueError unless eps, a number or an array of them, is positive and finite throughout."""
+    if not (all(0 < e < np.inf for e in eps.ravel().tolist()) if isinstance(eps, np.ndarray)
+            else 0 < eps < np.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")  # also refuses NaN
 
 
 def fp_character(ring: FusionRing, eps: float = DEFAULT_EPS,
@@ -111,14 +113,15 @@ def fp_character(ring: FusionRing, eps: float = DEFAULT_EPS,
     return FPData(dims=dims, global_dim=float(np.sum(dims**2)))
 
 
-def within_eps(values, targets, eps: float = DEFAULT_EPS, modulus: bool = False) -> list[int]:
+def within_eps(values, targets, eps=DEFAULT_EPS, modulus: bool = False) -> list[int]:
     """Indices k with |values[k] - targets[k]| < eps, or ||values[k]| - targets[k]| < eps.
 
     The one tolerance rule of kernels, centers, centralizers and invertibles.
+    targets and eps broadcast against values; k is the flat index in C order.
     """
     _check_eps(eps)
     values = np.abs(values) if modulus else np.asarray(values)
-    return np.flatnonzero(np.abs(values - targets) < eps).tolist()
+    return (np.abs(values - targets) < eps).ravel().nonzero()[0].tolist()
 
 
 def regular_element(ring: FusionRing, fp: FPData) -> np.ndarray:

@@ -128,10 +128,11 @@ def object_profile(ring: FusionRing, *simples: int) -> ObjectProfile:
     """Profile of any object whose support is `simples`, computed once per ring and support."""
     profiles = _PROFILES.setdefault(ring, {})
     support = frozenset(simples)
-    if support not in profiles:
+    profile = profiles.get(support)
+    if profile is None:
         check_simples(ring.rank, support)
-        profiles[support] = _build_profiles(ring, [support])[0]
-    return profiles[support]
+        profile = profiles[support] = _build_profiles(ring, [support])[0]
+    return profile
 
 
 def profile_simples(ring: FusionRing) -> None:

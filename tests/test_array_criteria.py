@@ -1,24 +1,48 @@
-"""Structural tests, catalog rules and power sweep as array steps, against the loops they replace.
+"""Array criteria and batched per-simple steps, against the loops they replace.
 
 Each reference below is the loop the library used before it was stated as one
-array criterion; the two must agree everywhere, witnesses included.
+array criterion, or before a per-simple function became a batch: structural
+tests, catalog rules, the power sweep, gradings, kernels, centers and the
+Brauer check. The two must agree everywhere, witnesses and errors included.
 """
 
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
 
-from conftest import ALL_NAMES, count_calls, ring_of, wrap_ring
-from fusionring import FusionRing, is_indecomposable_matrix, validate
+from conftest import ALL_NAMES, count_calls, fp_of, ring_of, table_of, wrap_ring
+from fusionring import (
+    BrauerReport,
+    FusionRing,
+    GradingData,
+    Subcategory,
+    center_of_class,
+    character_table,
+    fp_character,
+    fpdim_of_class,
+    is_commutative,
+    is_faithful,
+    is_indecomposable_matrix,
+    kernel_of_class,
+    restrict,
+    universal_grading,
+    validate,
+    verify_brauer,
+)
 from fusionring import ring as ring_module
 from fusionring.catalog import _pointed_zn, _su2_k, _z2_plus_one
 from fusionring.cli import _power_sweep
-from fusionring.errors import AmbiguousDual, NoDual
-from fusionring.grading import object_index
+from fusionring.errors import (
+    AmbiguousDual, CapExceeded, FusionRingError, InternalInconsistency, MethodDisagreement, NoDual)
+from fusionring.grading import grade_simples, object_index
+from fusionring.kernel import characters_at_fpdim, check_brauer
 from fusionring.ring import _float64_exact, _max_abs, dual_from_structure
-from fusionring.subcat import closure_defect
+from fusionring.spectral import (
+    AGGREGATE_EPS, DEFAULT_EPS, DEFAULT_SEED, CharacterTable, within_eps)
+from fusionring.subcat import closure_defect, object_profile, restriction_order
 from test_ring import rounding_ring
 
 
@@ -473,3 +497,257 @@ def test_power_sweep_matches_the_loop(name):
         want_clash, want_returns = loop_power_sweep(ring, trial)
         assert clash == want_clash and np.array_equal(returns, want_returns), trial
         assert (clash is None) == (trial == ind), trial
+
+
+def loop_universal_grading(ring, i, fp=None, table=None, eps=DEFAULT_EPS, seed=DEFAULT_SEED):
+    """Reference: the grading of one simple, its cross-check and its components generator."""
+    profile = object_profile(ring, i)
+    sub = Subcategory(members=profile.members)
+    order_list = restriction_order(ring, sub)
+    ind = profile.index
+    grades = {k: profile.level[k] % ind for k in order_list}
+
+    chars = None
+    if fp is not None and table is not None:
+        dims, chars = fp.dims[order_list], table.characters[:, order_list]
+    else:
+        small = restrict(ring, sub)
+        if is_commutative(small):
+            dims = fp_character(small, eps=eps).dims
+            chars = character_table(small, eps=eps, seed=seed).characters
+
+    if chars is not None:
+        loc = order_list.index(i)
+        xi = np.exp(2j * np.pi / ind)
+        target = xi * dims[loc]
+        hits = within_eps(chars[:, loc], target, AGGREGATE_EPS * max(1.0, abs(target)))
+        if not hits:
+            raise MethodDisagreement(
+                f"no character takes the value xi*FPdim on the generator (ind={ind})")
+        ratio = chars[hits[0]] / dims
+        phase = np.rint(np.angle(ratio) / (2 * np.pi) * ind).astype(int) % ind
+        off_power = ~np.isin(np.arange(len(order_list)),
+                             within_eps(ratio, xi**phase, AGGREGATE_EPS))
+        wrong = np.flatnonzero(off_power | (phase != [grades[k] for k in order_list]))
+        if wrong.size:
+            local, ambient = wrong[0], order_list[wrong[0]]
+            raise MethodDisagreement(
+                f"character value on simple {ambient} is not a power of xi" if off_power[local]
+                else f"simple {ambient}: exponent grade {grades[ambient]} "
+                     f"vs character grade {phase[local]}")
+
+    components = tuple(
+        tuple(sorted(k for k, g in grades.items() if g == a)) for a in range(ind))
+    return GradingData(index=ind, order=profile.order, grades=grades,
+                       components=components, character_checked=chars is not None)
+
+
+def loop_kernel_of_class(ring, fp, table, x, eps=DEFAULT_EPS, modulus=False):
+    """Reference: the kernel (or center) of one class, a matrix-vector product on its support."""
+    s = (np.asarray(x) != 0).astype(np.int64)
+    return frozenset(within_eps(table.characters @ s.astype(complex), fpdim_of_class(fp, s), eps,
+                                modulus=modulus))
+
+
+def loop_verify_brauer(ring, fp, table, i, cap=None, eps=DEFAULT_EPS):
+    """Reference: the tensor-power check of one simple against its kernel."""
+    profile = object_profile(ring, i)
+    if cap is None:
+        cap = (len(profile.members) - 1) ** 2 + 1 + profile.index
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    kernel = loop_kernel_of_class(ring, fp, table, ring.basis_vector(i), eps=eps)
+    faithful_expected = kernel == {table.fp_index}
+    faithful_actual = is_faithful(ring, i)
+
+    exponents = {k: n for k, n in enumerate(profile.level) if 0 <= n <= cap}
+    all_found = len(exponents) == ring.rank
+
+    if faithful_expected and not all_found:
+        raise CapExceeded(
+            f"kernel of simple {i} is trivial but powers up to {cap} missed "
+            f"{ring.rank - len(exponents)} simples (closure says faithful={faithful_actual})")
+    if faithful_expected != all_found or faithful_expected != faithful_actual:
+        raise InternalInconsistency(
+            f"simple {i}: kernel-trivial={faithful_expected}, covered={all_found}, "
+            f"closure-faithful={faithful_actual}")
+    return BrauerReport(faithful_expected=faithful_expected, exponents=exponents,
+                        cap_used=cap, faithful_actual=faithful_actual)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the library error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (FusionRingError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def first_outcome(fn, ring):
+    """The results of fn(i) for every simple i in turn, or the outcome of the first that raised."""
+    results = [outcome(fn, i) for i in range(ring.rank)]
+    return next((r for r in results if isinstance(r, tuple)), results)
+
+
+BATCH_RINGS = ALL_NAMES + ["near_group(Z2, 2)", "near_group(Z2, 3)", "pointed_zn(48)", "su2_k(40)"]
+
+
+def batch_ring(name):
+    ladder = {"pointed_zn(48)": lambda: _pointed_zn(48), "su2_k(40)": lambda: _su2_k(40)}
+    if name.startswith("near_group"):
+        return near_group(int(name[-2]))
+    return ladder[name]() if name in ladder else ring_of(name)
+
+
+def spectral_of(ring):
+    """(fp, table) of a ring; table is None when the ring is noncommutative."""
+    return fp_character(ring), character_table(ring) if is_commutative(ring) else None
+
+
+def caps_or_error(reports):
+    """The caps of a list of Brauer reports, or the error a loop over them raised."""
+    return reports if isinstance(reports, tuple) else [rep.cap_used for rep in reports]
+
+
+def batch_kernels(ring, fp, table, eps=DEFAULT_EPS):
+    """Kernels and centers of every simple, as analyze computes them."""
+    return [characters_at_fpdim(fp, table, np.eye(ring.rank), eps, modulus)
+            for modulus in (False, True)]
+
+
+@pytest.mark.parametrize("name", BATCH_RINGS)
+def test_batched_gradings_match_the_loop(name):
+    ring = batch_ring(name)
+    fp, table = spectral_of(ring)
+    everything = range(ring.rank)
+    want = [loop_universal_grading(ring, i, fp, table) for i in everything]
+    assert grade_simples(ring, everything, fp, table) == want
+    assert [universal_grading(ring, i, fp, table) for i in everything] == want
+    # without the ambient table, each simple is checked against its restricted ring
+    want = [loop_universal_grading(ring, i) for i in everything]
+    assert grade_simples(ring, everything) == want
+    assert [universal_grading(ring, i) for i in everything] == want
+
+
+@pytest.mark.parametrize("name", [n for n in BATCH_RINGS if n != "vec_s3"])
+def test_batched_kernels_centers_and_brauer_checks_match_the_loop(name):
+    ring = batch_ring(name)
+    fp, table = spectral_of(ring)
+    basis = [ring.basis_vector(i) for i in range(ring.rank)]
+    kernels, centers = batch_kernels(ring, fp, table)
+    assert kernels == [loop_kernel_of_class(ring, fp, table, e) for e in basis]
+    assert centers == [loop_kernel_of_class(ring, fp, table, e, modulus=True) for e in basis]
+    assert kernels == [kernel_of_class(ring, fp, table, e) for e in basis]
+    assert centers == [center_of_class(ring, fp, table, e) for e in basis]
+    reports = [loop_verify_brauer(ring, fp, table, i) for i in range(ring.rank)]
+    trivial = [k == {table.fp_index} for k in kernels]
+    assert check_brauer(ring, range(ring.rank), trivial) == [rep.cap_used for rep in reports]
+    assert [verify_brauer(ring, fp, table, i) for i in range(ring.rank)] == reports
+
+
+def doctored_tables(ring, table, rng, count):
+    """Copies of the table with one character value moved: rotated by a root of unity or scaled."""
+    for _ in range(count):
+        fake = table.characters.copy()
+        t, k = rng.integers(len(fake)), rng.integers(ring.rank)
+        fake[t, k] *= rng.choice([-1, 1j, -1j, np.exp(2j * np.pi / 3), 0.5, 2.0])
+        yield CharacterTable(characters=fake, codegrees=table.codegrees.copy())
+
+
+@pytest.mark.parametrize("name", [n for n in BATCH_RINGS if n != "vec_s3"])
+def test_doctored_tables_fail_the_batches_as_they_fail_the_loops(name):
+    # the batch names the first failing simple, with the loop's error and message
+    ring = batch_ring(name)
+    fp, table = spectral_of(ring)
+    rng = np.random.default_rng(BATCH_RINGS.index(name))
+    everything = range(ring.rank)
+    for doctored in doctored_tables(ring, table, rng, 6):
+        assert (outcome(grade_simples, ring, everything, fp, doctored)
+                == first_outcome(lambda i: loop_universal_grading(ring, i, fp, doctored), ring))
+        i = int(rng.integers(ring.rank))
+        assert (outcome(universal_grading, ring, i, fp, doctored)
+                == outcome(loop_universal_grading, ring, i, fp, doctored))
+        kernels, _ = batch_kernels(ring, fp, doctored)
+        assert (outcome(check_brauer, ring, everything, [k == {0} for k in kernels])
+                == caps_or_error(first_outcome(lambda i: loop_verify_brauer(ring, fp, doctored, i),
+                                               ring)))
+        assert (outcome(verify_brauer, ring, fp, doctored, i)
+                == outcome(loop_verify_brauer, ring, fp, doctored, i))
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.5, 1j], r"^character value on simple 2 is not a power of xi$"),
+    ([1.0, 0.5], r"^simple 2: exponent grade 2 vs character grade 0$"),
+])
+def test_a_doctored_character_fails_the_batch_at_the_loops_member(values, message):
+    # the doctored case of test_grading: mu = (1, i, -1, -i) on pointed_zn(4), moved on 2 and 3
+    ring, fp, table = ring_of("pointed_zn(4)"), fp_of("pointed_zn(4)"), table_of("pointed_zn(4)")
+    fake = table.characters.copy()
+    fake[int(np.argmin(np.abs(fake[:, 1] - 1j))), 2:] = values
+    doctored = CharacterTable(characters=fake, codegrees=table.codegrees.copy())
+    want = first_outcome(lambda i: loop_universal_grading(ring, i, fp, doctored), ring)
+    assert want[0] is MethodDisagreement and re.match(message, want[1])
+    assert outcome(grade_simples, ring, range(4), fp, doctored) == want
+
+
+@pytest.mark.parametrize("name", ["ising", "rep_q8", "pointed_zn(12)", "su2_k(8)",
+                                  "tambara_yamagami_zn(4)", "near_group(Z2, 2)"])
+def test_a_kernel_mask_that_disagrees_fails_the_batch_as_the_loop(name):
+    # a character forced to FPdim on a faithful simple makes its kernel nontrivial; characters
+    # moved off FPdim on a simple that is not faithful make its kernel trivial
+    ring = batch_ring(name)
+    fp, table = spectral_of(ring)
+    for i in range(ring.rank):
+        fake = table.characters.copy()
+        if is_faithful(ring, i):
+            fake[-1, i] = fp.dims[i]
+        else:
+            fake[1:, i] = np.where(np.abs(fake[1:, i] - fp.dims[i]) < 1e-6, -fp.dims[i],
+                                   fake[1:, i])
+        doctored = CharacterTable(characters=fake, codegrees=table.codegrees.copy())
+        kernels, _ = batch_kernels(ring, fp, doctored)
+        want = first_outcome(lambda i: loop_verify_brauer(ring, fp, doctored, i), ring)
+        assert want[0] in (CapExceeded, InternalInconsistency), (name, i)
+        assert outcome(check_brauer, ring, range(ring.rank), [k == {0} for k in kernels]) == want
+        assert (outcome(verify_brauer, ring, fp, doctored, i)
+                == outcome(loop_verify_brauer, ring, fp, doctored, i))
+
+
+@pytest.mark.parametrize("name", [n for n in BATCH_RINGS if n != "vec_s3"])
+def test_a_cap_of_one_fails_the_batch_as_the_loop(name):
+    ring = batch_ring(name)
+    fp, table = spectral_of(ring)
+    kernels, _ = batch_kernels(ring, fp, table)
+    trivial = [k == {table.fp_index} for k in kernels]
+    assert (outcome(check_brauer, ring, range(ring.rank), trivial, cap=1)
+            == caps_or_error(first_outcome(lambda i: loop_verify_brauer(ring, fp, table, i, cap=1),
+                                           ring)))
+    for i in range(ring.rank):
+        assert (outcome(verify_brauer, ring, fp, table, i, cap=1)
+                == outcome(loop_verify_brauer, ring, fp, table, i, cap=1))
+
+
+def unit_last(ring):
+    """ring relabeled so that its unit is the last simple."""
+    perm = [j for j in range(ring.rank) if j != ring.unit] + [ring.unit]
+    inv = np.argsort(perm)
+    return FusionRing(labels=[ring.labels[p] for p in perm], N=ring.N[np.ix_(perm, perm, perm)],
+                      dual=inv[np.asarray(ring.dual)[perm]].tolist(), unit=ring.rank - 1)
+
+
+def test_the_unit_is_the_first_member_named_wherever_it_sits():
+    # moving mu(unit) to -1 and mu(g2) off every power of xi = i fails both members; the unit,
+    # last in the basis after g2, is named
+    ring = unit_last(ring_of("pointed_zn(4)"))
+    fp, table = spectral_of(ring)
+    g1 = ring.index_of("g1")
+    fake = table.characters.copy()
+    mu = int(np.argmin(np.abs(fake[:, g1] - 1j)))
+    fake[mu, ring.unit] *= -1
+    fake[mu, ring.index_of("g2")] *= 0.5
+    doctored = CharacterTable(characters=fake, codegrees=table.codegrees.copy())
+    want = (MethodDisagreement, f"simple {ring.unit}: exponent grade 0 vs character grade 2")
+    assert outcome(loop_universal_grading, ring, g1, fp, doctored) == want
+    assert outcome(universal_grading, ring, g1, fp, doctored) == want
+    assert (outcome(grade_simples, ring, range(ring.rank), fp, doctored)
+            == first_outcome(lambda i: loop_universal_grading(ring, i, fp, doctored), ring))

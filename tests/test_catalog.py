@@ -6,19 +6,20 @@ import re
 import numpy as np
 import pytest
 
-from conftest import ALL_NAMES, entry, ring_of, table_of
+from conftest import ALL_NAMES, count_calls, entry, ring_of, table_of
 from fusionring import (
     builtin,
     fp_character,
     is_faithful,
     load_ring,
     load_smatrix,
+    modular_data,
     object_index,
     save_ring,
     save_smatrix,
     validate,
 )
-from fusionring.catalog import _group_ring, _zn_table, all_builtin_names
+from fusionring.catalog import _group_ring, _ising_smatrix, _zn_table, all_builtin_names
 from fusionring.errors import (
     DimensionMismatch,
     DualMismatch,
@@ -54,6 +55,16 @@ def test_modular_data_presence():
         has_md = entry(name).smatrix is not None
         family = name.split("(")[0]
         assert has_md == (family in ("fibonacci", "ising", "pointed_zn", "su2_k"))
+
+
+def test_a_builtin_checks_its_smatrix_once_on_first_use(monkeypatch):
+    checks = count_calls(monkeypatch, modular_data)
+    ising = builtin("ising")
+    assert checks == []
+    md = ising.smatrix
+    assert ising.smatrix is md and len(checks) == 1
+    assert np.allclose(md.S, _ising_smatrix()) and builtin("vec_s3").smatrix is None
+    assert len(checks) == 1
 
 
 def test_su2_generated_rules_match_hand_table():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SAMPLE_NAMES, count_calls, entry, ring_of, wrap_ring
-from fusionring import modular, save_ring, save_smatrix, subcat
+from fusionring import grading, kernel, modular, save_ring, save_smatrix, subcat
 from fusionring import ring as ring_module
 from fusionring.cli import _build_parser, _power_sweep, main
 
@@ -243,8 +243,6 @@ def test_text_and_json_verdicts_agree(capsys):
 ])
 def test_power_checks_catch_a_wrong_index_or_order(capsys, monkeypatch, name, skew, check):
     # the checks run their own power sweep, so a wrong profile answer must fail them
-    from fusionring import grading
-
     monkeypatch.setattr(grading, name, skew(getattr(grading, name)))
     code, out, _ = run(capsys, "analyze", "--ring", "pointed_zn(4)", "--format", "json")
     assert code == 1
@@ -276,8 +274,6 @@ def _full_cap_sweep(ring, ind):
 @pytest.mark.parametrize("factor", [1, 2])
 @pytest.mark.parametrize("name", SAMPLE_NAMES)
 def test_power_sweep_stops_early_with_the_full_sweep_result(name, factor):
-    from fusionring import grading
-
     ring = ring_of(name)
     ind = [factor * grading.object_index(ring, i) for i in range(ring.rank)]
     clash, returns = _power_sweep(ring, ind)
@@ -292,6 +288,37 @@ def test_analyze_builds_one_profile_per_simple(capsys, monkeypatch):
         code, _, _ = run(capsys, "analyze", "--ring", name, "--format", "json")
         supports = sorted((s for _, batch in builds for s in batch), key=min)
         assert code == 0 and supports == [frozenset({i}) for i in range(ring_of(name).rank)], name
+
+
+def test_analyze_calls_each_batched_core_once_with_all_simples(capsys, monkeypatch):
+    gradings = count_calls(monkeypatch, grading.grade_simples)
+    kernels = count_calls(monkeypatch, kernel.characters_at_fpdim)
+    brauers = count_calls(monkeypatch, kernel.check_brauer)
+    one_simple = [count_calls(monkeypatch, fn) for fn in (
+        grading.universal_grading, kernel.kernel_of_class, kernel.center_of_class,
+        kernel.verify_brauer)]
+    for name in SAMPLE_NAMES:
+        for calls in (gradings, kernels, brauers):
+            calls.clear()
+        code, _, _ = run(capsys, "analyze", "--ring", name, "--format", "json")
+        rank = ring_of(name).rank
+        assert code == 0 and [list(args[1]) for args in gradings] == [list(range(rank))], name
+        # one call decides every kernel, one every center, on the identity support matrix
+        assert len(kernels) == 2 and all(np.array_equal(args[2], np.eye(rank)) for args in kernels)
+        assert [list(args[1]) for args in brauers] == [list(range(rank))], name
+    assert not any(one_simple)
+
+
+def test_queries_on_a_builtin_never_build_its_modular_data(capsys, monkeypatch):
+    checks = count_calls(monkeypatch, modular.modular_data)
+    for name in SAMPLE_NAMES:
+        label = ring_of(name).labels[-1]
+        assert run(capsys, "analyze", "--ring", name)[0] == 0
+        for command in ("kernel", "grading", "brauer"):
+            assert run(capsys, command, "--ring", name, "--object", label)[0] == 0
+    assert checks == []
+    code, out, _ = run(capsys, "modular", "--ring", "su2_k(4)")
+    assert code == 0 and "verlinde round trip: PASS" in out and len(checks) == 1
 
 
 def test_validate_subcommand_validates_once(capsys, monkeypatch, tmp_path):
