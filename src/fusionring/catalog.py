@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import chain
 from typing import Callable
@@ -38,7 +38,8 @@ from .errors import (
     ValidationFailed,
 )
 from .modular import ModularData, modular_data
-from .ring import FusionRing, ValidationReport, dual_from_structure, validate
+from .ring import (FusionRing, ValidationReport, dual_from_structure, relabel, structure_constants,
+                   validate)
 
 @dataclass
 class CatalogEntry:
@@ -214,7 +215,9 @@ def _read_json(path) -> dict:
 
 
 def load_ring(path) -> FusionRing:
-    """Load, normalize (unit at 0, dual recomputed) and validate a ring file."""
+    """Load, normalize (unit at 0, dual recomputed) and validate a ring file.
+    The dual is recomputed at the file's own unit, so DualMismatch and a duality
+    witness give indices in file order; relabel then moves the unit to index 0."""
     data = _read_json(path)
     ctx = str(path)
     rank = _require(data, "rank", int, ctx)
@@ -234,32 +237,17 @@ def load_ring(path) -> FusionRing:
         raise ParseError(f"{ctx}: N is not a cubic integer array: {exc}") from exc
     if N.shape != (rank, rank, rank):
         raise ParseError(f"{ctx}: N has shape {N.shape}, expected cubic of rank {rank}")
-    # type() and not isinstance(): JSON true/false must not pass as 1/0
-    integers = set(map(type, N.ravel())) <= {int}
-    if integers:
-        try:
-            N = N.astype(np.int64)
-        except OverflowError:  # a Python int outside int64
-            integers = False
-    if not integers or (N.size and N.min() < 0):
-        raise ParseError(f"{ctx}: N entries must be nonnegative 64-bit integers")
+    try:
+        N = structure_constants(N, rank)
+    except ValueError as exc:
+        raise ParseError(f"{ctx}: N entries must be nonnegative 64-bit integers") from exc
     declared = data.get("dual")
     if declared is not None:
         if (not isinstance(declared, list) or len(declared) != rank
                 or not all(type(d) is int and 0 <= d < rank for d in declared)):
             raise ParseError(f"{ctx}: dual must be a permutation list of length {rank}")
-
-    if unit != 0:
-        perm = [unit] + [i for i in range(rank) if i != unit]
-        inv = {a: p for p, a in enumerate(perm)}
-        idx = np.asarray(perm)
-        N = N[np.ix_(idx, idx, idx)]
-        labels = [labels[a] for a in perm]
-        if declared is not None:
-            declared = [inv[declared[a]] for a in perm]
-
     try:
-        recomputed = dual_from_structure(N, 0)
+        recomputed = dual_from_structure(N, unit)
     except (NoDual, AmbiguousDual) as exc:
         report = ValidationReport(valid=False,
                                   violations=[("duality", (getattr(exc, "index", 0),))])
@@ -267,7 +255,9 @@ def load_ring(path) -> FusionRing:
     if declared is not None and tuple(declared) != recomputed:
         raise DualMismatch(
             f"{ctx}: declared dual {declared} disagrees with structure dual {list(recomputed)}")
-    ring = FusionRing(labels=tuple(labels), N=N, dual=recomputed, unit=0, name=name)
+    ring = FusionRing(labels=tuple(labels), N=N, dual=recomputed, unit=unit, name=name)
+    if unit != 0:
+        ring = replace(relabel(ring, [unit] + [i for i in range(rank) if i != unit]), name=name)
     report = validate(ring)
     if not report.valid:
         raise ValidationFailed(report, ring=ring)

@@ -21,10 +21,6 @@ from .errors import FusionRingError, NonCommutative, UnknownName, ValidationFail
 from .ring import FusionRing, ValidationReport
 
 
-def _complex_json(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
 def _load_ring_arg(arg: str) -> tuple[FusionRing, object]:
     """Resolve --ring as a file path or a builtin name; returns (ring, entry|None)."""
     path = Path(arg)
@@ -40,19 +36,17 @@ def _ring_block(ring: FusionRing, fp: spectral.FPData, commutative: bool) -> dic
         "rank": ring.rank,
         "labels": list(ring.labels),
         "commutative": commutative,
-        "fp_dims": {ring.labels[j]: float(fp.dims[j]) for j in range(ring.rank)},
+        "fp_dims": dict(zip(ring.labels, fp.dims.tolist())),
         "global_dim": float(fp.global_dim),
     }
 
 
 def _character_block(ring: FusionRing, table: spectral.CharacterTable) -> dict:
+    values = np.stack((table.characters.real, table.characters.imag), axis=-1).tolist()
     return {
         "labels": list(ring.labels),
-        "characters": {
-            f"chi{t}": [_complex_json(z) for z in table.characters[t]]
-            for t in range(table.count)
-        },
-        "codegrees": [float(f) for f in table.codegrees],
+        "characters": {f"chi{t}": row for t, row in enumerate(values)},
+        "codegrees": table.codegrees.tolist(),
         "fp_character": "chi0",
     }
 

@@ -99,10 +99,11 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
     the first character mu with mu(e_i) = xi * FPdim(e_i), xi = exp(2*pi*i/ind):
     mu(k) / FPdim(k) must be a power of xi, namely xi**grade(k), for every member
     k. spectral.within_eps decides both; MethodDisagreement names the first
-    failing simple of the batch and its first failing member, unit first. Given
-    the ambient fp and table, the characters of every C(e_i) are restrictions of
-    ambient ones and the whole batch is checked at once; otherwise each simple
-    is checked against the character table of its restricted ring.
+    failing simple of the batch and its first failing member, unit first. FP dims
+    are the ambient ones, fp. On a commutative ring every character of C(e_i) is
+    the restriction of an ambient one, so one table checks the whole batch; on a
+    noncommutative ring each commutative C(e_i) is checked on its own table. fp
+    and the ambient table are computed once here when not given.
     """
     simples = list(simples)
     r, unit, count = ring.rank, ring.unit, len(simples)
@@ -112,24 +113,24 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
     member = level >= 0
     grade = np.where(member, level % ind, ind)  # ind off the members
 
-    if fp is not None and table is not None:
+    if fp is None:
+        fp = fp_character(ring, eps=eps)
+    if table is None and is_commutative(ring):
+        table = character_table(ring, eps=eps, seed=seed)
+    if table is not None:
         _cross_check(ring, simples, grade, ind, member, fp.dims, table.characters)
         checked = [True] * count
     else:
         checked = []
         for row, (i, profile) in enumerate(zip(simples, profiles)):
             sub = Subcategory(members=profile.members)
-            small = restrict(ring, sub)
+            small, order = restrict(ring, sub), restriction_order(ring, sub)
             checked.append(is_commutative(small))
             if checked[-1]:  # the characters of C(e_i), spread over the ambient basis
-                order_list = restriction_order(ring, sub)
-                dims = np.ones(r)
-                dims[order_list] = fp_character(small, eps=eps).dims
-                small_chars = character_table(small, eps=eps, seed=seed).characters
-                chars = np.zeros((len(small_chars), r), dtype=complex)
-                chars[:, order_list] = small_chars
+                chars = np.zeros((len(order), r), dtype=complex)
+                chars[:, order] = character_table(small, eps=eps, seed=seed).characters
                 at = slice(row, row + 1)
-                _cross_check(ring, [i], grade[at], ind[at], member[at], dims, chars)
+                _cross_check(ring, [i], grade[at], ind[at], member[at], fp.dims, chars)
 
     # one sort per row of grade * r + k, members first: each component is a slice of it
     keys = np.sort(grade * r + np.arange(r), axis=1).tolist()

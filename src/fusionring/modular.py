@@ -12,6 +12,7 @@ against the unit row s_unit, which modular_data checked against FPdim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,16 @@ class ModularData:
     ring: FusionRing
     global_dim: float
 
+    @cached_property
+    def characters(self) -> np.ndarray:
+        """S-characters s_t = S[t] / S[t][unit], one per row, formed once; ZeroEntry if one is 0."""
+        units = self.S[:, self.ring.unit]
+        small = np.abs(units) < 1e-12 * float(np.abs(self.S).max())
+        if small.any():
+            raise ZeroEntry(
+                f"S[t][unit] vanishes for t={int(np.argmax(small))}; not pseudo-unitary")
+        return self.S / units[:, None]
+
 
 def _nondegenerate(S: np.ndarray, rank: int, error: type[Exception]) -> float:
     """The g > 0 with S conj(S) = g * I; raises error for a non-finite or degenerate S."""
@@ -96,20 +107,10 @@ def modular_data(ring: FusionRing, S: np.ndarray) -> ModularData:
     return ModularData(S=S, ring=ring, global_dim=g)
 
 
-def _s_characters(md: ModularData) -> np.ndarray:
-    """S-characters s_t = S[t] / S[t][unit], one per row; ZeroEntry if an S[t][unit] vanishes."""
-    units = md.S[:, md.ring.unit]
-    small = np.abs(units) < 1e-12 * float(np.abs(md.S).max())
-    if small.any():
-        raise ZeroEntry(
-            f"S[t][unit] vanishes for t={int(np.argmax(small))}; not pseudo-unitary")
-    return md.S / units[:, None]
-
-
 def characters_from_smatrix(md: ModularData, eps: float = DEFAULT_EPS) -> CharacterTable:
     """Character table of the S-characters s_t(Y) = S[t][Y] / S[t][unit], from build_table."""
     try:
-        return build_table(md.ring, _s_characters(md), eps=eps)
+        return build_table(md.ring, md.characters, eps=eps)
     except DegenerateCombination as exc:
         raise InvariantFailed(f"S-matrix rows are not ring characters: {exc}") from exc
 
@@ -168,7 +169,7 @@ def _verlinde_tensor(U: np.ndarray, unit: int) -> np.ndarray:
 def centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> Subcategory:
     """Simples centralizing e_i: the kernel of s_i, against s_unit = S[unit] / S[unit][unit]."""
     check_simples(md.ring.rank, (i,))
-    s = _s_characters(md)
+    s = md.characters
     return _closed_kernel(md.ring, s[i], s[md.ring.unit].real, eps,
                           "centralizer not closed under {kind} at {witness}")
 
@@ -176,7 +177,7 @@ def centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> Subcategor
 def projective_centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """Simples projectively centralizing e_i: |s_i(Y)| attains s_unit(Y) = FPdim(Y)."""
     check_simples(md.ring.rank, (i,))
-    s = _s_characters(md)
+    s = md.characters
     return frozenset(within_eps(s[i], s[md.ring.unit].real, eps, modulus=True))
 
 

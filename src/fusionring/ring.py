@@ -64,13 +64,41 @@ def exact_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A.astype(object).dot(v.astype(object))
 
 
+def structure_constants(N, rank: int) -> np.ndarray:
+    """N as a read-only int64 tensor of shape (rank, rank, rank); the one place deciding it.
+    ValueError unless every entry is an integer in [0, 2**63), decided before the cast, which
+    would wrap or saturate; booleans are not integers, also where numpy made them numbers."""
+    A = np.ascontiguousarray(N)
+    if A.shape != (rank, rank, rank):
+        raise DimensionMismatch(f"structure tensor shape {A.shape} != ({rank}, {rank}, {rank})")
+    if A.dtype == object:
+        integers = set(map(type, A.ravel())) <= {int}
+    elif not isinstance(N, np.ndarray) and {bool, np.bool_} & set(
+            map(type, np.asarray(N, dtype=object).ravel())):
+        integers = False
+    else:
+        integers = A.dtype.kind in "iu" or (
+            A.dtype.kind == "f" and np.all(np.isfinite(A) & (A == np.rint(A))))
+    if not integers:
+        raise ValueError("structure constants must be integers")
+    try:  # Python ints are cast in C, which raises OverflowError past int64
+        T = A.astype(np.int64) if A.dtype == object else A
+    except OverflowError:
+        T = None
+    if T is None or T.size and not 0 <= int(T.min()) <= int(T.max()) < 2**63:
+        raise ValueError("structure constants must be nonnegative and below 2**63")
+    T = T.astype(np.int64, copy=T is A)
+    T.setflags(write=False)
+    return T
+
+
 @dataclass(frozen=True, eq=False)
 class FusionRing:
     """A based ring: labels, structure tensor N[i][j][k], duality, unit index.
 
     Instances are immutable; the structure tensor is stored read-only.
-    Construction checks shapes only; the based-ring axioms are checked by
-    :func:`validate`.
+    Construction decides N by :func:`structure_constants` and checks shapes;
+    the based-ring axioms are checked by :func:`validate`.
     """
 
     labels: tuple[str, ...]
@@ -85,27 +113,7 @@ class FusionRing:
         r = len(labels)
         if len(set(labels)) != r:
             raise ValueError("labels must be distinct")
-        N = np.ascontiguousarray(np.asarray(self.N))
-        if N.shape != (r, r, r):
-            raise DimensionMismatch(f"structure tensor shape {N.shape} != ({r}, {r}, {r})")
-        # decided before the cast, which would wrap or saturate what int64 cannot hold;
-        # object entries are decided as Python ints, and only floats need rounding;
-        # booleans are not integers, also where numpy made them numbers (in a nested list)
-        if N.dtype == object:
-            integers = set(map(type, N.ravel())) <= {int}
-        elif not isinstance(self.N, np.ndarray) and {bool, np.bool_} & set(
-                map(type, np.asarray(self.N, dtype=object).ravel())):
-            integers = False
-        else:
-            integers = N.dtype.kind in "iu" or (
-                N.dtype.kind == "f" and np.all(np.isfinite(N) & (N == np.rint(N))))
-        if not integers:
-            raise ValueError("structure constants must be integers")
-        if N.size and not 0 <= int(N.min()) <= int(N.max()) < 2**63:
-            raise ValueError("structure constants must be nonnegative and below 2**63")
-        N = N.astype(np.int64)
-        N.setflags(write=False)
-        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "N", structure_constants(self.N, r))
         dual = tuple(int(d) for d in self.dual)
         if len(dual) != r or any(d < 0 or d >= r for d in dual):
             raise DimensionMismatch("dual must assign a basis index to every basis index")
@@ -168,6 +176,16 @@ class FusionRing:
     def __repr__(self):
         name = f" {self.name!r}" if self.name else ""
         return f"<FusionRing{name} rank={self.rank} labels={list(self.labels)}>"
+
+
+def relabel(ring: FusionRing, order) -> FusionRing:
+    """The unnamed ring on the simples `order` of ring: order[p] becomes p, order[0] the unit.
+    A permutation relabels the ring; a list closed under products and duals restricts it."""
+    check_simples(ring.rank, order)
+    pos = {a: p for p, a in enumerate(order)}
+    return FusionRing(labels=tuple(ring.labels[a] for a in order),
+                      N=ring.N[np.ix_(order, order, order)],
+                      dual=tuple(pos[ring.dual[a]] for a in order), unit=0)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InternalInconsistency, NotClosed
-from .ring import FusionRing, check_simples
+from .ring import FusionRing, check_simples, relabel
 
 
 @dataclass(frozen=True)
@@ -212,15 +212,9 @@ def restriction_order(ring: FusionRing, sub: Subcategory) -> list[int]:
 
 
 def restrict(ring: FusionRing, sub: Subcategory) -> FusionRing:
-    """Fusion ring on the members of a closed subcategory, unit re-indexed to 0."""
+    """Unnamed fusion ring on the members of a closed subcategory, unit re-indexed to 0."""
     defect = closure_defect(ring, sub.members)
     if defect is not None:
         kind, witness = defect
         raise NotClosed(f"member set not closed under {kind}, witness {witness}")
-    order = restriction_order(ring, sub)
-    pos = {a: p for p, a in enumerate(order)}
-    idx = np.asarray(order)
-    N_sub = ring.N[np.ix_(idx, idx, idx)]
-    labels = tuple(ring.labels[a] for a in order)
-    dual = tuple(pos[ring.dual[a]] for a in order)
-    return FusionRing(labels=labels, N=N_sub, dual=dual, unit=0)
+    return relabel(ring, restriction_order(ring, sub))

@@ -315,3 +315,33 @@ def test_near_group_rings(group, table, k):
     assert fp_character(ring).dims[m] == pytest.approx((k + np.sqrt(k * k + 4 * order)) / 2)
     assert is_faithful(ring, m)
     assert object_index(ring, m) == (2 if k == 0 else 1)
+
+
+def _unit_last_z3(tmp_path, **fields):
+    """pointed_zn(3) written as (g1, g2, 1), unit last; fields override the file's."""
+    z3 = ring_of("pointed_zn(3)")
+    order = [1, 2, 0]
+    data = {"name": "z3", "rank": 3, "labels": [z3.labels[a] for a in order], "unit": 2,
+            "N": z3.N[np.ix_(order, order, order)].tolist(), **fields}
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(data))
+    return path, data
+
+
+def test_a_dual_mismatch_names_both_duals_in_file_order(tmp_path):
+    # in file order g1 and g2 are dual and the unit is its own: the structure dual is [1, 0, 2]
+    path, _ = _unit_last_z3(tmp_path, dual=[2, 1, 0])
+    with pytest.raises(DualMismatch, match=re.escape(
+            f"{path}: declared dual [2, 1, 0] disagrees with structure dual [1, 0, 2]")):
+        load_ring(path)
+    path, _ = _unit_last_z3(tmp_path, dual=[1, 0, 2])
+    assert load_ring(path).labels == ("1", "g1", "g2")
+
+
+def test_a_missing_dual_is_witnessed_in_file_order(tmp_path):
+    path, data = _unit_last_z3(tmp_path)
+    data["N"][0][1][2] = 0  # g1 * g2 no longer contains the unit: g1, file index 0, has no dual
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationFailed) as info:
+        load_ring(path)
+    assert info.value.report.violations == [("duality", (0,))]

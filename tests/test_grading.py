@@ -243,3 +243,19 @@ def test_grading_cross_check_names_the_first_failing_member(values, message):
     doctored = CharacterTable(characters=fake, codegrees=table.codegrees.copy())
     with pytest.raises(MethodDisagreement, match=message):
         universal_grading(ring, ring.index_of("g1"), fp, doctored)
+
+
+@pytest.mark.parametrize("name, core, calls_at_the_parent", [
+    ("vec_s3", "fp_character", 6), ("pointed_zn(12)", "character_table", 12)])
+def test_grading_without_fp_or_table_computes_the_ambient_data_once(monkeypatch, name, core,
+                                                                    calls_at_the_parent):
+    # FP dims of every C(e_i) come from the ring; on a commutative ring so does its table
+    from conftest import count_calls
+    from fusionring import grading, spectral
+
+    ring = ring_of(name)
+    calls = count_calls(monkeypatch, getattr(spectral, core))
+    gradings = grading.grade_simples(ring, range(ring.rank))
+    assert len(calls) == 1 < calls_at_the_parent
+    assert calls[0][0] is ring
+    assert all(g.character_checked for g in gradings)

@@ -357,3 +357,10 @@ def test_centralizers_share_the_zero_entry_check_of_the_s_characters():
         with pytest.raises(ZeroEntry,
                            match=r"^S\[t\]\[unit\] vanishes for t=1; not pseudo-unitary$"):
             call(bad)
+
+
+@pytest.mark.parametrize("name", ["ising", "su2_k(4)", "pointed_zn(6)"])
+def test_s_characters_are_formed_once_per_modular_data(name):
+    md = entry(name).smatrix
+    assert md.characters is md.characters
+    assert np.array_equal(md.characters, md.S / md.S[:, [md.ring.unit]])

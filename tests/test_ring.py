@@ -364,3 +364,30 @@ def test_booleans_are_not_structure_constants():
         with pytest.raises(ValueError, match="structure constants must be integers"):
             FusionRing(labels=labels, N=bad, dual=dual)
     assert validate(FusionRing(labels=labels, N=N.tolist(), dual=dual)).valid
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_relabel_by_a_seeded_permutation_and_back_is_the_identity(name):
+    import random
+
+    from fusionring.ring import relabel
+
+    ring = ring_of(name)
+    rest = [i for i in range(ring.rank) if i != ring.unit]
+    random.Random(name).shuffle(rest)
+    order = [ring.unit] + rest
+    moved = relabel(ring, order)
+    assert validate(moved).valid and moved.unit == 0 and moved.name == ""
+    assert moved.labels == tuple(ring.labels[a] for a in order)
+    back = relabel(moved, [order.index(a) for a in range(ring.rank)])
+    assert np.array_equal(back.N, ring.N)
+    assert (back.labels, back.dual) == (ring.labels, ring.dual)
+
+
+def test_relabel_refuses_an_index_outside_the_ring():
+    from fusionring.ring import relabel
+
+    ring = ring_of("ising")
+    for order in ([0, 1, 3], [0, 1, -1]):
+        with pytest.raises(IndexError):
+            relabel(ring, order)

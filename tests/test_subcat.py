@@ -131,3 +131,17 @@ def test_a_batch_of_profiles_equals_one_build_per_support(name):
         assert _build_profiles(ring, batch) == [_build_profiles(ring, [s])[0] for s in batch], batch
     profile_simples(ring)
     assert [object_profile(ring, i) for i in range(r)] == _build_profiles(ring, singletons)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_restrict_is_relabel_onto_the_restriction_order(name):
+    from fusionring.ring import relabel
+    from fusionring.subcat import restriction_order
+
+    ring = ring_of(name)
+    for i in range(ring.rank):
+        sub = generated_subcategory(ring, [i])
+        small, moved = restrict(ring, sub), relabel(ring, restriction_order(ring, sub))
+        assert np.array_equal(small.N, moved.N)
+        assert (small.labels, small.dual, small.unit, small.name) == (
+            moved.labels, moved.dual, moved.unit, moved.name), (name, i)
