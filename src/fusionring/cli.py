@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog, grading, kernel, modular, spectral, subcat
-from .errors import FusionRingError, NonCommutative, UnknownName, ValidationFailed
+from .errors import (
+    FusionRingError, InternalInconsistency, NonCommutative, UnknownName, ValidationFailed)
 from .ring import FusionRing, ValidationReport
 
 
@@ -127,7 +128,7 @@ def _run_checks(ring, table, kernels) -> list[dict]:
         try:
             detail = fn()
             checks.append({"name": name, "passed": True, "detail": detail or "ok"})
-        except (FusionRingError, AssertionError) as exc:
+        except FusionRingError as exc:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
 
     def brauer_equivalence():
@@ -138,7 +139,8 @@ def _run_checks(ring, table, kernels) -> list[dict]:
         if table is not None:
             kernel.check_brauer(ring, range(split),
                                 [k == {table.fp_index} for k in kernels[:split]])
-        assert split == ring.rank, f"simple {ring.labels[split]}: faithful != indecomposable"
+        if split < ring.rank:
+            raise InternalInconsistency(f"simple {ring.labels[split]}: faithful != indecomposable")
 
     @functools.lru_cache(maxsize=None)
     def sweep():  # its own support sweep: the power checks test the profile, not reuse it
@@ -149,7 +151,7 @@ def _run_checks(ring, table, kernels) -> list[dict]:
         ind, clash, _ = sweep()
         if clash is not None:
             i, k, m, n = clash
-            raise AssertionError(
+            raise InternalInconsistency(
                 f"simple {ring.labels[k]} occurs in powers of {ring.labels[i]} at exponents "
                 f"{m} and {n}, not congruent mod {ind[i]}")
 
@@ -157,18 +159,21 @@ def _run_checks(ring, table, kernels) -> list[dict]:
         ind, _, returns = sweep()
         for i in range(ring.rank):
             order = grading.object_order(ring, i)
-            assert returns[i] == order, (
-                f"simple {ring.labels[i]}: unit first recurs in power {returns[i]}, "
-                f"object_order says {order}")
-            assert order % ind[i] == 0, (
-                f"simple {ring.labels[i]}: order {order} not divisible by index {ind[i]}")
+            if returns[i] != order:
+                raise InternalInconsistency(
+                    f"simple {ring.labels[i]}: unit first recurs in power {returns[i]}, "
+                    f"object_order says {order}")
+            if order % ind[i]:
+                raise InternalInconsistency(
+                    f"simple {ring.labels[i]}: order {order} not divisible by index {ind[i]}")
 
     def orthogonality():
         C = table.characters
         weights = 1.0 / table.codegrees
         gram = np.einsum("t,ti,tj->ij", weights, C, C.conj())
         residual = float(np.abs(gram - np.eye(ring.rank)).max())
-        assert residual < spectral.AGGREGATE_EPS, f"orthogonality residual {residual:g}"
+        if not residual < spectral.AGGREGATE_EPS:  # a NaN residual fails too
+            raise InternalInconsistency(f"orthogonality residual {residual:g}")
         return f"max residual {residual:.2e}"
 
     record("brauer_equivalence", brauer_equivalence)

@@ -13,7 +13,6 @@ per simple; universal_grading is its batch of one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,7 +110,7 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
     level = np.array([p.level for p in profiles], dtype=np.int64).reshape(count, r)
     ind = np.array([p.index for p in profiles], dtype=np.int64)[:, None]
     member = level >= 0
-    grade = np.where(member, level % ind, ind)  # ind off the members
+    grade = level % ind
 
     if fp is None:
         fp = fp_character(ring, eps=eps)
@@ -132,21 +131,15 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
                 at = slice(row, row + 1)
                 _cross_check(ring, [i], grade[at], ind[at], member[at], fp.dims, chars)
 
-    # one sort per row of grade * r + k, members first: each component is a slice of it
-    keys = np.sort(grade * r + np.arange(r), axis=1).tolist()
-    rows, ks = member.nonzero()  # the members of each row, ascending
-    gs, ks = grade[rows, ks].tolist(), ks.tolist()
-    start, result = 0, []
-    for row, profile in enumerate(profiles):
-        stop = start + len(profile.members)
-        grades = {unit: profile.level[unit] % profile.index}  # unit first, then ascending
-        grades.update(zip(ks[start:stop], gs[start:stop]))
-        bounds = [bisect_left(keys[row], a * r) for a in range(profile.index + 1)]
-        members = [key % r for key in keys[row][:stop - start]]
-        components = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
-        result.append(GradingData(index=profile.index, order=profile.order, grades=grades,
-                                  components=components, character_checked=checked[row]))
-        start = stop
+    result = []
+    for profile, row_grade, row_checked in zip(profiles, grade.tolist(), checked):
+        grades = {unit: row_grade[unit]}  # unit first, then ascending
+        components = [[] for _ in range(profile.index)]
+        for k in profile.members:
+            grades[k] = row_grade[k]
+            components[row_grade[k]].append(k)
+        result.append(GradingData(profile.index, profile.order, grades,
+                                  tuple(map(tuple, components)), row_checked))
     return result
 
 
@@ -160,24 +153,21 @@ def _cross_check(ring: FusionRing, simples: list[int], grade: np.ndarray, ind: n
     count, size, unit = len(simples), len(chars), ring.unit
     xi = np.exp(1j * (2 * np.pi / ind))
     target = xi * dims[simples][:, None]
-    hits = within_eps(chars.T[simples], target, AGGREGATE_EPS * np.maximum(1.0, np.abs(target)))
-    first = {}  # hits holds row * size + t in order, so a row's first hit is its least t
-    for flat in hits:
-        first.setdefault(*divmod(flat, size))
-    ratio = chars[[first.get(row, 0) for row in range(count)]] / dims
+    hit = np.zeros((count, size), dtype=bool)
+    hit.ravel()[within_eps(chars.T[simples], target,
+                           AGGREGATE_EPS * np.maximum(1.0, np.abs(target)))] = True
+    ratio = chars[hit.argmax(axis=1)] / dims  # each row's first hit, or character 0 if none
     angle = np.arctan2(ratio.imag, ratio.real)  # np.angle(ratio), bit for bit
     phase = np.rint(angle / (2 * np.pi) * ind).astype(np.int64) % ind
     near = np.zeros(ratio.shape, dtype=bool)
     near.ravel()[within_eps(ratio, xi ** phase, AGGREGATE_EPS)] = True
     wrong = member & (~near | (phase != grade))
-    failed = [row for row in range(count) if row not in first]
-    at = wrong.ravel().nonzero()[0]
-    if at.size:
-        failed.append(int(at[0]) // wrong.shape[1])
-    if not failed:
+    found = hit.any(axis=1)
+    failed = ~found | wrong.any(axis=1)
+    if not failed.any():
         return
-    row = min(failed)
-    if row not in first:
+    row = int(failed.argmax())  # the first failing simple of the batch
+    if not found[row]:
         raise MethodDisagreement(
             f"no character takes the value xi*FPdim on the generator (ind={ind[row, 0]})")
     k = unit if wrong[row, unit] else int(wrong[row].argmax())

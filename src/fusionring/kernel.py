@@ -8,14 +8,13 @@ in some tensor power of the object (the Brauer property). "Equals" is
 decided by spectral.within_eps, the one tolerance rule. The exponents of
 first occurrence are the breadth-first levels of the object's fusion
 digraph (see subcat.object_profile). Kernels, centers and the Brauer check
-run on batches: characters_at_fpdim decides the kernels, or the centers, of many supports
-on one support matrix, and check_brauer tests the Brauer property of many
-simples as arrays; the one-object functions are their batches of one.
+run on batches: characters_at_fpdim decides the kernels, or the centers, of many
+supports on one support matrix, and check_brauer tests the Brauer property of many
+simples in one walk over their profiles; the one-object functions are batches of one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,9 +22,9 @@ import numpy as np
 
 from .errors import (
     CapExceeded, ClosureViolation, DimensionMismatch, InternalInconsistency, ZeroClass)
-from .ring import FusionRing, check_simples
+from .ring import FusionRing, check_simples, closure_defect
 from .spectral import DEFAULT_EPS, CharacterTable, FPData, within_eps
-from .subcat import Subcategory, closure_defect, object_profile
+from .subcat import Subcategory, object_profile
 
 
 @dataclass
@@ -99,12 +98,10 @@ def characters_at_fpdim(fp: FPData, table: CharacterTable, supports: np.ndarray,
     supports = np.asarray(supports)
     size = table.count
     values = supports.T.dot(table.characters.T)  # a row per column of supports
-    flat = within_eps(values, fp.dims.dot(supports)[:, None], eps, modulus=modulus)
-    # flat = c * size + t, sorted, so column c holds the run from c * size to (c + 1) * size
-    starts = range(0, (supports.shape[1] + 1) * size, size)
-    bounds = [bisect_left(flat, start) for start in starts]
-    return [frozenset(map(start.__rsub__, flat[a:b]))
-            for start, a, b in zip(starts, bounds, bounds[1:])]
+    found = [[] for _ in range(supports.shape[1])]
+    for flat in within_eps(values, fp.dims.dot(supports)[:, None], eps, modulus=modulus):
+        found[flat // size].append(flat % size)  # flat = c * size + t
+    return [frozenset(ts) for ts in found]
 
 
 def kernel_of_class(ring: FusionRing, fp: FPData, table: CharacterTable,
@@ -142,9 +139,9 @@ def check_brauer(ring: FusionRing, simples: Sequence[int], trivial: Sequence[boo
     trivial[k] says whether the kernel of simples[k] is trivial. A trivial
     kernel must, and a nontrivial one must not, produce every simple in the
     powers e_i^n with n <= cap; the generated-subcategory notion of
-    faithfulness must agree with both. Each is one array over the batch, read
-    off the cached profiles: e_i covers the basis within the cap when C(e_i)
-    is the whole ring and its deepest level is at most the cap. The first
+    faithfulness must agree with both. All three are read off the cached
+    profiles: e_i covers the basis within the cap when C(e_i) is the whole
+    ring and its deepest level is at most the cap. The first
     failing simple of the batch is named: CapExceeded when a predicted-faithful
     simple runs out of budget before covering the basis, InternalInconsistency
     otherwise. The cap defaults per simple to the Wielandt-style
@@ -153,26 +150,24 @@ def check_brauer(ring: FusionRing, simples: Sequence[int], trivial: Sequence[boo
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1")
     profiles = [object_profile(ring, i) for i in simples]
-    missing, depth, caps = np.array(
-        [(ring.rank - len(p.members), max(p.level),
-          (len(p.members) - 1) ** 2 + 1 + p.index if cap is None else cap) for p in profiles],
-        dtype=np.int64).reshape(-1, 3).T
-    actual = np.logical_not(missing)  # C(e_i) is the whole ring
-    covered = (actual & (depth <= caps)).tolist()
-    expected, actual = [bool(t) for t in trivial], actual.tolist()
-    if len(expected) != len(profiles):
+    if len(trivial) != len(profiles):
         raise ValueError("check_brauer takes one kernel flag per simple")
-    if expected != covered or expected != actual:
-        k = next(k for k, flags in enumerate(zip(expected, covered, actual)) if len(set(flags)) > 1)
-        if expected[k] and not covered[k]:
-            found = sum(0 <= n <= caps[k] for n in profiles[k].level)
+    caps = []
+    for i, profile, expected in zip(simples, profiles, map(bool, trivial)):
+        size = len(profile.members)
+        caps.append((size - 1) ** 2 + 1 + profile.index if cap is None else cap)
+        actual = size == ring.rank  # C(e_i) is the whole ring
+        covered = actual and max(profile.level) <= caps[-1]
+        if expected and not covered:
+            found = sum(0 <= n <= caps[-1] for n in profile.level)
             raise CapExceeded(
-                f"kernel of simple {simples[k]} is trivial but powers up to {caps[k]} missed "
-                f"{ring.rank - found} simples (closure says faithful={actual[k]})")
-        raise InternalInconsistency(
-            f"simple {simples[k]}: kernel-trivial={expected[k]}, covered={covered[k]}, "
-            f"closure-faithful={actual[k]}")
-    return caps.tolist()
+                f"kernel of simple {i} is trivial but powers up to {caps[-1]} missed "
+                f"{ring.rank - found} simples (closure says faithful={actual})")
+        if not expected == covered == actual:
+            raise InternalInconsistency(
+                f"simple {i}: kernel-trivial={expected}, covered={covered}, "
+                f"closure-faithful={actual}")
+    return caps
 
 
 def kernel_via_subring_idempotents(ring: FusionRing, fp: FPData, table: CharacterTable,

@@ -12,10 +12,11 @@ integer, Python integers otherwise, so it never rounds or wraps around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .errors import AmbiguousDual, DimensionMismatch, NoDual
+from .errors import AmbiguousDual, DimensionMismatch, NoDual, NotClosed
 
 
 def check_simples(rank: int, simples) -> None:
@@ -178,10 +179,38 @@ class FusionRing:
         return f"<FusionRing{name} rank={self.rank} labels={list(self.labels)}>"
 
 
+def closure_defect(ring: FusionRing, members: Iterable[int]):
+    """First witness that `members` is not closed, or None if it is closed.
+
+    Checks, on one membership mask, the unit, the duals, then the constituents
+    of pairwise products; each witness is the first failure in sorted order.
+    """
+    S = sorted({int(m) for m in members})
+    check_simples(ring.rank, S)
+    inside = np.isin(np.arange(ring.rank), S)
+    if not inside[ring.unit]:
+        return ("unit", (ring.unit,))
+    out = np.flatnonzero(~inside[np.asarray(ring.dual)[S]])
+    if out.size:
+        return ("dual", (S[out[0]],))
+    i, j, k = np.nonzero((ring.N[np.ix_(S, S)] > 0) & ~inside)
+    if i.size:
+        return ("product", (S[i[0]], S[j[0]], int(k[0])))
+    return None
+
+
 def relabel(ring: FusionRing, order) -> FusionRing:
     """The unnamed ring on the simples `order` of ring: order[p] becomes p, order[0] the unit.
-    A permutation relabels the ring; a list closed under products and duals restricts it."""
+    A permutation relabels the ring; a list closed under products and duals restricts it.
+    IndexError for an index outside the ring, then NotClosed for a list that is not
+    closed, then ValueError for a list that repeats a simple or does not start at the unit."""
     check_simples(ring.rank, order)
+    defect = closure_defect(ring, order)
+    if defect is not None:
+        kind, witness = defect
+        raise NotClosed(f"member set not closed under {kind}, witness {witness}")
+    if order[0] != ring.unit or len(set(order)) != len(order):
+        raise ValueError("order must list distinct simples, the unit first")
     pos = {a: p for p, a in enumerate(order)}
     return FusionRing(labels=tuple(ring.labels[a] for a in order),
                       N=ring.N[np.ix_(order, order, order)],

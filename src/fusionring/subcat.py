@@ -19,8 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InternalInconsistency, NotClosed
-from .ring import FusionRing, check_simples, relabel
+from .errors import InternalInconsistency
+from .ring import FusionRing, check_simples, closure_defect, relabel  # closure_defect re-exported
 
 
 @dataclass(frozen=True)
@@ -146,26 +146,6 @@ def profile_simples(ring: FusionRing) -> None:
         profiles.update(zip(missing, _build_profiles(ring, missing)))
 
 
-def closure_defect(ring: FusionRing, members: Iterable[int]):
-    """First witness that `members` is not closed, or None if it is closed.
-
-    Checks, on one membership mask, the unit, the duals, then the constituents
-    of pairwise products; each witness is the first failure in sorted order.
-    """
-    S = sorted({int(m) for m in members})
-    check_simples(ring.rank, S)
-    inside = np.isin(np.arange(ring.rank), S)
-    if not inside[ring.unit]:
-        return ("unit", (ring.unit,))
-    out = np.flatnonzero(~inside[np.asarray(ring.dual)[S]])
-    if out.size:
-        return ("dual", (S[out[0]],))
-    i, j, k = np.nonzero((ring.N[np.ix_(S, S)] > 0) & ~inside)
-    if i.size:
-        return ("product", (S[i[0]], S[j[0]], int(k[0])))
-    return None
-
-
 def generated_subcategory(ring: FusionRing, gens: Iterable[int]) -> Subcategory:
     """Least closed set of simples containing the generators and the unit.
 
@@ -207,14 +187,10 @@ def is_indecomposable_matrix(A: np.ndarray) -> bool:
 
 
 def restriction_order(ring: FusionRing, sub: Subcategory) -> list[int]:
-    """Ambient indices of the subcategory members, unit first."""
-    return [ring.unit] + [m for m in sub.members if m != ring.unit]
+    """Ambient indices of the subcategory members, the unit first among them."""
+    return sorted(sub.members, key=lambda m: m != ring.unit)
 
 
 def restrict(ring: FusionRing, sub: Subcategory) -> FusionRing:
     """Unnamed fusion ring on the members of a closed subcategory, unit re-indexed to 0."""
-    defect = closure_defect(ring, sub.members)
-    if defect is not None:
-        kind, witness = defect
-        raise NotClosed(f"member set not closed under {kind}, witness {witness}")
     return relabel(ring, restriction_order(ring, sub))

@@ -330,3 +330,30 @@ def test_validate_subcommand_validates_once(capsys, monkeypatch, tmp_path):
         code, out, _ = run(capsys, "validate", "--ring", ring_arg)
         assert code == 0 and "valid: True" in out
         assert len(validations) == 1, ring_arg
+
+
+def test_power_checks_fail_under_python_optimize():
+    # the analyze checks raise typed errors, so python -O (which strips assert) keeps them
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fusionring
+
+    script = (
+        "import sys\n"
+        "from fusionring import grading\n"
+        "from fusionring.cli import main\n"
+        "order = grading.object_order\n"
+        "grading.object_order = lambda ring, i, cap=None: order(ring, i) + 1\n"
+        "print(sys.flags.optimize, file=sys.stderr)\n"
+        "sys.exit(main(['analyze', '--ring', 'pointed_zn(4)', '--format', 'json']))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(fusionring.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.stderr.strip() == "1"
+    assert done.returncode == 1
+    verdicts = {c["name"]: c["passed"] for c in json.loads(done.stdout)["checks"]}
+    assert verdicts["index_divides_order"] is False
+    assert verdicts["brauer_equivalence"] and verdicts["character_orthogonality"]

@@ -391,3 +391,17 @@ def test_relabel_refuses_an_index_outside_the_ring():
     for order in ([0, 1, 3], [0, 1, -1]):
         with pytest.raises(IndexError):
             relabel(ring, order)
+
+
+def test_relabel_refuses_an_order_it_cannot_reindex():
+    from fusionring.errors import NotClosed
+    from fusionring.ring import relabel
+
+    ring = ring_of("pointed_zn(3)")
+    with pytest.raises(NotClosed, match=r"^member set not closed under dual, witness \(1,\)$"):
+        relabel(ring, [0, 1])  # g1 without its dual g2
+    for order in ([1, 0, 2], [0, 1, 2, 1]):  # the unit not first; a simple twice
+        with pytest.raises(ValueError, match="^order must list distinct simples, the unit first$"):
+            relabel(ring, order)
+    with pytest.raises(IndexError):
+        relabel(ring, [1, 3])  # out of range comes before the other refusals
