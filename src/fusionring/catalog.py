@@ -235,6 +235,7 @@ def load_ring(path) -> FusionRing:
         N = np.asarray(N_raw, dtype=object)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{ctx}: N is not a cubic integer array: {exc}") from exc
+    del N_raw, data["N"]  # r^3 parsed JSON values; validate below need not hold them
     if N.shape != (rank, rank, rank):
         raise ParseError(f"{ctx}: N has shape {N.shape}, expected cubic of rank {rank}")
     try:
@@ -256,6 +257,7 @@ def load_ring(path) -> FusionRing:
         raise DualMismatch(
             f"{ctx}: declared dual {declared} disagrees with structure dual {list(recomputed)}")
     ring = FusionRing(labels=tuple(labels), N=N, dual=recomputed, unit=unit, name=name)
+    del N  # the ring holds its own copy
     if unit != 0:
         ring = replace(relabel(ring, [unit] + [i for i in range(rank) if i != unit]), name=name)
     report = validate(ring)

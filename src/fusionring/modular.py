@@ -29,7 +29,7 @@ from .errors import (
     ZeroEntry,
 )
 from .kernel import _closed_kernel
-from .ring import FusionRing, check_simples, dual_from_structure, validate
+from .ring import FusionRing, blocks, check_simples, dual_from_structure, validate
 from .spectral import (
     AGGREGATE_EPS,
     DEFAULT_EPS,
@@ -144,23 +144,32 @@ def _verlinde_tensor(U: np.ndarray, unit: int) -> np.ndarray:
     """Rounded, nonnegative Verlinde constants of a unitary U, divided by its unit row U[unit].
 
     N[i][j][k] = sum_m U[i][m] U[j][m] conj(U[k][m]) / U[unit][m], formed as
-    one r x r complex GEMM per i, (U[i] * U) @ weights.T, into a preallocated
-    r^3 array.
+    one r x r complex GEMM per i, (U[i] * U) @ weights.T, over blocks of i (see
+    ring.blocks). Each block is rounded into a preallocated int64 N, so beyond N
+    the memory is O(r^2 * block). NonIntegral names the first coefficient, in C
+    order, farthest from its rounding; only then are negatives refused.
     """
     if np.abs(U[unit]).min() < 1e-12:
         raise InvalidRing("unit row of S has a vanishing entry")
     weights = U.conj() / U[unit][None, :]
     r = len(U)
-    Nc = np.empty((r, r, r), dtype=complex)
-    for i in range(r):
-        np.matmul(U[i] * U, weights.T, out=Nc[i])
-    Nr = np.rint(Nc.real)
-    if np.abs(Nc - Nr).max() > _VERLINDE_INT_TOL:
-        worst = np.unravel_index(np.argmax(np.abs(Nc - Nr)), Nc.shape)
+    N = np.empty((r, r, r), dtype=np.int64)
+    worst, drift = None, _VERLINDE_INT_TOL
+    for bs in blocks(r, r * r):
+        Nc = np.empty((bs.stop - bs.start, r, r), dtype=complex)
+        for i in range(bs.start, bs.stop):
+            np.matmul(U[i] * U, weights.T, out=Nc[i - bs.start])
+        Nr = np.rint(Nc.real)
+        off = np.abs(Nc - Nr)
+        at = np.unravel_index(np.argmax(off), off.shape)
+        if off[at] > drift:
+            worst, drift = (bs.start + at[0], *at[1:]), off[at]
+            value = Nc[at]
+        N[bs] = Nr
+    if worst is not None:
         raise NonIntegral(
             f"Verlinde coefficient at {tuple(int(x) for x in worst)} is not integral: "
-            f"{Nc[worst]:.8g}")
-    N = Nr.astype(np.int64)
+            f"{value:.8g}")
     if N.min() < 0:
         raise InvalidRing("Verlinde reconstruction produced negative multiplicities")
     return N

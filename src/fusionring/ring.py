@@ -51,6 +51,19 @@ def _float64_exact(bound_a: int, bound_b: int, inner: int) -> bool:
     return bound_a * bound_b * inner < 2**53
 
 
+# Entries per block of every r^3 pass that runs in blocks of one index: validate's
+# associativity GEMMs and Frobenius mask, the Verlinde tensor, the profiles' edge
+# lists. It splits r = 64 into several blocks: a single block as large as N made
+# the Verlinde peak worse than the unblocked tensor.
+_BLOCK = 2**16
+
+
+def blocks(n: int, row: int) -> list[slice]:
+    """Slices covering range(n) in order, each of at most max(1, _BLOCK // row) indices."""
+    step = max(1, _BLOCK // row)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def exact_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A @ v over the integers, exactly; v is a vector or a matrix.
 
@@ -230,16 +243,41 @@ def _first_mismatch(diff: np.ndarray):
     return tuple(int(x) for x in idx[0]) if idx.size else None
 
 
-def _associative_on(M: np.ndarray, i: int, lhs: np.ndarray, rhs: np.ndarray) -> bool:
-    """Whether (e_i e_j) e_k = e_i (e_j e_k) for all j, k; both sides are left in lhs, rhs.
+def _first_in_blocks(r: int, axis: int, mask) -> tuple[int, ...] | None:
+    """First True entry, in C order, of an (r, r, r) boolean tensor, or None.
 
-    lhs[j][k][l] = sum_m M[i][j][m] M[m][k][l] and rhs[j][k][l] = sum_m
-    M[j][k][m] M[i][m][l], two GEMMs into r^3 buffers that the caller reuses.
+    mask(s) gives the part with index s along `axis`, for the slices of
+    blocks(r, r * r) in turn, so only one block exists at a time; the least of
+    the blocks' first True entries is the tensor's.
     """
-    r = len(M)
-    np.matmul(M[i], M.reshape(r, r * r), out=lhs.reshape(r, r * r))
-    np.matmul(M.reshape(r * r, r), M[i], out=rhs.reshape(r * r, r))
-    return np.array_equal(lhs, rhs)
+    found = []
+    for s in blocks(r, r * r):
+        m = mask(s)
+        if m.any():
+            w = _first_mismatch(m)
+            found.append(w[:axis] + (s.start + w[axis],) + w[axis + 1:])
+    return min(found, default=None)
+
+
+def _associative_on(N: np.ndarray, dtype, i: int):
+    """First (j, k, l) in C order with ((e_i e_j) e_k)[l] != (e_i (e_j e_k))[l], or None.
+
+    lhs[j][k][l] = sum_m N[i][j][m] N[m][k][l] and rhs[j][k][l] = sum_m
+    N[j][k][m] N[i][m][l] are formed over blocks of k: each block N[:, ks] is
+    cast to dtype and takes two GEMMs, so the extra memory is a few arrays of
+    shape (r, block, r).
+    """
+    r = len(N)
+    Mi = N[i].astype(dtype)
+
+    def mismatch(ks):
+        M = N[:, ks].astype(dtype)
+        b = M.shape[1]
+        lhs = Mi @ M.reshape(r, b * r)
+        rhs = M.reshape(r * b, r) @ Mi
+        return lhs.reshape(r, b, r) != rhs.reshape(r, b, r)
+
+    return _first_in_blocks(r, 1, mismatch)
 
 
 def _associativity_witness(N: np.ndarray, unit: int):
@@ -258,15 +296,15 @@ def _associativity_witness(N: np.ndarray, unit: int):
     """
     r = len(N)
     bound = _max_abs(N)
-    M = N.astype(np.float64 if _float64_exact(bound, bound, r) else object)
-    lhs, rhs = np.empty((2, r, r, r), dtype=M.dtype)
+    dtype = np.float64 if _float64_exact(bound, bound, r) else object
     edges = N > 0
     covered = np.zeros(r, dtype=bool)
     covered[unit] = np.array_equal(N[unit], np.eye(r, dtype=N.dtype))
     while not covered.all():
         i = int(covered.argmin())
-        if not _associative_on(M, i, lhs, rhs):
-            return (i, *_first_mismatch(lhs != rhs))
+        w = _associative_on(N, dtype, i)
+        if w is not None:
+            return (i, *w)
         covered[i] = True
         while not covered.all():
             out = edges[covered][:, covered] & ~covered
@@ -284,15 +322,16 @@ def validate(ring: FusionRing) -> ValidationReport:
     tuple, the first True entry of its mask; a valid ring returns an empty
     violation list.
 
-    Associativity is checked exactly, in r^3 memory, and only on simples
-    that generate the ring (see _associativity_witness): the unit, when the
-    left unit law holds, and each product constituent that is the only one
-    not yet covered count as checked. The operand of the GEMMs is decided
-    once per call: one bound max|N|, then one cast of N, to float64 when
-    _float64_exact(max|N|, max|N|, r) holds and to Python ints otherwise.
-    For each checked i the two sides are GEMMs on that operand, compared
-    with np.array_equal; the C-order witness is looked for only when they
-    differ, and is the one that checking every simple would report.
+    Associativity is checked exactly and only on simples that generate the
+    ring (see _associativity_witness): the unit, when the left unit law
+    holds, and each product constituent that is the only one not yet
+    covered count as checked. The dtype of the GEMMs is decided once per
+    call: one bound max|N|, float64 when _float64_exact(max|N|, max|N|, r)
+    holds and Python ints otherwise. For each checked i the two sides are
+    GEMMs over blocks of N cast to that dtype (see _associative_on), and
+    the witness is the one that checking every simple would report. The
+    Frobenius mask is formed in blocks too, so beyond N the memory is
+    O(r^2 * block) and byte-sized r^3 patterns of N > 0.
     """
     N = ring.N
     r = ring.rank
@@ -318,8 +357,11 @@ def validate(ring: FusionRing) -> ValidationReport:
     if w is not None:
         violations.append(("duality", w))
 
-    frob = (N != N[dual].transpose(0, 2, 1)) | (N != N[:, dual, :].transpose(2, 1, 0))
-    w = _first_mismatch(frob)
+    # N[i][j][k] = N[i*][k][j] over blocks of i, and = N[k][j*][i] over blocks of j,
+    # each block gathering whole rows of N
+    found = [_first_in_blocks(r, 0, lambda s: N[s] != N[dual[s]].transpose(0, 2, 1)),
+             _first_in_blocks(r, 1, lambda s: N[:, s] != N[:, dual[s]].transpose(2, 1, 0))]
+    w = min(filter(None, found), default=None)
     if w is not None:
         violations.append(("frobenius", w))
 

@@ -20,7 +20,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InternalInconsistency
-from .ring import FusionRing, check_simples, closure_defect, relabel  # closure_defect re-exported
+from .ring import (FusionRing, blocks, check_simples,  # closure_defect re-exported
+                   closure_defect, relabel)
 
 
 @dataclass(frozen=True)
@@ -112,13 +113,14 @@ def _build_profiles(ring: FusionRing, supports: list[frozenset[int]]) -> list[Ob
     if stuck.any():
         raise InternalInconsistency(f"fusion digraph of {sorted(supports[int(stuck.argmax())])} "
                                     "is not strongly connected on its subcategory")
-    g, u, v = adj.nonzero()  # the edge list, sorted by digraph
-    tail = level[g, u]
-    inside = tail >= 0
-    g, gap = g[inside], (tail + 1 - level[g, v])[inside]
-    heads = _run_starts(g)
     index = np.zeros(count, dtype=np.int64)
-    index[g[heads]] = np.gcd.reduceat(gap, heads)
+    for gs in blocks(count, r * r):  # the edge list of a block of digraphs, sorted by digraph
+        g, u, v = adj[gs].nonzero()
+        tail = level[gs][g, u]
+        inside = tail >= 0
+        g, gap = g[inside], (tail + 1 - level[gs][g, v])[inside]
+        heads = _run_starts(g)
+        index[gs.start + g[heads]] = np.gcd.reduceat(gap, heads)
     return [ObjectProfile(level=tuple(row), members=tuple(k for k, n in enumerate(row) if n >= 0),
                           index=i, order=o)
             for row, i, o in zip(level.tolist(), index.tolist(), order.tolist())]

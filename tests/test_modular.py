@@ -1,6 +1,7 @@
 """S-matrix validation, Verlinde reconstruction, centralizers, invertibles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,43 @@ def test_a_perturbed_smatrix_has_nonintegral_verlinde_constants():
     S[2, 3] = S[3, 2] = S[2, 3] + 1e-3
     with pytest.raises(NonIntegral):
         modular._verlinde_tensor(S, 0)
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_verlinde_tensor_matches_an_einsum_across_blocks(monkeypatch, name):
+    monkeypatch.setattr(ring_module, "_BLOCK", 2**14)  # 9, 7 and 4 rows at ranks 41, 48, 64
+    test_verlinde_tensor_matches_an_einsum(name)
+
+
+def test_nonintegral_names_the_first_worst_coefficient_across_blocks(monkeypatch):
+    S = entry("su2_k(10)").smatrix.S.copy()
+    S[2, 3] = S[3, 2] = S[2, 3] + 1e-3
+    r = len(S)
+    messages = []
+    for rows in (r, 1):  # one block, as if unblocked; then one block per i
+        monkeypatch.setattr(ring_module, "_BLOCK", rows * r * r)
+        with pytest.raises(NonIntegral) as exc:
+            modular._verlinde_tensor(S, 0)
+        messages.append(str(exc.value))
+    # the worst coefficient ties at (3, 9, 2) and (9, 3, 2): the first in C order is named
+    assert messages[0] == messages[1]
+    assert messages[1].startswith("Verlinde coefficient at (3, 9, 2) is not integral: ")
+
+
+def test_validate_and_the_verlinde_tensor_stay_within_a_memory_budget():
+    # traced peaks at rank 128, N and S made beforehand; the Verlinde peak includes its
+    # int64 result, so a second r^3 array in either pass breaks the budget
+    r = 128
+    ring, S = catalog._pointed_zn(r), catalog._pointed_zn_smatrix(r)
+    U = S / np.sqrt(modular._nondegenerate(S, r, InvalidRing))
+    for run in (lambda: validate(ring), lambda: modular._verlinde_tensor(U, ring.unit)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * r**3 * 8
 
 
 def test_centralizer_examples():

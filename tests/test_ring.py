@@ -287,6 +287,21 @@ def test_validate_matches_a_reference_on_perturbed_rings(name):
             assert (report.valid, report.violations) == (not want, want), (value, low)
 
 
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("name", ["pointed_zn(24)", "su2_k(10)", "tambara_yamagami_zn(12)"])
+def test_validate_matches_a_reference_across_blocks(monkeypatch, name, rows):
+    # blocks of `rows` indices per pass; at 5 the ranks 24, 11 and 13 end on a shorter block
+    ring = ring_of(name)
+    r = ring.rank
+    monkeypatch.setattr(ring_module, "_BLOCK", rows * r * r)
+    test_validate_matches_a_reference_on_perturbed_rings(name)
+    N = np.array(ring.N)
+    N[r - 1, r - 2, r - 1] += 1  # in the last block of i and of k
+    broken = FusionRing(labels=ring.labels, N=N, dual=ring.dual)
+    want = reference_violations(broken)
+    assert want and validate(broken).violations == want
+
+
 def rounding_ring():
     """Self-dual rank 3 ring, not associative: ((a a) b)[b] = 1 + 2^60, (a (a b))[b] = 2^60.
 
