@@ -198,7 +198,6 @@ def _analyze_report(ring, eps, seed, with_checks=True) -> dict:
         report["character_table"] = _character_block(ring, table)
     else:
         report["notice"] = "noncommutative Grothendieck ring: no character data"
-    subcat.profile_simples(ring)
     simples = range(ring.rank)
     gradings = grading.grade_simples(ring, simples, fp, table, eps=eps, seed=seed)
     kernels = centers = [None] * ring.rank

@@ -31,7 +31,7 @@ from .spectral import (
     is_commutative,
     within_eps,
 )
-from .subcat import Subcategory, object_profile, restrict, restriction_order
+from .subcat import Subcategory, object_profile, profiles, restrict, restriction_order
 
 
 @dataclass
@@ -106,9 +106,9 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
     """
     simples = list(simples)
     r, unit, count = ring.rank, ring.unit, len(simples)
-    profiles = [object_profile(ring, i) for i in simples]
-    level = np.array([p.level for p in profiles], dtype=np.int64).reshape(count, r)
-    ind = np.array([p.index for p in profiles], dtype=np.int64)[:, None]
+    batch = profiles(ring, ([i] for i in simples))
+    level = np.array([p.level for p in batch], dtype=np.int64).reshape(count, r)
+    ind = np.array([p.index for p in batch], dtype=np.int64)[:, None]
     member = level >= 0
     grade = level % ind
 
@@ -121,7 +121,7 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
         checked = [True] * count
     else:
         checked = []
-        for row, (i, profile) in enumerate(zip(simples, profiles)):
+        for row, (i, profile) in enumerate(zip(simples, batch)):
             sub = Subcategory(members=profile.members)
             small, order = restrict(ring, sub), restriction_order(ring, sub)
             checked.append(is_commutative(small))
@@ -132,7 +132,7 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
                 _cross_check(ring, [i], grade[at], ind[at], member[at], fp.dims, chars)
 
     result = []
-    for profile, row_grade, row_checked in zip(profiles, grade.tolist(), checked):
+    for profile, row_grade, row_checked in zip(batch, grade.tolist(), checked):
         grades = {unit: row_grade[unit]}  # unit first, then ascending
         components = [[] for _ in range(profile.index)]
         for k in profile.members:

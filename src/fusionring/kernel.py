@@ -24,7 +24,7 @@ from .errors import (
     CapExceeded, ClosureViolation, DimensionMismatch, InternalInconsistency, ZeroClass)
 from .ring import FusionRing, check_simples, closure_defect
 from .spectral import DEFAULT_EPS, CharacterTable, FPData, within_eps
-from .subcat import Subcategory, object_profile
+from .subcat import Subcategory, object_profile, profiles
 
 
 @dataclass
@@ -149,11 +149,11 @@ def check_brauer(ring: FusionRing, simples: Sequence[int], trivial: Sequence[boo
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1")
-    profiles = [object_profile(ring, i) for i in simples]
-    if len(trivial) != len(profiles):
+    batch = profiles(ring, ([i] for i in simples))
+    if len(trivial) != len(batch):
         raise ValueError("check_brauer takes one kernel flag per simple")
     caps = []
-    for i, profile, expected in zip(simples, profiles, map(bool, trivial)):
+    for i, profile, expected in zip(simples, batch, map(bool, trivial)):
         size = len(profile.members)
         caps.append((size - 1) ** 2 + 1 + profile.index if cap is None else cap)
         actual = size == ring.rank  # C(e_i) is the whole ring

@@ -200,7 +200,8 @@ def closure_defect(ring: FusionRing, members: Iterable[int]):
     """
     S = sorted({int(m) for m in members})
     check_simples(ring.rank, S)
-    inside = np.isin(np.arange(ring.rank), S)
+    inside = np.zeros(ring.rank, dtype=bool)
+    inside[S] = True
     if not inside[ring.unit]:
         return ("unit", (ring.unit,))
     out = np.flatnonzero(~inside[np.asarray(ring.dual)[S]])
@@ -307,7 +308,7 @@ def _associativity_witness(N: np.ndarray, unit: int):
             return (i, *w)
         covered[i] = True
         while not covered.all():
-            out = edges[covered][:, covered] & ~covered
+            out = edges[np.ix_(covered, covered)] & ~covered
             new = out[out.sum(axis=2) == 1].any(axis=0)
             if not new.any():
                 break

@@ -20,7 +20,7 @@ from .errors import (
     NonCommutative,
     SingularCharacterMatrix,
 )
-from .ring import FusionRing, exact_matvec
+from .ring import FusionRing, blocks, exact_matvec
 
 #: equality tolerance for complex scalars
 DEFAULT_EPS = 1e-9
@@ -31,8 +31,6 @@ DEFAULT_SEED = 0
 
 _MAX_RETRIES = 8
 _POWER_ITERATION_CAP = 10_000
-#: sums sum_l N[j][k][l] rows[t][l] formed by one block of the residual check
-_RESIDUAL_BLOCK = 2**14
 
 
 @dataclass
@@ -155,18 +153,17 @@ def bilinear_m(ring: FusionRing, u: np.ndarray, v: np.ndarray) -> int:
 def _multiplicativity_residuals(ring: FusionRing, rows: np.ndarray) -> np.ndarray:
     """Per row t, max over j, k of |rows[t][j] rows[t][k] - sum_l N[j][k][l] rows[t][l]|.
 
-    The sums for all rows are N[j0:j1].reshape(-1, r) @ rows.T over blocks of
-    indices j holding at most max(_RESIDUAL_BLOCK, r^2) sums: one block up to
-    rank 25, and never r^3 complex memory beyond it. N is real, so each block
-    is two real GEMMs, on the real and the imaginary parts of rows.
+    The sums for all rows are N[js].reshape(-1, r) @ rows.T over the blocks js of
+    ring.blocks(r, r * r): one block up to rank 40, and never r^3 complex memory
+    beyond it. N is real, so each block is two real GEMMs, on the real and the
+    imaginary parts of rows.
     """
     r = ring.rank
-    step = max(1, _RESIDUAL_BLOCK // (r * r))
     worst = np.zeros(r)
-    for j in range(0, r, step):
-        block = ring.N[j:j + step].reshape(-1, r).astype(float)
+    for js in blocks(r, r * r):
+        block = ring.N[js].reshape(-1, r).astype(float)
         images = (block @ rows.real.T + 1j * (block @ rows.imag.T)).reshape(-1, r, r)
-        outer = rows.T[j:j + step, None, :] * rows.T[None, :, :]
+        outer = rows.T[js, None, :] * rows.T[None, :, :]
         worst = np.maximum(worst, np.abs(outer - images).max(axis=(0, 1)))
     return worst
 
@@ -224,10 +221,6 @@ def character_table(ring: FusionRing, eps: float = DEFAULT_EPS,
     if not is_commutative(ring):
         raise NonCommutative("character table requires a commutative Grothendieck ring")
     r = ring.rank
-    if r == 1:
-        return CharacterTable(characters=np.ones((1, 1), dtype=complex),
-                              codegrees=np.ones(1))
-
     last_error: Exception | None = None
     for attempt in range(_MAX_RETRIES + 1):
         rng = np.random.default_rng(seed + attempt)

@@ -4,9 +4,9 @@ A subcategory is represented by the set of basis indices of its simples;
 it must contain the unit and be closed under duals and under constituents
 of pairwise products. What the powers of an object decide, and the subcategory
 any set of simples generates, is read off a breadth-first search of its fusion
-digraph, cached per support (ObjectProfile). The searches run batched: every
-simple of a ring at once (profile_simples), or a single support forwards and
-backwards in one pass. Faithfulness of a simple is equivalent to
+digraph, cached per support (ObjectProfile). profiles builds every support it
+misses in one batch: all simples of a ring at once, or a few supports searched
+forwards and backwards in one pass. Faithfulness of a simple is equivalent to
 indecomposability of its fusion matrix, tested independently and exactly by
 the Frobenius criterion (I + A)^(n-1) > 0.
 """
@@ -126,26 +126,30 @@ def _build_profiles(ring: FusionRing, supports: list[frozenset[int]]) -> list[Ob
             for row, i, o in zip(level.tolist(), index.tolist(), order.tolist())]
 
 
-def object_profile(ring: FusionRing, *simples: int) -> ObjectProfile:
-    """Profile of any object whose support is `simples`, computed once per ring and support."""
-    profiles = _PROFILES.setdefault(ring, {})
-    support = frozenset(simples)
-    profile = profiles.get(support)
-    if profile is None:
+def profiles(ring: FusionRing, supports: Iterable[Iterable[int]]) -> list[ObjectProfile]:
+    """Profiles of objects with the given supports, each computed once per ring and support.
+
+    Indices are checked support by support, in order; every support not yet
+    cached is then built in one batch.
+    """
+    cache = _PROFILES.setdefault(ring, {})
+    supports = [frozenset(s) for s in supports]
+    missing = list(dict.fromkeys(s for s in supports if s not in cache))
+    for support in missing:
         check_simples(ring.rank, support)
-        profile = profiles[support] = _build_profiles(ring, [support])[0]
-    return profile
+    if missing:
+        cache.update(zip(missing, _build_profiles(ring, missing)))
+    return [cache[s] for s in supports]
+
+
+def object_profile(ring: FusionRing, *simples: int) -> ObjectProfile:
+    """Profile of any object whose support is `simples`; the batch of one of profiles."""
+    return profiles(ring, [simples])[0]
 
 
 def profile_simples(ring: FusionRing) -> None:
-    """Profile every simple of the ring not yet profiled, all in one batch.
-
-    Afterwards object_profile(ring, i) reads each simple's profile from the cache.
-    """
-    profiles = _PROFILES.setdefault(ring, {})
-    missing = [s for s in (frozenset({i}) for i in range(ring.rank)) if s not in profiles]
-    if missing:
-        profiles.update(zip(missing, _build_profiles(ring, missing)))
+    """Profile every simple of the ring not yet profiled, all in one batch."""
+    profiles(ring, ([i] for i in range(ring.rank)))
 
 
 def generated_subcategory(ring: FusionRing, gens: Iterable[int]) -> Subcategory:

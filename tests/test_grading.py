@@ -259,3 +259,21 @@ def test_grading_without_fp_or_table_computes_the_ambient_data_once(monkeypatch,
     assert len(calls) == 1 < calls_at_the_parent
     assert calls[0][0] is ring
     assert all(g.character_checked for g in gradings)
+
+
+def test_grade_simples_profiles_a_fresh_ring_in_one_batch(monkeypatch):
+    from conftest import count_calls
+    from fusionring import catalog, subcat
+    from fusionring.grading import grade_simples
+    from fusionring.kernel import characters_at_fpdim, check_brauer
+
+    ring = catalog._pointed_zn(24)  # fresh: nothing of it is profiled yet
+    r = ring.rank
+    fp, table = fp_character(ring), character_table(ring)
+    builds = count_calls(monkeypatch, subcat._build_profiles)
+    grade_simples(ring, range(r), fp, table)
+    assert [batch for _, batch in builds] == [[frozenset({i}) for i in range(r)]]
+    builds.clear()
+    kernels = characters_at_fpdim(fp, table, np.eye(r))
+    check_brauer(ring, range(r), [k == {table.fp_index} for k in kernels])
+    assert builds == []

@@ -209,3 +209,17 @@ def test_class_kernels_agree_with_the_support(name):
                 == frozenset(within_eps(values, dim))), (name, x.tolist())
         assert (center_of_class(ring, fp, table, x) == center_of_class(ring, fp, table, support)
                 == frozenset(within_eps(values, dim, modulus=True))), (name, x.tolist())
+
+
+def test_check_brauer_alone_profiles_a_fresh_ring_in_one_batch(monkeypatch):
+    from conftest import count_calls
+    from fusionring import catalog, character_table, fp_character, subcat
+    from fusionring.kernel import characters_at_fpdim, check_brauer
+
+    ring = catalog._su2_k(10)  # fresh: nothing of it is profiled yet
+    r = ring.rank
+    fp, table = fp_character(ring), character_table(ring)
+    kernels = characters_at_fpdim(fp, table, np.eye(r))
+    builds = count_calls(monkeypatch, subcat._build_profiles)
+    check_brauer(ring, range(r), [k == {table.fp_index} for k in kernels])
+    assert [batch for _, batch in builds] == [[frozenset({i}) for i in range(r)]]

@@ -318,3 +318,13 @@ def test_bilinear_m_refuses_non_integral_coefficients():
             bilinear_m(ising, np.array(u), e0)
         with pytest.raises(ValueError, match="integer coefficients"):
             bilinear_m(ising, e0, np.array(u))
+
+
+def test_character_table_of_rank_one_is_built_like_any_other(monkeypatch):
+    from conftest import count_calls
+
+    builds = count_calls(monkeypatch, spectral.build_table)
+    table = spectral.character_table(catalog._trivial())
+    assert len(builds) == 1
+    assert table.characters.tolist() == [[1.0 + 0.0j]] and table.codegrees.tolist() == [1.0]
+    assert table.characters.dtype == complex and table.fp_index == 0

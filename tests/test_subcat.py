@@ -145,3 +145,28 @@ def test_restrict_is_relabel_onto_the_restriction_order(name):
         assert np.array_equal(small.N, moved.N)
         assert (small.labels, small.dual, small.unit, small.name) == (
             moved.labels, moved.dual, moved.unit, moved.name), (name, i)
+
+
+def test_profiles_build_each_missing_support_once_in_one_batch(monkeypatch):
+    from conftest import count_calls
+    from fusionring import catalog, subcat
+
+    ring = catalog._tambara_yamagami_zn(3)  # fresh: nothing of it is profiled yet
+    builds = count_calls(monkeypatch, subcat._build_profiles)
+    found = subcat.profiles(ring, [[1], [0, 1], [1], (1, 0), []])
+    assert [batch for _, batch in builds] == [[frozenset({1}), frozenset({0, 1}), frozenset()]]
+    assert found[0] is found[2] and found[1] is found[3]
+    assert found == _build_profiles(ring, [frozenset(s) for s in ([1], [0, 1], [1], [0, 1], [])])
+    builds.clear()
+    assert subcat.profiles(ring, [[0, 1], [1]]) == [found[1], found[0]] and builds == []
+
+
+def test_profiles_name_the_first_support_out_of_range():
+    from fusionring import catalog, subcat
+
+    ring = catalog._ising()
+    # the message object_profile raised for each support alone
+    with pytest.raises(IndexError, match=r"^simple indices \[-1, 2\] out of range for rank 3$"):
+        subcat.profiles(ring, [[0], [2, -1], [5]])
+    with pytest.raises(IndexError, match=r"^simple indices \[3\] out of range for rank 3$"):
+        object_profile(ring, 3)
