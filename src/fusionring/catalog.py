@@ -98,17 +98,12 @@ def _fibonacci():
     return _group_ring(("1", "tau"), _zn_table(1), "fibonacci", k=1)
 
 
-def _z2_plus_one(labels, m, name):
-    # basis (1, a, X): a*a = 1, a*X = X*a = X, X*X = 1 + a + m X; K(Z2, m)
-    return _group_ring(labels, _zn_table(2), name, k=m)
-
-
 def _ising():
-    return _z2_plus_one(("1", "psi", "sigma"), 0, "ising")  # sigma*sigma = 1 + psi
+    return _group_ring(("1", "psi", "sigma"), _zn_table(2), "ising", k=0)  # sigma*sigma = 1 + psi
 
 
 def _rep_s3():
-    return _z2_plus_one(("1", "eps", "V"), 1, "rep_s3")  # V*V = 1 + eps + V
+    return _group_ring(("1", "eps", "V"), _zn_table(2), "rep_s3", k=1)  # V*V = 1 + eps + V
 
 
 def _rep_q8():
@@ -313,9 +308,9 @@ def _pairs(row: list) -> bool:
             and set(map(type, chain.from_iterable(row))) <= {int, float})
 
 
-def save_smatrix(md: ModularData, path, ring_name: str = "") -> None:
+def save_smatrix(md: ModularData, path) -> None:
     data = {
-        "ring": ring_name or md.ring.name,
+        "ring": md.ring.name,
         "S": [[[float(z.real), float(z.imag)] for z in row] for row in md.S],
     }
     with open(path, "w", encoding="utf-8") as fh:

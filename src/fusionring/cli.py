@@ -76,33 +76,33 @@ def _power_sweep(ring: FusionRing, ind: list[int]):
     Step n takes, for every simple e_i still swept, the support of e_i^n from
     the one before: e_k is in it when N[i][j][k] > 0 for some j in that
     support, a gather of the rows of those (i, j) pairs, scattered into one
-    boolean matrix. Simple i is swept up to n = 3 * rank * ind[i], or until its
-    support equals the one ind[i] steps earlier (a ring buffer holds the last
-    max(ind) + 1 supports): from there on the supports cycle with period ind[i]
-    through ones already seen, so neither a new residue clash nor a first unit
-    return can appear. Returns the (generator, simple, exponent, later exponent)
-    least in (later exponent, generator, simple) whose exponents differ by a
-    non-multiple of ind, or None, and per simple the least n >= 1 whose power
-    holds the unit (0 if none).
+    boolean matrix. Simple i is swept until the first step whose support holds
+    no simple absent from its earlier powers, at most rank steps: every later
+    support lies in the simples seen, so every first exponent is known. The
+    least residue clash is one step past the first exponent of some simple,
+    and the first unit return one step past that of a simple with an edge to
+    the unit, so both show by then. Returns the (generator, simple, exponent,
+    later exponent) least in (later exponent, generator, simple) whose
+    exponents differ by a non-multiple of ind, or None, and per simple the
+    least n >= 1 whose power holds the unit (0 if none).
     """
     r, unit, p = ring.rank, ring.unit, np.asarray(ind, dtype=np.int64)
-    edges, cap = ring.N > 0, 3 * r * p
-    window = int(p.max(initial=0)) + 1
-    supports = np.zeros((window, r, r), dtype=bool)  # supports[n % window, i]: that of e_i^n
-    supports[0, :, unit] = True
+    edges = ring.N > 0
+    supp = np.zeros((r, r), dtype=bool)  # supp[row]: that of e_swept[row]^n
+    supp[:, unit] = True
     first = np.full((r, r), -1)  # first[i, k]: least n with e_k in e_i^n
     first[:, unit] = 0
     clash, returns = None, np.zeros(r, dtype=np.int64)
-    swept, n = np.flatnonzero(cap > 0), 0
+    swept, n = np.arange(r), 0
     while swept.size:
         n += 1
-        pos, j = supports[(n - 1) % window, swept].nonzero()
+        pos, j = supp.nonzero()
         pair, k = edges[swept[pos], j].nonzero()
         supp = np.zeros((swept.size, r), dtype=bool)
         supp[pos[pair], k] = True
-        supports[n % window, swept] = supp
         seen = first[swept]
-        seen[supp & (seen < 0)] = n
+        new = supp & (seen < 0)
+        seen[new] = n
         first[swept] = seen
         returns[swept[(returns[swept] == 0) & supp[:, unit]]] = n
         if clash is None:
@@ -110,10 +110,8 @@ def _power_sweep(ring: FusionRing, ind: list[int]):
             if bad.size:
                 row, k = bad[0].tolist()
                 clash = (int(swept[row]), k, int(seen[row, k]), n)
-        period = p[swept]
-        done = (n >= cap[swept]) | ((n >= period) & (
-            supp == supports[(n - period) % window, swept]).all(axis=1))
-        swept = swept[~done]
+        grew = new.any(axis=1)
+        swept, supp = swept[grew], supp[grew]
     return clash, returns
 
 

@@ -115,7 +115,7 @@ def characters_from_smatrix(md: ModularData, eps: float = DEFAULT_EPS) -> Charac
         raise InvariantFailed(f"S-matrix rows are not ring characters: {exc}") from exc
 
 
-def verlinde_ring(S: np.ndarray, labels: tuple[str, ...] | None = None) -> FusionRing:
+def verlinde_ring(S: np.ndarray) -> FusionRing:
     """Reconstruct structure constants from a nondegenerate S-matrix.
 
     With U = S normalized to a unitary matrix, the structure constants are
@@ -126,13 +126,11 @@ def verlinde_ring(S: np.ndarray, labels: tuple[str, ...] | None = None) -> Fusio
     r = len(S)
     g = _nondegenerate(S, r, InvalidRing)
     N = _verlinde_tensor(S / np.sqrt(g), 0)
-    if labels is None:
-        labels = tuple(f"x{i}" for i in range(r))
     try:
         dual = dual_from_structure(N, 0)
     except (NoDual, AmbiguousDual) as exc:
         raise InvalidRing(f"reconstructed tensor has no duality: {exc}") from exc
-    ring = FusionRing(labels=labels, N=N, dual=dual, unit=0)
+    ring = FusionRing(labels=tuple(f"x{i}" for i in range(r)), N=N, dual=dual, unit=0)
     report = validate(ring)
     if not report.valid:
         axioms = ", ".join(name for name, _ in report.violations)

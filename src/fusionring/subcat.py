@@ -147,11 +147,6 @@ def object_profile(ring: FusionRing, *simples: int) -> ObjectProfile:
     return profiles(ring, [simples])[0]
 
 
-def profile_simples(ring: FusionRing) -> None:
-    """Profile every simple of the ring not yet profiled, all in one batch."""
-    profiles(ring, ([i] for i in range(ring.rank)))
-
-
 def generated_subcategory(ring: FusionRing, gens: Iterable[int]) -> Subcategory:
     """Least closed set of simples containing the generators and the unit.
 

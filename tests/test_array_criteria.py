@@ -33,7 +33,7 @@ from fusionring import (
     verify_brauer,
 )
 from fusionring import ring as ring_module
-from fusionring.catalog import _pointed_zn, _su2_k, _z2_plus_one
+from fusionring.catalog import _group_ring, _pointed_zn, _su2_k, _zn_table
 from fusionring.cli import _power_sweep
 from fusionring.errors import (
     AmbiguousDual, CapExceeded, FusionRingError, InternalInconsistency, MethodDisagreement, NoDual)
@@ -295,7 +295,7 @@ def unit_fixing_permutation(ring, rng):
 
 def near_group(m):
     """K(Z_2, m): simples 1, a, X with a * a = 1, a * X = X and X * X = 1 + a + m X."""
-    return _z2_plus_one(("1", "a", "X"), m, f"near_group(Z2, {m})")
+    return _group_ring(("1", "a", "X"), _zn_table(2), f"near_group(Z2, {m})", k=m)
 
 
 def deligne_product(R, S):

@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, exit codes, formats, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import SAMPLE_NAMES, count_calls, entry, ring_of, wrap_ring
-from fusionring import grading, kernel, modular, save_ring, save_smatrix, subcat
+from fusionring import catalog, grading, kernel, modular, save_ring, save_smatrix, subcat
 from fusionring import ring as ring_module
 from fusionring.cli import _build_parser, _power_sweep, main
 
@@ -357,3 +358,18 @@ def test_power_checks_fail_under_python_optimize():
     verdicts = {c["name"]: c["passed"] for c in json.loads(done.stdout)["checks"]}
     assert verdicts["index_divides_order"] is False
     assert verdicts["brauer_equivalence"] and verdicts["character_orthogonality"]
+
+
+def test_power_sweep_stays_within_a_memory_budget():
+    # traced peak at rank 128, ring and indices made beforehand: the boolean pattern N > 0
+    # takes r^3 bytes, so a second r^3 array of supports breaks the budget
+    r = 128
+    ring = catalog._pointed_zn(r)
+    ind = [grading.object_index(ring, i) for i in range(r)]
+    tracemalloc.start()
+    try:
+        _power_sweep(ring, ind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * r**3

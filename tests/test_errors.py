@@ -32,7 +32,7 @@ from fusionring.errors import (
     ZeroClass,
 )
 from fusionring.spectral import CharacterTable, FPData, build_table
-from fusionring.subcat import _build_profiles, closure_defect, profile_simples
+from fusionring.subcat import _build_profiles, closure_defect, profiles
 
 
 def test_convergence_failure_on_tiny_budget():
@@ -125,7 +125,7 @@ def test_profile_rejects_a_digraph_that_never_returns_to_the_unit():
     with pytest.raises(InternalInconsistency, match=r"of \[0, 1\] is not strongly connected"):
         _build_profiles(ring, [frozenset({0}), frozenset({0, 1}), frozenset({1})])
     with pytest.raises(InternalInconsistency, match=r"of \[1\] is not strongly connected"):
-        profile_simples(ring)
+        profiles(ring, ([i] for i in range(ring.rank)))
 
 
 def test_profile_rejects_a_member_that_never_reaches_the_unit():
@@ -137,7 +137,8 @@ def test_profile_rejects_a_member_that_never_reaches_the_unit():
         N[0, j, j] = N[j, 0, j] = 1
     N[1, 1, 0] = N[1, 1, 2] = N[1, 2, 2] = 1
     ring = FusionRing(labels=("1", "a", "b"), N=N, dual=(0, 1, 2))
-    for profile in (lambda: object_index(ring, 1), lambda: profile_simples(ring)):
+    for profile in (lambda: object_index(ring, 1),
+                    lambda: profiles(ring, ([i] for i in range(ring.rank)))):
         with pytest.raises(InternalInconsistency, match=r"of \[1\] is not strongly connected"):
             profile()
 

@@ -15,7 +15,7 @@ from fusionring import (
     validate,
 )
 from fusionring.errors import NotClosed
-from fusionring.subcat import _build_profiles, closure_defect, object_profile, profile_simples
+from fusionring.subcat import _build_profiles, closure_defect, object_profile, profiles
 from test_array_criteria import near_group
 
 
@@ -129,7 +129,7 @@ def test_a_batch_of_profiles_equals_one_build_per_support(name):
     seeded = [frozenset(rng.sample(range(r), rng.randint(0, min(4, r)))) for _ in range(8)]
     for batch in (singletons, seeded, singletons[::-1] + seeded):
         assert _build_profiles(ring, batch) == [_build_profiles(ring, [s])[0] for s in batch], batch
-    profile_simples(ring)
+    profiles(ring, ([i] for i in range(ring.rank)))
     assert [object_profile(ring, i) for i in range(r)] == _build_profiles(ring, singletons)
 
 
