@@ -38,8 +38,8 @@ from .errors import (
     ValidationFailed,
 )
 from .modular import ModularData, modular_data
-from .ring import (FusionRing, ValidationReport, dual_from_structure, relabel, structure_constants,
-                   validate)
+from .ring import (FusionRing, ValidationReport, _int64_from_lists, dual_from_structure, relabel,
+                   structure_constants, validate)
 
 @dataclass
 class CatalogEntry:
@@ -226,17 +226,19 @@ def load_ring(path) -> FusionRing:
         raise ParseError(f"{ctx}: labels must be distinct")
     if not 0 <= unit < rank:
         raise ParseError(f"{ctx}: unit index {unit} out of range")
-    try:
-        N = np.asarray(N_raw, dtype=object)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"{ctx}: N is not a cubic integer array: {exc}") from exc
+    N = _int64_from_lists(N_raw, rank)  # FusionRing below decides it by structure_constants
+    if N is None:  # the object-array route, which names what is wrong
+        try:
+            N = np.asarray(N_raw, dtype=object)
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"{ctx}: N is not a cubic integer array: {exc}") from exc
+        if N.shape != (rank, rank, rank):
+            raise ParseError(f"{ctx}: N has shape {N.shape}, expected cubic of rank {rank}")
+        try:
+            N = structure_constants(N, rank)
+        except ValueError as exc:
+            raise ParseError(f"{ctx}: N entries must be nonnegative 64-bit integers") from exc
     del N_raw, data["N"]  # r^3 parsed JSON values; validate below need not hold them
-    if N.shape != (rank, rank, rank):
-        raise ParseError(f"{ctx}: N has shape {N.shape}, expected cubic of rank {rank}")
-    try:
-        N = structure_constants(N, rank)
-    except ValueError as exc:
-        raise ParseError(f"{ctx}: N entries must be nonnegative 64-bit integers") from exc
     declared = data.get("dual")
     if declared is not None:
         if (not isinstance(declared, list) or len(declared) != rank

@@ -86,7 +86,10 @@ def modular_data(ring: FusionRing, S: np.ndarray) -> ModularData:
     Raises DimensionMismatch or InvariantFailed when S fails a basic check,
     NonIntegral or InvalidRing when its Verlinde coefficients are not
     nonnegative integers, and VerlindeMismatch when they are but do not
-    reproduce the ring's structure constants and duality.
+    reproduce the ring's structure constants and duality. The Verlinde blocks
+    are compared with ring.N as they are formed (see _verlinde_tensor), so no
+    second r^3 tensor exists; every block is formed first, so NonIntegral and
+    InvalidRing come before VerlindeMismatch.
     """
     S = np.asarray(S, dtype=complex)
     g = _nondegenerate(S, ring.rank, InvariantFailed)
@@ -100,8 +103,8 @@ def modular_data(ring: FusionRing, S: np.ndarray) -> ModularData:
     dims = row.real / row.real[ring.unit]
     if np.abs(dims - fp.dims).max() > AGGREGATE_EPS * max(1.0, fp.dims.max()):
         raise InvariantFailed("unit row of S is not proportional to the FP dimensions")
-    N = _verlinde_tensor(S / np.sqrt(g), ring.unit)
-    if not np.array_equal(N, ring.N) or dual_from_structure(N, ring.unit) != ring.dual:
+    N = _verlinde_tensor(S / np.sqrt(g), ring.unit, ring.N)
+    if N is None or dual_from_structure(N, ring.unit) != ring.dual:
         raise VerlindeMismatch(
             "Verlinde reconstruction from S does not reproduce the declared ring")
     return ModularData(S=S, ring=ring, global_dim=g)
@@ -138,21 +141,26 @@ def verlinde_ring(S: np.ndarray) -> FusionRing:
     return ring
 
 
-def _verlinde_tensor(U: np.ndarray, unit: int) -> np.ndarray:
+def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = None):
     """Rounded, nonnegative Verlinde constants of a unitary U, divided by its unit row U[unit].
 
     N[i][j][k] = sum_m U[i][m] U[j][m] conj(U[k][m]) / U[unit][m], formed as
     one r x r complex GEMM per i, (U[i] * U) @ weights.T, over blocks of i (see
-    ring.blocks). Each block is rounded into a preallocated int64 N, so beyond N
-    the memory is O(r^2 * block). NonIntegral names the first coefficient, in C
-    order, farthest from its rounding; only then are negatives refused.
+    ring.blocks). Each block is rounded to int64 and written into a preallocated
+    N, which is returned, so beyond N the memory is O(r^2 * block). Given an
+    (r, r, r) tensor `expected`, each block is compared with its part of
+    `expected` instead and dropped, and the result is `expected` when every
+    block equals it, else None: no r^3 reconstruction is made then. Either way
+    every block is formed before anything is decided: NonIntegral names the
+    first coefficient, in C order, farthest from its rounding; only then are
+    negatives refused, and only then does a mismatch count.
     """
     if np.abs(U[unit]).min() < 1e-12:
         raise InvalidRing("unit row of S has a vanishing entry")
     weights = U.conj() / U[unit][None, :]
     r = len(U)
-    N = np.empty((r, r, r), dtype=np.int64)
-    worst, drift = None, _VERLINDE_INT_TOL
+    N = np.empty((r, r, r), dtype=np.int64) if expected is None else None
+    worst, drift, negative, same = None, _VERLINDE_INT_TOL, False, True
     for bs in blocks(r, r * r):
         Nc = np.empty((bs.stop - bs.start, r, r), dtype=complex)
         for i in range(bs.start, bs.stop):
@@ -163,14 +171,21 @@ def _verlinde_tensor(U: np.ndarray, unit: int) -> np.ndarray:
         if off[at] > drift:
             worst, drift = (bs.start + at[0], *at[1:]), off[at]
             value = Nc[at]
-        N[bs] = Nr
+        block = Nr.astype(np.int64)
+        negative = negative or block.min() < 0
+        if N is not None:
+            N[bs] = block
+        else:
+            same = same and np.array_equal(block, expected[bs])
     if worst is not None:
         raise NonIntegral(
             f"Verlinde coefficient at {tuple(int(x) for x in worst)} is not integral: "
             f"{value:.8g}")
-    if N.min() < 0:
+    if negative:
         raise InvalidRing("Verlinde reconstruction produced negative multiplicities")
-    return N
+    if expected is None:
+        return N
+    return expected if same else None
 
 
 def centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> Subcategory:

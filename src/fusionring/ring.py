@@ -12,6 +12,7 @@ integer, Python integers otherwise, so it never rounds or wraps around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -78,10 +79,39 @@ def exact_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A.astype(object).dot(v.astype(object))
 
 
+def _int64_from_lists(N, rank: int) -> np.ndarray | None:
+    """N as a new int64 array if it is a cubic nested list of Python ints in [0, 2**63), else None.
+
+    Decided in one pass over the lists, with no object array: one type and length scan of
+    the planes and of the rows, one type scan of the entries, then one np.fromiter, which
+    raises OverflowError past int64. None leaves every refusal to the caller's own route.
+    """
+    if type(N) is not list or len(N) != rank or not rank:
+        return None
+    if set(map(type, N)) != {list} or set(map(len, N)) != {rank}:
+        return None
+    rows = list(chain.from_iterable(N))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {rank}:
+        return None
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    try:
+        T = np.fromiter(chain.from_iterable(rows), np.int64, count=rank**3)
+    except OverflowError:
+        return None
+    return T.reshape(rank, rank, rank) if T.min() >= 0 else None
+
+
 def structure_constants(N, rank: int) -> np.ndarray:
     """N as a read-only int64 tensor of shape (rank, rank, rank); the one place deciding it.
     ValueError unless every entry is an integer in [0, 2**63), decided before the cast, which
-    would wrap or saturate; booleans are not integers, also where numpy made them numbers."""
+    would wrap or saturate; booleans are not integers, also where numpy made them numbers.
+    A cubic nested list of Python ints is decided in one pass by _int64_from_lists; any other
+    N, a list that pass refuses included, is decided as an array."""
+    T = _int64_from_lists(N, rank)
+    if T is not None:
+        T.setflags(write=False)
+        return T
     A = np.ascontiguousarray(N)
     if A.shape != (rank, rank, rank):
         raise DimensionMismatch(f"structure tensor shape {A.shape} != ({rank}, {rank}, {rank})")
@@ -289,22 +319,32 @@ def _associativity_witness(N: np.ndarray, unit: int):
     ((uv)y)z = (u(vy))z = u((vy)z) = u(v(yz)) = (uv)(yz) makes it closed under
     products. So `covered` simples lie in K, and if e_a e_b (a, b covered) has
     exactly one uncovered constituent k, e_k = (e_a e_b - covered terms) / N[a][b][k]
-    is covered too. When no product adds one, the lowest uncovered simple is
-    checked by _associative_on; every simple below it lies in K, so the first
-    failing one and its C-order witness are those of checking every simple in turn.
-    Products are only tried after a check: before the first, the covered set is
-    empty or the unit alone, whose square is itself, so a round there adds nothing.
+    is covered too. When no product adds one, the uncovered simple likeliest to
+    generate is checked by _associative_on: the one with the fewest product
+    constituents, counted as (N[i] > 0).sum(), with invertibles (a count of r)
+    last and ties broken by index. If it fails, the uncovered simples below it
+    are checked in index order and the first that fails is returned; covered
+    ones lie in K, so the failing simple and its C-order witness are those of
+    checking every simple in turn. Products are only tried after a check: before
+    the first, the covered set is empty or the unit alone, whose square is
+    itself, so a round there adds nothing.
     """
     r = len(N)
     bound = _max_abs(N)
     dtype = np.float64 if _float64_exact(bound, bound, r) else object
     edges = N > 0
+    counts = edges.sum(axis=(1, 2))
+    order = np.lexsort((counts, counts == r)).tolist()  # stable: ties stay in index order
     covered = np.zeros(r, dtype=bool)
     covered[unit] = np.array_equal(N[unit], np.eye(r, dtype=N.dtype))
     while not covered.all():
-        i = int(covered.argmin())
+        i = next(a for a in order if not covered[a])
         w = _associative_on(N, dtype, i)
         if w is not None:
+            for b in np.flatnonzero(~covered[:i]).tolist():
+                wb = _associative_on(N, dtype, b)
+                if wb is not None:
+                    return (b, *wb)
             return (i, *w)
         covered[i] = True
         while not covered.all():
@@ -326,13 +366,16 @@ def validate(ring: FusionRing) -> ValidationReport:
     Associativity is checked exactly and only on simples that generate the
     ring (see _associativity_witness): the unit, when the left unit law
     holds, and each product constituent that is the only one not yet
-    covered count as checked. The dtype of the GEMMs is decided once per
+    covered count as checked; of the rest, the simple with the fewest
+    product constituents, invertibles last, is checked first, since it is
+    the likeliest to generate. The dtype of the GEMMs is decided once per
     call: one bound max|N|, float64 when _float64_exact(max|N|, max|N|, r)
     holds and Python ints otherwise. For each checked i the two sides are
     GEMMs over blocks of N cast to that dtype (see _associative_on), and
-    the witness is the one that checking every simple would report. The
-    Frobenius mask is formed in blocks too, so beyond N the memory is
-    O(r^2 * block) and byte-sized r^3 patterns of N > 0.
+    the witness is the one that checking every simple in index order would
+    report: a failing check is followed by checks of the uncovered simples
+    below it. The Frobenius mask is formed in blocks too, so beyond N the
+    memory is O(r^2 * block) and byte-sized r^3 patterns of N > 0.
     """
     N = ring.N
     r = ring.rank

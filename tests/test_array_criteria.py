@@ -751,3 +751,31 @@ def test_the_unit_is_the_first_member_named_wherever_it_sits():
     assert outcome(universal_grading, ring, g1, fp, doctored) == want
     assert (outcome(grade_simples, ring, range(ring.rank), fp, doctored)
             == first_outcome(lambda i: loop_universal_grading(ring, i, fp, doctored), ring))
+
+
+def test_validate_checks_one_simple_of_a_permuted_su2_k(monkeypatch):
+    # e_1 and e_19 = e_20 e_1 have the fewest product constituents, and either generates
+    checks = count_calls(monkeypatch, ring_module._associative_on)
+    rng = np.random.default_rng(20)
+    for k in range(10):
+        ring = unit_fixing_permutation(_su2_k(20), rng)
+        checks.clear()
+        assert ring_module._associativity_witness(ring.N, ring.unit) is None
+        assert len(checks) == 1, k
+        assert ring.labels[checks[0][2]] in ("1", "19")
+
+
+def test_a_failing_first_check_returns_the_witness_of_checking_every_simple(monkeypatch):
+    # the first check fails when a simple below it is broken; the simples below it are then
+    # checked in index order, and the witness is the reference's
+    ring = unit_fixing_permutation(_su2_k(10), np.random.default_rng(0))
+    first = min(ring.labels.index("1"), ring.labels.index("9"))
+    assert first > 1
+    checks = count_calls(monkeypatch, ring_module._associative_on)
+    for b in range(1, first):
+        N = np.array(ring.N)
+        N[b, b, ring.unit] += 1  # keeps every count of product constituents
+        checks.clear()
+        w = ring_module._associativity_witness(N, ring.unit)
+        assert checks[0][2] == first and w[0] < first, b
+        assert w == every_simple_witness(N, ring.unit), b

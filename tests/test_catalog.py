@@ -8,6 +8,7 @@ import pytest
 
 from conftest import ALL_NAMES, count_calls, entry, ring_of, table_of
 from fusionring import (
+    FusionRing,
     builtin,
     fp_character,
     is_faithful,
@@ -345,3 +346,50 @@ def test_a_missing_dual_is_witnessed_in_file_order(tmp_path):
     with pytest.raises(ValidationFailed) as info:
         load_ring(path)
     assert info.value.report.violations == [("duality", (0,))]
+
+
+def _z6_file(tmp_path, N):
+    path = tmp_path / "bad.json"
+    labels = list(ring_of("pointed_zn(6)").labels)
+    path.write_text(json.dumps({"name": "z6", "rank": 6, "labels": labels, "unit": 0, "N": N}))
+    return path
+
+
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("value", [False, 2.5, None, -1, 2**63, "1", "ragged row"])
+def test_a_bad_entry_at_either_end_of_the_last_plane_keeps_its_message(tmp_path, value, where):
+    # the one-pass int64 route refuses it; the route behind it names it as it always did
+    N = ring_of("pointed_zn(6)").N.tolist()
+    if value == "ragged row":
+        N[-1][where].pop()
+    else:
+        N[-1][where][where] = value
+    path = _z6_file(tmp_path, N)
+    loader_why = ("N has shape (6, 6), expected cubic of rank 6" if value == "ragged row"
+                  else "N entries must be nonnegative 64-bit integers")
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {loader_why}')}$"):
+        load_ring(path)
+    why = {"ragged row": None, -1: "nonnegative and below 2\\*\\*63",
+           2**63: "nonnegative and below 2\\*\\*63"}.get(value, "integers")
+    with pytest.raises(ValueError, match=why and f"^structure constants must be {why}$"):
+        FusionRing(labels=range(6), N=N, dual=range(6))
+
+
+def test_a_list_that_is_not_cubic_keeps_its_message(tmp_path):
+    uneven = ring_of("pointed_zn(6)").N.tolist()
+    uneven[1].append(uneven[0].pop())  # 36 rows of 6 entries, in planes of 5 and 7 rows
+    short = ring_of("pointed_zn(6)").N.tolist()[:-1]
+    for N, shape, error in ((uneven, "(6,)", ValueError), (short, "(5, 6, 6)", DimensionMismatch)):
+        path = _z6_file(tmp_path, N)
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: N has shape {shape}, expected cubic of rank 6")):
+            load_ring(path)
+        with pytest.raises(error):
+            FusionRing(labels=range(6), N=N, dual=range(6))
+
+
+def test_a_nested_list_of_numpy_ints_is_still_accepted():
+    ring = ring_of("pointed_zn(6)")
+    nested = [[list(row) for row in plane] for plane in ring.N]
+    assert type(nested[-1][-1][-1]) is np.int64
+    assert np.array_equal(FusionRing(labels=ring.labels, N=nested, dual=ring.dual).N, ring.N)

@@ -402,3 +402,47 @@ def test_s_characters_are_formed_once_per_modular_data(name):
     md = entry(name).smatrix
     assert md.characters is md.characters
     assert np.array_equal(md.characters, md.S / md.S[:, [md.ring.unit]])
+
+
+def test_modular_data_compares_the_verlinde_blocks_in_place():
+    # traced peak at rank 128, S made beforehand: the blocks are compared with ring.N, so no
+    # second r^3 tensor exists
+    r = 128
+    ring, S = catalog._pointed_zn(r), catalog._pointed_zn_smatrix(r)
+    tracemalloc.start()
+    try:
+        modular_data(ring, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * r**3 * 8
+
+
+def test_a_nonintegral_smatrix_of_another_ring_raises_nonintegral_first():
+    # pointed_zn(5) with g1 and g2 swapped in S is not its ring (1 -> 2 is no automorphism);
+    # a small rotation Q about (1, 1, 1) on g2, g3, g4 keeps Q^T S Q symmetric, unitary and
+    # its unit row, but moves the Verlinde constants off the integers
+    ring = catalog._pointed_zn(5)
+    o = [0, 2, 1, 3, 4]
+    S = catalog._pointed_zn_smatrix(5)[np.ix_(o, o)]
+    with pytest.raises(VerlindeMismatch):
+        modular_data(ring, S)
+    t, a = 0.01, np.ones(3) / math.sqrt(3.0)
+    cross = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
+    Q = np.eye(5)
+    Q[2:, 2:] = math.cos(t) * np.eye(3) + math.sin(t) * cross + (1 - math.cos(t)) * np.outer(a, a)
+    with pytest.raises(NonIntegral):
+        modular_data(ring, Q.T @ S @ Q)
+
+
+def test_a_mismatch_in_the_last_verlinde_block_is_found(monkeypatch):
+    # one index per block; the ring differs from its S only in the plane of its last simple,
+    # a permutation matrix still, so its FP dimensions stay 1
+    monkeypatch.setattr(ring_module, "_BLOCK", 8 * 8)
+    ring, S = catalog._pointed_zn(8), catalog._pointed_zn_smatrix(8)
+    assert len(ring_module.blocks(8, 8 * 8)) == 8
+    N = np.array(ring.N)
+    N[7] = N[7][[1, 0, 2, 3, 4, 5, 6, 7]]
+    with pytest.raises(VerlindeMismatch):
+        modular_data(FusionRing(labels=ring.labels, N=N, dual=ring.dual), S)
+    assert modular_data(ring, S).ring is ring
