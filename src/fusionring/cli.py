@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -132,8 +133,9 @@ def _run_checks(ring, table, kernels) -> list[dict]:
     def brauer_equivalence():
         # each simple fails as when the simples were checked in turn, both tests on each:
         # the Brauer check covers the simples before the first faithful/indecomposable mismatch
-        split = next((i for i in range(ring.rank) if subcat.is_faithful(ring, i)
-                      != subcat.is_indecomposable_matrix(ring.fusion_matrix(i))), ring.rank)
+        indecomposable = subcat.is_indecomposable_matrix(ring.N.transpose(0, 2, 1))
+        split = next((i for i in range(ring.rank)
+                      if subcat.is_faithful(ring, i) != indecomposable[i]), ring.rank)
         if table is not None:
             kernel.check_brauer(ring, range(split),
                                 [k == {table.fp_index} for k in kernels[:split]])
@@ -278,9 +280,55 @@ def _render_text(report: dict, out) -> None:
         emit(f"check {check['name']}: {'PASS' if check['passed'] else 'FAIL'} ({check['detail']})")
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_NUMBERS = {int, float}
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for dicts with str keys, lists and JSON scalars.
+
+    json.dumps runs its pure-Python encoder whenever indent is set, so this
+    writes the same text with C-level joins instead: a list of str is one join,
+    and a list of numbers, or of nonempty lists of numbers, one repr, which
+    writes finite ints and floats as JSON does. A repr holding an "n" holds a
+    nan or an inf, and such a list goes item by item, as does any other list.
+    Scalars are dispatched by exact type; other types, empty lists and dicts
+    and non-finite floats go to json.dumps without indent.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _ESCAPE(obj)
+    if kind is int or kind is float and math.isfinite(obj):
+        return kind.__repr__(obj)
+    if kind is bool or obj is None:
+        return _LITERALS[obj]
+    if kind is not dict and kind is not list or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = "," + inner
+    if kind is dict:
+        body = sep.join(f"{_ESCAPE(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj))
+        return "{" + inner + body + indent + "}"
+    types = set(map(type, obj))
+    if types == {str}:
+        body = sep.join(map(_ESCAPE, obj))
+    elif types <= _NUMBERS and "n" not in (text := repr(obj)):
+        body = text[1:-1].replace(", ", sep)
+    elif (types == {list} and all(map(len, obj))
+          and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBERS
+          and "n" not in (text := repr(obj))):
+        body = text[2:-2].replace("], [", f"{inner}],{inner}[{inner}  ").replace(", ", sep + "  ")
+        body = f"[{inner}  {body}{inner}]"
+    else:
+        body = sep.join(_dumps(x, inner) for x in obj)
+    return "[" + inner + body + indent + "]"
+
+
 def _emit(report: dict, fmt: str, out) -> None:
+    """Print a report as text, or as JSON: json.dumps(report, sort_keys=True, indent=2), via _dumps."""
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2), file=out)
+        print(_dumps(report), file=out)
     else:
         _render_text(report, out)
 

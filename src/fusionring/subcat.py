@@ -161,30 +161,39 @@ def is_faithful(ring: FusionRing, i: int) -> bool:
     return len(object_profile(ring, i).members) == ring.rank
 
 
-def is_indecomposable_matrix(A: np.ndarray) -> bool:
+def is_indecomposable_matrix(A: np.ndarray) -> bool | np.ndarray:
     """Strong connectivity of the digraph with an edge j -> k when A[k][j] > 0.
 
     Equivalent to A admitting no partition of the index set into nonempty
     M, N with A[m][n] = 0 for m in M, n in N, and to (I + P)^(n-1) > 0 for its
     0/1 pattern P: at most (n-1).bit_length() squarings, exact in float64 (entries <= n).
-    They stop once the pattern is all positive or a squaring leaves it unchanged,
-    as every later one would. The pattern holds I, so it only grows, and a
-    squaring that keeps its count of positive entries keeps the pattern.
+    A matrix stops once its pattern is all positive or a squaring leaves it
+    unchanged, as every later one would. The pattern holds I, so it only grows,
+    and a squaring that keeps its count of positive entries keeps the pattern.
+    A stack (..., n, n) gives a bool array of shape (...): in each block of
+    matrices, the patterns still growing are squared as one batched matmul.
     """
     A = np.asarray(A)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("matrix must be square")
-    reach = np.maximum(np.eye(n), A > 0)
-    count = np.count_nonzero(reach)
-    for _ in range((n - 1).bit_length()):
-        if count == n * n:
-            break
-        reach = np.minimum(reach @ reach, 1.0)
-        count, before = np.count_nonzero(reach), count
-        if count == before:
-            break
-    return count == n * n
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise ValueError("matrices must be square")
+    n = A.shape[-1]
+    stack = A.reshape(-1, n, n)
+    full = np.empty(len(stack), dtype=bool)
+    for gs in blocks(len(stack), max(1, n * n)):
+        reach = np.maximum(np.eye(n), stack[gs] > 0)
+        count = reach.sum(axis=(1, 2))
+        live = np.flatnonzero(count < n * n)
+        reach = reach[live]
+        for _ in range((n - 1).bit_length()):
+            if not live.size:
+                break
+            reach = np.minimum(reach @ reach, 1.0)
+            now = reach.sum(axis=(1, 2))
+            grows = (now != count[live]) & (now < n * n)
+            count[live] = now
+            live, reach = live[grows], reach[grows]
+        full[gs] = count == n * n
+    return bool(full[0]) if A.ndim == 2 else full.reshape(A.shape[:-2])
 
 
 def restriction_order(ring: FusionRing, sub: Subcategory) -> list[int]:

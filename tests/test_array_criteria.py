@@ -183,6 +183,42 @@ def test_indecomposable_on_directed_cycles_needs_every_squaring(n):
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
+def test_stacked_indecomposable_matches_the_loop_on_fusion_matrices(name):
+    ring = ring_of(name)
+    stacked = is_indecomposable_matrix(ring.N.transpose(0, 2, 1))
+    assert stacked.dtype == bool and stacked.shape == (ring.rank,)
+    singles = [is_indecomposable_matrix(ring.fusion_matrix(i)) for i in range(ring.rank)]
+    assert all(type(x) is bool for x in singles)
+    assert stacked.tolist() == singles == [dfs_indecomposable(ring.fusion_matrix(i))
+                                           for i in range(ring.rank)], name
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])  # matrices per block; None: the default blocks
+def test_stacked_indecomposable_matches_the_loop_on_random_patterns(monkeypatch, rows):
+    # one stack mixes patterns that stop after different numbers of squarings
+    rng = np.random.default_rng(1503)
+    for n in range(1, 14):
+        if rows is not None:
+            monkeypatch.setattr(ring_module, "_BLOCK", rows * n * n)
+        stack = [random_pattern(rng, n) for _ in range(9)] + [directed_cycle(n)]
+        if n > 1:
+            stack += [permuted_block_triangular(rng, n) for _ in range(2)]
+        else:
+            stack += [np.zeros((1, 1), dtype=np.int64)] * 2
+        expected = [dfs_indecomposable(A) for A in stack]
+        assert is_indecomposable_matrix(np.array(stack)).tolist() == expected, n
+        assert is_indecomposable_matrix(np.reshape(stack, (2, 6, n, n))).tolist() == \
+            np.reshape(expected, (2, 6)).tolist(), n
+        assert is_indecomposable_matrix(np.zeros((0, n, n))).shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3, 2), (2, 2, 3, 1), ()])
+def test_stacked_indecomposable_refuses_non_square_matrices(shape):
+    with pytest.raises(ValueError):
+        is_indecomposable_matrix(np.ones(shape))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
 def test_closure_defect_matches_the_triple_loop(name):
     ring = ring_of(name)
     rng = random.Random(name)

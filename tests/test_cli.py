@@ -1,15 +1,18 @@
 """Command-line interface: subcommands, exit codes, formats, determinism."""
 
 import json
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import SAMPLE_NAMES, count_calls, entry, ring_of, wrap_ring
-from fusionring import catalog, grading, kernel, modular, save_ring, save_smatrix, subcat
+from conftest import (
+    ALL_NAMES, COMMUTATIVE_NAMES, MODULAR_NAMES, SAMPLE_NAMES, count_calls, entry, ring_of,
+    wrap_ring)
+from fusionring import catalog, cli, grading, kernel, modular, save_ring, save_smatrix, subcat
 from fusionring import ring as ring_module
-from fusionring.cli import _build_parser, _power_sweep, main
+from fusionring.cli import _build_parser, _dumps, _power_sweep, main
 
 
 def run(capsys, *argv):
@@ -373,3 +376,118 @@ def test_power_sweep_stays_within_a_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * r**3
+
+
+def indented_json(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def built_reports(capsys, monkeypatch, calls):
+    """The report of each call, as main hands it to _emit."""
+    reports, emit = [], cli._emit
+
+    def record(report, fmt, out):
+        reports.append(report)
+        emit(report, fmt, out)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    for argv in calls:
+        run(capsys, *argv)
+    return reports
+
+
+def test_dumps_writes_every_catalog_report_as_json_dumps(capsys, monkeypatch):
+    calls = [["list-builtins"]]
+    for name in ALL_NAMES:
+        label = ring_of(name).labels[-1]
+        calls += [["analyze", "--ring", name], ["validate", "--ring", name],
+                  ["grading", "--ring", name, "--object", label]]
+        if name in COMMUTATIVE_NAMES:
+            calls += [["characters", "--ring", name], ["kernel", "--ring", name, "--object", label],
+                      ["brauer", "--ring", name, "--object", label]]
+        if name in MODULAR_NAMES:
+            calls.append(["modular", "--ring", name])
+    reports = built_reports(capsys, monkeypatch, calls)
+    assert len(reports) == len(calls)
+    for argv, report in zip(calls, reports):
+        assert _dumps(report) == indented_json(report), argv
+
+
+@pytest.mark.parametrize("family, n", [("su2_k", 40), ("pointed_zn", 48), ("pointed_zn", 64)])
+def test_dumps_writes_the_ladder_reports_as_json_dumps(capsys, monkeypatch, tmp_path, family, n):
+    ring = getattr(catalog, f"_{family}")(n)
+    ring_path, s_path = tmp_path / "ring.json", tmp_path / "s.json"
+    save_ring(ring, ring_path)
+    save_smatrix(modular.modular_data(ring, getattr(catalog, f"_{family}_smatrix")(n)), s_path)
+    calls = [["validate", "--ring", str(ring_path)],
+             ["modular", "--ring", str(ring_path), "--smatrix", str(s_path)]]
+    reports = built_reports(capsys, monkeypatch, calls)
+    assert len(reports) == 2 and all(_dumps(r) == indented_json(r) for r in reports)
+
+
+# text that a join on ", " or "], [", or a search for "n", could misread once escaped
+STRING_PIECES = [", ", "], [", "[", "]", "n", "nan", "inf", '"', "\\", "\x00", "\x1f", "\n\t",
+                 "\x7f", "\xe9", "\u2028", "\U0001f600", "chi0", ""]
+NUMBERS = [0, 1, -1, 2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**64, 10**30, 0.0, -0.0, 0.1, 1.5,
+           -2.5e-8, 2.0**53, 5e-324, 1e300, -1e300, float("nan"), float("inf"), float("-inf")]
+
+
+def adversarial_value(rng, depth):
+    """A seeded JSON value from the pieces above; empty lists and dicts can occur at any depth."""
+    def text():
+        return "".join(rng.choices(STRING_PIECES, k=rng.randrange(4)))
+
+    def numbers(size):
+        return [rng.choice(NUMBERS) for _ in range(rng.randrange(size))]
+
+    kind = rng.randrange(10 if depth else 7)
+    if kind == 0:
+        return text()
+    if kind == 1:
+        return rng.choice(NUMBERS + [True, False, None, np.float64(rng.choice(NUMBERS))])
+    if kind == 2:
+        return numbers(6)
+    if kind == 3:
+        return [text() for _ in range(rng.randrange(5))]
+    if kind == 4:  # rows of numbers, sometimes an empty one
+        return [numbers(4) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return [rng.choice(NUMBERS + [True, False, None, np.float64(1.5)])
+                for _ in range(rng.randrange(6))]
+    if kind == 6:
+        return [[text() for _ in range(rng.randrange(3))] for _ in range(rng.randrange(4))]
+    if kind == 7:
+        return [adversarial_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {text(): adversarial_value(rng, depth - 1) for _ in range(rng.randrange(4))}
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [1]], [[1, 2.5], []], [[1.0, -0.0], [2, 3]],
+    [[1, 2], [float("nan"), 1]], [[float("inf")]], [1, 2.5, True, None], [True, False],
+    [5e-324, 1e300, -0.0, 2**63, -2**63 - 1], [np.float64(2.5), 1], np.float64(-0.0),
+    np.float64("nan"), [[np.float64(1.0)]], ["], [", ", ", "n", '\xe9"]', "\U0001f600"],
+    {"], [": [", "], "a, b": {"": []}, "\x00": [[1, 2]]},
+])
+def test_dumps_matches_json_dumps_on_edge_values(value):
+    assert _dumps(value) == indented_json(value)
+
+
+def test_dumps_matches_json_dumps_on_a_seeded_corpus():
+    rng = random.Random(1503)
+    for _ in range(3000):
+        value = adversarial_value(rng, depth=3)
+        assert _dumps(value) == indented_json(value), repr(value)
+
+
+def test_json_output_bypasses_the_pure_python_encoder(capsys, monkeypatch):
+    # json.dumps with an indent runs json.encoder._make_iterencode, a generator per value
+    argv = ["analyze", "--ring", "pointed_zn(24)", "--format", "json"]
+    expected = run(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(RuntimeError):
+        indented_json([1])
+    assert run(capsys, *argv) == expected and expected[0] == 0
