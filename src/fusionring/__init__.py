@@ -1,5 +1,6 @@
 """Fusion ring invariants: spectral data, kernels, gradings, modular centralizers."""
 
+from .analysis import analyze_report, modular_report
 from .catalog import CatalogEntry, all_builtin_names, builtin, load_ring, load_smatrix, save_ring, save_smatrix
 from .grading import GradingData, object_index, object_order, universal_grading
 from .kernel import (
@@ -50,6 +51,7 @@ __all__ = [
     "ValidationReport",
     "adjoint_class",
     "all_builtin_names",
+    "analyze_report",
     "basis_vector",
     "bilinear_m",
     "builtin",
@@ -71,6 +73,7 @@ __all__ = [
     "load_ring",
     "load_smatrix",
     "modular_data",
+    "modular_report",
     "object_index",
     "object_order",
     "primitive_idempotents",

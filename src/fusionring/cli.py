@@ -1,5 +1,6 @@
-"""Command-line front end: analysis reports over catalog or file-supplied rings.
+"""Command-line front end: argv parsing and rendering of what the library returns.
 
+The analyze and modular reports and their theorem checks come from fusionring.analysis.
 Exit codes: 0 success, 1 validation or theorem failure, 2 usage error.
 All user-facing input and output uses labels, never basis indices; the
 character rows are reported as value vectors named chi0, chi1, ...
@@ -15,11 +16,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import catalog, grading, kernel, modular, spectral, subcat
-from .errors import (
-    FusionRingError, InternalInconsistency, NonCommutative, UnknownName, ValidationFailed)
+from . import analysis, catalog, grading, kernel, spectral
+from .analysis import _power_sweep  # noqa: F401  (imported from here by the tests)
+from .errors import FusionRingError, NonCommutative, UnknownName, ValidationFailed
 from .ring import FusionRing, ValidationReport
 
 
@@ -30,185 +29,6 @@ def _load_ring_arg(arg: str) -> tuple[FusionRing, object]:
         return catalog.load_ring(path), None
     entry = catalog.builtin(arg)
     return entry.ring, entry
-
-
-def _ring_block(ring: FusionRing, fp: spectral.FPData, commutative: bool) -> dict:
-    return {
-        "name": ring.name,
-        "rank": ring.rank,
-        "labels": list(ring.labels),
-        "commutative": commutative,
-        "fp_dims": dict(zip(ring.labels, fp.dims.tolist())),
-        "global_dim": float(fp.global_dim),
-    }
-
-
-def _character_block(ring: FusionRing, table: spectral.CharacterTable) -> dict:
-    values = np.stack((table.characters.real, table.characters.imag), axis=-1).tolist()
-    return {
-        "labels": list(ring.labels),
-        "characters": {f"chi{t}": row for t, row in enumerate(values)},
-        "codegrees": table.codegrees.tolist(),
-        "fp_character": "chi0",
-    }
-
-
-def _simple_block(ring, i, grad, kern, center) -> dict:
-    block: dict = {
-        "label": ring.labels[i],
-        "faithful": subcat.is_faithful(ring, i),
-        "index": grad.index,
-        "order": grad.order,
-        "grading_components": [[ring.labels[m] for m in comp] for comp in grad.components],
-        "grading_character_checked": grad.character_checked,
-    }
-    if kern is not None:
-        block["kernel_characters"], block["center_characters"] = _names(kern), _names(center)
-    return block
-
-
-def _names(characters) -> list[str]:
-    return sorted(f"chi{t}" for t in characters)
-
-
-def _power_sweep(ring: FusionRing, ind: list[int]):
-    """Support sweep over the powers of all simples at once, exact as N >= 0.
-
-    Step n takes, for every simple e_i still swept, the support of e_i^n from
-    the one before: e_k is in it when N[i][j][k] > 0 for some j in that
-    support, a gather of the rows of those (i, j) pairs, scattered into one
-    boolean matrix. Simple i is swept until the first step whose support holds
-    no simple absent from its earlier powers, at most rank steps: every later
-    support lies in the simples seen, so every first exponent is known. The
-    least residue clash is one step past the first exponent of some simple,
-    and the first unit return one step past that of a simple with an edge to
-    the unit, so both show by then. Returns the (generator, simple, exponent,
-    later exponent) least in (later exponent, generator, simple) whose
-    exponents differ by a non-multiple of ind, or None, and per simple the
-    least n >= 1 whose power holds the unit (0 if none).
-    """
-    r, unit, p = ring.rank, ring.unit, np.asarray(ind, dtype=np.int64)
-    edges = ring.N > 0
-    supp = np.zeros((r, r), dtype=bool)  # supp[row]: that of e_swept[row]^n
-    supp[:, unit] = True
-    first = np.full((r, r), -1)  # first[i, k]: least n with e_k in e_i^n
-    first[:, unit] = 0
-    clash, returns = None, np.zeros(r, dtype=np.int64)
-    swept, n = np.arange(r), 0
-    while swept.size:
-        n += 1
-        pos, j = supp.nonzero()
-        pair, k = edges[swept[pos], j].nonzero()
-        supp = np.zeros((swept.size, r), dtype=bool)
-        supp[pos[pair], k] = True
-        seen = first[swept]
-        new = supp & (seen < 0)
-        seen[new] = n
-        first[swept] = seen
-        returns[swept[(returns[swept] == 0) & supp[:, unit]]] = n
-        if clash is None:
-            bad = np.argwhere(supp & ((n - seen) % p[swept, None] != 0))
-            if bad.size:
-                row, k = bad[0].tolist()
-                clash = (int(swept[row]), k, int(seen[row, k]), n)
-        grew = new.any(axis=1)
-        swept, supp = swept[grew], supp[grew]
-    return clash, returns
-
-
-def _run_checks(ring, table, kernels) -> list[dict]:
-    """Theorem checks reported in analyze; one pass/fail entry each.
-
-    kernels holds the kernel of each simple (None without a character table).
-    """
-    checks = []
-
-    def record(name, fn):
-        try:
-            detail = fn()
-            checks.append({"name": name, "passed": True, "detail": detail or "ok"})
-        except FusionRingError as exc:
-            checks.append({"name": name, "passed": False, "detail": str(exc)})
-
-    def brauer_equivalence():
-        # each simple fails as when the simples were checked in turn, both tests on each:
-        # the Brauer check covers the simples before the first faithful/indecomposable mismatch
-        indecomposable = subcat.is_indecomposable_matrix(ring.N.transpose(0, 2, 1))
-        split = next((i for i in range(ring.rank)
-                      if subcat.is_faithful(ring, i) != indecomposable[i]), ring.rank)
-        if table is not None:
-            kernel.check_brauer(ring, range(split),
-                                [k == {table.fp_index} for k in kernels[:split]])
-        if split < ring.rank:
-            raise InternalInconsistency(f"simple {ring.labels[split]}: faithful != indecomposable")
-
-    @functools.lru_cache(maxsize=None)
-    def sweep():  # its own support sweep: the power checks test the profile, not reuse it
-        ind = [grading.object_index(ring, i) for i in range(ring.rank)]
-        return ind, *_power_sweep(ring, ind)
-
-    def residue_classes():
-        ind, clash, _ = sweep()
-        if clash is not None:
-            i, k, m, n = clash
-            raise InternalInconsistency(
-                f"simple {ring.labels[k]} occurs in powers of {ring.labels[i]} at exponents "
-                f"{m} and {n}, not congruent mod {ind[i]}")
-
-    def index_divides_order():
-        ind, _, returns = sweep()
-        for i in range(ring.rank):
-            order = grading.object_order(ring, i)
-            if returns[i] != order:
-                raise InternalInconsistency(
-                    f"simple {ring.labels[i]}: unit first recurs in power {returns[i]}, "
-                    f"object_order says {order}")
-            if order % ind[i]:
-                raise InternalInconsistency(
-                    f"simple {ring.labels[i]}: order {order} not divisible by index {ind[i]}")
-
-    def orthogonality():
-        C = table.characters
-        weights = 1.0 / table.codegrees
-        gram = np.einsum("t,ti,tj->ij", weights, C, C.conj())
-        residual = float(np.abs(gram - np.eye(ring.rank)).max())
-        if not residual < spectral.AGGREGATE_EPS:  # a NaN residual fails too
-            raise InternalInconsistency(f"orthogonality residual {residual:g}")
-        return f"max residual {residual:.2e}"
-
-    record("brauer_equivalence", brauer_equivalence)
-    record("power_residue_classes", residue_classes)
-    record("index_divides_order", index_divides_order)
-    if table is not None:
-        record("character_orthogonality", orthogonality)
-    return checks
-
-
-def _spectral_data(ring, eps, seed):
-    """(fp, commutative, table) of a ring; table is None when it is noncommutative."""
-    fp, commutative = spectral.fp_character(ring, eps=eps), spectral.is_commutative(ring)
-    table = spectral.character_table(ring, eps=eps, seed=seed) if commutative else None
-    return fp, commutative, table
-
-
-def _analyze_report(ring, eps, seed, with_checks=True) -> dict:
-    fp, commutative, table = _spectral_data(ring, eps, seed)
-    report: dict = {"ring": _ring_block(ring, fp, commutative)}
-    if table is not None:
-        report["character_table"] = _character_block(ring, table)
-    else:
-        report["notice"] = "noncommutative Grothendieck ring: no character data"
-    simples = range(ring.rank)
-    gradings = grading.grade_simples(ring, simples, fp, table, eps=eps, seed=seed)
-    kernels = centers = [None] * ring.rank
-    if table is not None:  # the support matrix of the simples is the identity
-        kernels, centers = (kernel.characters_at_fpdim(fp, table, np.eye(ring.rank), eps, modulus)
-                            for modulus in (False, True))
-    report["simples"] = [_simple_block(ring, i, gradings[i], kernels[i], centers[i])
-                         for i in simples]
-    if with_checks:
-        report["checks"] = _run_checks(ring, table, kernels)
-    return report
 
 
 def _render_text(report: dict, out) -> None:
@@ -387,13 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _object_index(ring: FusionRing, label: str, parser) -> int:
-    try:
-        return ring.index_of(label)
-    except KeyError:
-        parser.error(f"ring has no simple labeled {label!r}")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -422,27 +235,28 @@ def main(argv=None) -> int:
             code = 0 if verdict.valid else 1
 
         elif args.command == "analyze":
-            report = _analyze_report(ring, eps, seed, with_checks=not args.no_verify)
+            report = analysis.analyze_report(ring, eps, seed, checks=not args.no_verify)
             code = 1 if any(not c["passed"] for c in report.get("checks", [])) else 0
 
         elif args.command == "characters":
             table = spectral.character_table(ring, eps=eps, seed=seed)
             fp = spectral.fp_character(ring, eps=eps)
-            report = {
-                "ring": _ring_block(ring, fp, True),
-                "character_table": _character_block(ring, table),
-            }
+            report = {"ring": analysis.ring_block(ring, fp, True),
+                      "character_table": analysis.character_block(ring, table)}
 
         elif args.command in ("kernel", "grading", "brauer"):
-            i = _object_index(ring, args.object, parser)
-            fp, _, table = _spectral_data(ring, eps, seed)
+            try:
+                i = ring.index_of(args.object)
+            except KeyError:
+                parser.error(f"ring has no simple labeled {args.object!r}")
+            fp, table = analysis.spectral_data(ring, eps, seed)
             if args.command == "kernel":
                 if table is None:
                     raise NonCommutative("kernel of a class requires a commutative ring")
-                e = ring.basis_vector(i)
+                e, names = ring.basis_vector(i), analysis.character_names
                 report = {"label": args.object,
-                          "kernel": _names(kernel.kernel_of_class(ring, fp, table, e, eps)),
-                          "center": _names(kernel.center_of_class(ring, fp, table, e, eps))}
+                          "kernel": names(kernel.kernel_of_class(ring, fp, table, e, eps)),
+                          "center": names(kernel.center_of_class(ring, fp, table, e, eps))}
             elif args.command == "grading":
                 grad = grading.universal_grading(ring, i, fp, table, eps=eps, seed=seed)
                 report = {"label": args.object,
@@ -471,24 +285,7 @@ def main(argv=None) -> int:
                 md = entry.smatrix
             else:
                 parser.error("no built-in modular data for this ring; pass --smatrix")
-            fp = spectral.fp_character(ring, eps=eps)
-            inv = modular.invertibles(ring, fp, eps=eps)
-            report = {
-                "ring": _ring_block(ring, fp, spectral.is_commutative(ring)),
-                "centralizers": {
-                    ring.labels[i]: [ring.labels[m]
-                                     for m in modular.centralizer(md, i, eps=eps).members]
-                    for i in range(ring.rank)},
-                "projective_centralizers": {
-                    ring.labels[i]: sorted(ring.labels[m]
-                                           for m in modular.projective_centralizer(md, i, eps=eps))
-                    for i in range(ring.rank)},
-                "invertibles": sorted(ring.labels[j] for j in inv),
-                "verlinde_round_trip": True,  # modular_data raises unless it holds
-            }
-
-        else:
-            parser.error(f"unknown command {args.command!r}")
+            report = analysis.modular_report(md, eps)
         _emit(report, args.format, out)
         return code
     except UnknownName as exc:
