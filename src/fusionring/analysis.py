@@ -42,7 +42,7 @@ def character_names(characters) -> list[str]:
 
 def spectral_data(ring, eps, seed):
     """(fp, table) of a ring; table is None when it is noncommutative."""
-    fp, commutative = spectral.fp_character(ring, eps=eps), spectral.is_commutative(ring)
+    fp, commutative = spectral.fp_character(ring), spectral.is_commutative(ring)
     return fp, spectral.character_table(ring, eps=eps, seed=seed) if commutative else None
 
 
@@ -185,7 +185,7 @@ def modular_report(md: modular.ModularData, eps: float = spectral.DEFAULT_EPS) -
     """The report of `fusionring modular`: the centralizer and projective centralizer
     of each simple, and the invertible simples, from validated modular data."""
     ring, labels = md.ring, md.ring.labels
-    fp = spectral.fp_character(ring, eps=eps)
+    fp = spectral.fp_character(ring)
     inv = modular.invertibles(ring, fp, eps=eps)
     return {
         "ring": ring_block(ring, fp, spectral.is_commutative(ring)),

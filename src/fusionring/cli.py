@@ -240,7 +240,7 @@ def main(argv=None) -> int:
 
         elif args.command == "characters":
             table = spectral.character_table(ring, eps=eps, seed=seed)
-            fp = spectral.fp_character(ring, eps=eps)
+            fp = spectral.fp_character(ring)
             report = {"ring": analysis.ring_block(ring, fp, True),
                       "character_table": analysis.character_block(ring, table)}
 

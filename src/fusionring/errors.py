@@ -26,7 +26,7 @@ class AmbiguousDual(FusionRingError):
 
 
 class ConvergenceFailure(FusionRingError):
-    """Power iteration did not stabilize within the iteration budget."""
+    """The top eigenvector of the summed fusion matrices is not strictly positive."""
 
 
 class NonCommutative(FusionRingError):

@@ -113,7 +113,7 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
     grade = level % ind
 
     if fp is None:
-        fp = fp_character(ring, eps=eps)
+        fp = fp_character(ring)
     if table is None and is_commutative(ring):
         table = character_table(ring, eps=eps, seed=seed)
     if table is not None:

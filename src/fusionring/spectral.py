@@ -1,9 +1,10 @@
 """Spectral data of a commutative fusion ring.
 
 Computes the Frobenius-Perron character (the unique basis-positive ring
-homomorphism), the full character table by simultaneous diagonalization of
-the commuting left-multiplication matrices, formal codegrees
-f_t = sum_j mu_t(j) mu_t(j*), and the primitive central idempotents.
+homomorphism) as the top eigenvector of one symmetric eigensolve, exact to
+rounding whatever the tolerance; the full character table by simultaneous
+diagonalization of the commuting left-multiplication matrices, formal
+codegrees f_t = sum_j mu_t(j) mu_t(j*), and the primitive central idempotents.
 within_eps holds the one tolerance rule of every membership test.
 """
 
@@ -30,7 +31,6 @@ AGGREGATE_EPS = 1e-8
 DEFAULT_SEED = 0
 
 _MAX_RETRIES = 8
-_POWER_ITERATION_CAP = 10_000
 
 
 @dataclass
@@ -78,36 +78,27 @@ def _check_eps(eps) -> None:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")  # also refuses NaN
 
 
-def fp_character(ring: FusionRing, eps: float = DEFAULT_EPS,
-                 max_iter: int = _POWER_ITERATION_CAP) -> FPData:
-    """Frobenius-Perron dimensions via power iteration.
+def fp_character(ring: FusionRing) -> FPData:
+    """Frobenius-Perron dimensions from one symmetric eigensolve.
 
     The vector d of FP dimensions satisfies (A_i^T d)_j = d_i d_j for every
     fusion matrix A_i, hence is the principal eigenvector of the strictly
-    positive matrix M[j][k] = sum_i N[i][j][k]. Iteration starts from the
-    all-ones vector and stops when the componentwise relative change drops
-    two orders of magnitude below eps (the spectral gap can amplify the
-    stopping residual, so the margin keeps the returned dims accurate to
-    eps); d is then normalized so that d[unit] = 1.
+    positive matrix M[j][k] = sum_i N[i][j][k]. M is symmetric on a valid ring:
+    by Frobenius reciprocity N[i][j][k] = N[i*][k][j], and i -> i* permutes the
+    simples, so M[j][k] = M[k][j]. One np.linalg.eigh of the exact integer sum
+    M + M^T gives that eigenvector: on a valid ring the sum is 2M, and on a ring
+    never validated (modular_data reads such rings) it is still symmetric. The
+    top eigenvector, signed so that its unit entry is nonnegative, must be
+    strictly positive, or ConvergenceFailure; d is then normalized so that
+    d[unit] = 1. No tolerance enters, so the dims do not move with eps.
     """
-    _check_eps(eps)
-    r = ring.rank
-    M = ring.N.sum(axis=0).astype(float)
-    threshold = eps * 1e-2
-    v = np.ones(r)
-    for _ in range(max_iter):
-        w = M @ v
-        w /= np.abs(w).max()
-        if np.max(np.abs(w - v)) < threshold * np.max(np.abs(w)):
-            v = w
-            break
-        v = w
-    else:
-        raise ConvergenceFailure(
-            f"principal eigenvector did not stabilize in {max_iter} iterations")
-    dims = v / v[ring.unit]
-    if dims.min() <= 0:
+    M = ring.N.sum(axis=0)
+    v = np.linalg.eigh((M + M.T).astype(float))[1][:, -1]
+    if v[ring.unit] < 0:
+        v = -v
+    if v.min() <= 0:
         raise ConvergenceFailure("principal eigenvector is not strictly positive")
+    dims = v / v[ring.unit]
     return FPData(dims=dims, global_dim=float(np.sum(dims**2)))
 
 

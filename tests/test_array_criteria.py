@@ -549,7 +549,7 @@ def loop_universal_grading(ring, i, fp=None, table=None, eps=DEFAULT_EPS, seed=D
     else:
         small = restrict(ring, sub)
         if is_commutative(small):
-            dims = fp_character(small, eps=eps).dims
+            dims = fp_character(small).dims
             chars = character_table(small, eps=eps, seed=seed).characters
 
     if chars is not None:

@@ -192,6 +192,29 @@ def test_bad_numbers_are_usage_errors(capsys, argv):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["1e-5", "1e-4", "1e-3"])
+def test_analyze_passes_every_check_on_the_catalog_at_a_loose_epsilon(capsys, eps):
+    # FP dimensions come from an eigensolve, not an iteration stopped at a multiple of
+    # eps, so the grading's cross-check against a character holds at any eps
+    for name in ALL_NAMES:
+        code, out, err = run(capsys, "analyze", "--ring", name, "--epsilon", eps,
+                             "--format", "json")
+        assert (code, err) == (0, ""), name
+        assert all(check["passed"] for check in json.loads(out)["checks"]), name
+
+
+def test_grading_passes_at_a_loose_epsilon(capsys):
+    code, out, err = run(capsys, "grading", "--ring", "ising", "--object", "sigma",
+                         "--epsilon", "1e-4")
+    assert code == 0 and err == ""
+
+
+def test_analyze_prints_the_global_dimension_to_the_last_digit(capsys):
+    # (5 + sqrt 5) / 2 = 3.618033988749895, printed to 12 significant digits
+    code, out, _ = run(capsys, "analyze", "--ring", "fibonacci")
+    assert code == 0 and "global dim: 3.61803398875\n" in out
+
+
 def test_modular_without_data_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["modular", "--ring", "rep_s3"])

@@ -1,10 +1,13 @@
 """Error paths that healthy catalog data never reaches."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import entry, fp_of, ring_of, table_of
 from fusionring import (
+    FusionRing,
     Subcategory,
     center_of_class,
     centralizer,
@@ -35,9 +38,15 @@ from fusionring.spectral import CharacterTable, FPData, build_table
 from fusionring.subcat import _build_profiles, closure_defect, profiles
 
 
-def test_convergence_failure_on_tiny_budget():
-    with pytest.raises(ConvergenceFailure):
-        fp_character(ring_of("tambara_yamagami_zn(12)"), max_iter=2)
+def test_convergence_failure_when_the_top_eigenvector_is_not_positive():
+    # N[0] = I, N[1] = 0: M = sum_i N[i] = I is reducible, its top eigenvector is e_1,
+    # zero at the unit; the refusal comes before any division by that entry
+    ring = FusionRing(labels=["1", "x"], N=[np.eye(2, dtype=int), np.zeros((2, 2), dtype=int)],
+                      dual=(0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceFailure, match="not strictly positive"):
+            fp_character(ring)
 
 
 def test_build_table_rejects_non_characters():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import COMMUTATIVE_NAMES, fp_of, ring_of, table_of
+from conftest import ALL_NAMES, COMMUTATIVE_NAMES, fp_of, ring_of, table_of
 from fusionring import (
     adjoint_class,
     bilinear_m,
@@ -248,6 +248,19 @@ def test_fp_character_matches_table_everywhere():
         assert np.abs(table_of(name).characters[0] - fp_of(name).dims).max() < 1e-8
 
 
+@pytest.mark.parametrize("ring", [ring_of(name) for name in ALL_NAMES]
+                         + [catalog._su2_k(40), catalog._su2_k(120), catalog._pointed_zn(64)],
+                         ids=lambda ring: ring.name)
+def test_fp_dims_are_exact_to_rounding(ring):
+    # d_i d_j = sum_k N[i][j][k] d_k, and on a commutative ring d is chi0's real part,
+    # both to 1e-13 of the scale whatever the tolerance elsewhere
+    d = fp_character(ring).dims
+    outer = np.outer(d, d)
+    assert np.abs(outer - ring.N @ d).max() <= 1e-13 * outer.max()
+    if is_commutative(ring):
+        assert np.abs(character_table(ring).characters[0].real - d).max() <= 1e-13 * d.max()
+
+
 def test_within_eps_is_strict_and_can_compare_moduli():
     assert within_eps([1.0, 1.5, 2.0], 1.0, 0.5) == [0]  # 0.5 away is outside
     assert within_eps([1.0, 1j, -2.0], [1.0, 1.0, 1.0], 0.1, modulus=True) == [0, 1]
@@ -256,8 +269,6 @@ def test_within_eps_is_strict_and_can_compare_moduli():
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
 def test_a_tolerance_that_is_not_positive_and_finite_is_refused(eps):
     ising = ring_of("ising")
-    with pytest.raises(ValueError, match="eps must be positive and finite"):
-        fp_character(ising, eps=eps)
     with pytest.raises(ValueError, match="eps must be positive and finite"):
         character_table(ising, eps=eps)
     with pytest.raises(ValueError, match="eps must be positive and finite"):
