@@ -63,7 +63,7 @@ def _power_sweep(ring: FusionRing, ind: list[int]):
     least n >= 1 whose power holds the unit (0 if none).
     """
     r, unit, p = ring.rank, ring.unit, np.asarray(ind, dtype=np.int64)
-    edges = ring.N > 0
+    edges = ring.edges  # the pattern the profiles search too; the stepping below is the sweep's own
     supp = np.zeros((r, r), dtype=bool)  # supp[row]: that of e_swept[row]^n
     supp[:, unit] = True
     first = np.full((r, r), -1)  # first[i, k]: least n with e_k in e_i^n

@@ -7,7 +7,8 @@ m m = (sum of G) + k m: fibonacci = K(1, 1), ising = K(Z2, 0), rep_s3 =
 K(Z2, 1), rep_q8 = K(Z2 x Z2, 0) and tambara_yamagami_zn(n) = K(Z_n, 0). The
 su(2) level-k Verlinde ring su2_k(k) is the truncated Clebsch-Gordan mask.
 S-matrices come from exact expressions (sqrt, golden ratio, sines of rational
-angles). Each ring is validated once; each S-matrix, built in or loaded, is
+angles). builtin builds and validates each entry once per process, on first
+use, and returns that entry after; each S-matrix, built in or loaded, is
 checked once, by modular_data: a built-in one on first use of entry.smatrix.
 
 File formats (JSON, text):
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
 from typing import Callable
@@ -41,12 +42,13 @@ from .modular import ModularData, modular_data
 from .ring import (FusionRing, ValidationReport, _int64_from_lists, dual_from_structure, relabel,
                    structure_constants, validate)
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogEntry:
     """A built-in ring, its notes, and its modular data if it ships with an S-matrix.
 
-    smatrix is built and checked by modular_data on first access, once per
-    entry, and is None for an entry without an S-matrix.
+    name is the canonical one, as list-builtins gives it. smatrix is built and
+    checked by modular_data on first access, once per entry, with a read-only S,
+    and is None for an entry without an S-matrix.
     """
 
     name: str
@@ -56,7 +58,11 @@ class CatalogEntry:
 
     @cached_property
     def smatrix(self) -> ModularData | None:
-        return None if self.make_smatrix is None else modular_data(self.ring, self.make_smatrix())
+        if self.make_smatrix is None:
+            return None
+        md = modular_data(self.ring, self.make_smatrix())
+        md.S.setflags(write=False)
+        return md
 
 
 def _group_ring(labels, table, name, k=None):
@@ -165,6 +171,9 @@ _CATALOG = {
 
 _NAME_RE = re.compile(r"^([a-z0-9_]+)\((\d+)\)$")
 
+# (family, parameters) -> its entry, built on first use; at most one per all_builtin_names()
+_ENTRIES: dict[tuple[str, tuple[int, ...]], CatalogEntry] = {}
+
 
 def all_builtin_names() -> list[str]:
     return [f"{family}({n})" if top else family
@@ -172,7 +181,12 @@ def all_builtin_names() -> list[str]:
 
 
 def builtin(name: str) -> CatalogEntry:
-    """Construct the named built-in entry; raises UnknownName otherwise."""
+    """The named built-in entry; raises UnknownName otherwise.
+
+    The name is parsed and range-checked on every call. The entry is built and
+    validated on the first call for its (family, parameter), and that same
+    entry is returned after, also for an alias such as pointed_zn(05).
+    """
     m = _NAME_RE.match(name)
     family, args = (m.group(1), (int(m.group(2)),)) if m else (name, ())
     if family not in _CATALOG or bool(_CATALOG[family][2]) != bool(args):
@@ -180,12 +194,16 @@ def builtin(name: str) -> CatalogEntry:
     make_ring, make_s, top, notes = _CATALOG[family]
     if args and not 1 <= args[0] <= top:
         raise UnknownName(f"{family} parameter must be in 1..{top}, got {args[0]}")
-    ring = make_ring(*args)
-    report = validate(ring)
-    if not report.valid:
-        raise ValidationFailed(report)
-    return CatalogEntry(name=name, ring=ring, notes=notes,
-                        make_smatrix=None if make_s is None else partial(make_s, *args))
+    entry = _ENTRIES.get((family, args))
+    if entry is None:
+        ring = make_ring(*args)
+        report = validate(ring)
+        if not report.valid:
+            raise ValidationFailed(report)
+        entry = _ENTRIES[family, args] = CatalogEntry(
+            name=ring.name, ring=ring, notes=notes,
+            make_smatrix=None if make_s is None else partial(make_s, *args))
+    return entry
 
 
 def _require(data: dict, key: str, kind, context: str):
@@ -256,7 +274,7 @@ def load_ring(path) -> FusionRing:
     ring = FusionRing(labels=tuple(labels), N=N, dual=recomputed, unit=unit, name=name)
     del N  # the ring holds its own copy
     if unit != 0:
-        ring = replace(relabel(ring, [unit] + [i for i in range(rank) if i != unit]), name=name)
+        ring = relabel(ring, [unit] + [i for i in range(rank) if i != unit], name=name)
     report = validate(ring)
     if not report.valid:
         raise ValidationFailed(report, ring=ring)

@@ -12,6 +12,7 @@ integer, Python integers otherwise, so it never rounds or wraps around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -169,6 +170,17 @@ class FusionRing:
     def rank(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The read-only pattern N > 0, built on first use: edges[i, j, k] iff e_k is in e_i * e_j.
+
+        validate's choice of generators, the profiles' searches and analyze's power
+        sweep all read this one array, so a ring builds its r^3 bytes once.
+        """
+        edges = self.N > 0
+        edges.setflags(write=False)
+        return edges
+
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -243,9 +255,10 @@ def closure_defect(ring: FusionRing, members: Iterable[int]):
     return None
 
 
-def relabel(ring: FusionRing, order) -> FusionRing:
-    """The unnamed ring on the simples `order` of ring: order[p] becomes p, order[0] the unit.
-    A permutation relabels the ring; a list closed under products and duals restricts it.
+def relabel(ring: FusionRing, order, name: str = "") -> FusionRing:
+    """The ring on the simples `order` of ring: order[p] becomes p, order[0] the unit.
+    It is named `name`, unnamed by default. A permutation relabels the ring; a list
+    closed under products and duals restricts it.
     IndexError for an index outside the ring, then NotClosed for a list that is not
     closed, then ValueError for a list that repeats a simple or does not start at the unit."""
     check_simples(ring.rank, order)
@@ -258,7 +271,7 @@ def relabel(ring: FusionRing, order) -> FusionRing:
     pos = {a: p for p, a in enumerate(order)}
     return FusionRing(labels=tuple(ring.labels[a] for a in order),
                       N=ring.N[np.ix_(order, order, order)],
-                      dual=tuple(pos[ring.dual[a]] for a in order), unit=0)
+                      dual=tuple(pos[ring.dual[a]] for a in order), unit=0, name=name)
 
 
 @dataclass
@@ -311,7 +324,7 @@ def _associative_on(N: np.ndarray, dtype, i: int):
     return _first_in_blocks(r, 1, mismatch)
 
 
-def _associativity_witness(N: np.ndarray, unit: int):
+def _associativity_witness(N: np.ndarray, unit: int, edges: np.ndarray):
     """First (i, j, k, l) in C order with ((e_i e_j) e_k)[l] != (e_i (e_j e_k))[l], or None.
 
     Only simples that generate the ring are checked. K = {x : (xy)z = x(yz) for
@@ -327,12 +340,11 @@ def _associativity_witness(N: np.ndarray, unit: int):
     ones lie in K, so the failing simple and its C-order witness are those of
     checking every simple in turn. Products are only tried after a check: before
     the first, the covered set is empty or the unit alone, whose square is
-    itself, so a round there adds nothing.
+    itself, so a round there adds nothing. edges is the pattern N > 0.
     """
     r = len(N)
     bound = _max_abs(N)
     dtype = np.float64 if _float64_exact(bound, bound, r) else object
-    edges = N > 0
     counts = edges.sum(axis=(1, 2))
     order = np.lexsort((counts, counts == r)).tolist()  # stable: ties stay in index order
     covered = np.zeros(r, dtype=bool)
@@ -375,7 +387,7 @@ def validate(ring: FusionRing) -> ValidationReport:
     the witness is the one that checking every simple in index order would
     report: a failing check is followed by checks of the uncovered simples
     below it. The Frobenius mask is formed in blocks too, so beyond N the
-    memory is O(r^2 * block) and byte-sized r^3 patterns of N > 0.
+    memory is O(r^2 * block) and the ring's one pattern N > 0 (ring.edges).
     """
     N = ring.N
     r = ring.rank
@@ -391,7 +403,7 @@ def validate(ring: FusionRing) -> ValidationReport:
     if w is not None:
         violations.append(("unit", w))
 
-    w = _associativity_witness(N, u)
+    w = _associativity_witness(N, u, ring.edges)
     if w is not None:
         violations.append(("associativity", w))
 

@@ -5,11 +5,14 @@ homomorphism) as the top eigenvector of one symmetric eigensolve, exact to
 rounding whatever the tolerance; the full character table by simultaneous
 diagonalization of the commuting left-multiplication matrices, formal
 codegrees f_t = sum_j mu_t(j) mu_t(j*), and the primitive central idempotents.
-within_eps holds the one tolerance rule of every membership test.
+within_eps holds the one tolerance rule of every membership test. The FP
+character and the last character table of each ring are kept while the ring
+lives, as read-only arrays; a call that raises stores nothing.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +35,12 @@ DEFAULT_SEED = 0
 
 _MAX_RETRIES = 8
 
+# ring -> {"fp": FPData, "table": ((eps, seed), CharacterTable)}; an entry goes when its ring
+# is collected
+_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-@dataclass
+
+@dataclass(frozen=True)
 class FPData:
     """Frobenius-Perron dimensions of the simples and the global dimension."""
 
@@ -41,7 +48,7 @@ class FPData:
     global_dim: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharacterTable:
     """All ring homomorphisms to the complex numbers, one per row.
 
@@ -90,8 +97,12 @@ def fp_character(ring: FusionRing) -> FPData:
     never validated (modular_data reads such rings) it is still symmetric. The
     top eigenvector, signed so that its unit entry is nonnegative, must be
     strictly positive, or ConvergenceFailure; d is then normalized so that
-    d[unit] = 1. No tolerance enters, so the dims do not move with eps.
+    d[unit] = 1. No tolerance enters, so the dims do not move with eps, and
+    they are computed once per ring: later calls return the same FPData.
     """
+    fp = _SPECTRA.get(ring, {}).get("fp")
+    if fp is not None:
+        return fp
     M = ring.N.sum(axis=0)
     v = np.linalg.eigh((M + M.T).astype(float))[1][:, -1]
     if v[ring.unit] < 0:
@@ -99,7 +110,9 @@ def fp_character(ring: FusionRing) -> FPData:
     if v.min() <= 0:
         raise ConvergenceFailure("principal eigenvector is not strictly positive")
     dims = v / v[ring.unit]
-    return FPData(dims=dims, global_dim=float(np.sum(dims**2)))
+    dims.setflags(write=False)
+    fp = _SPECTRA.setdefault(ring, {})["fp"] = FPData(dims=dims, global_dim=float(np.sum(dims**2)))
+    return fp
 
 
 def within_eps(values, targets, eps=DEFAULT_EPS, modulus: bool = False) -> list[int]:
@@ -207,8 +220,12 @@ def character_table(ring: FusionRing, eps: float = DEFAULT_EPS,
     the character value vectors. We diagonalize one random real linear
     combination (deterministic seed, default 0) and retry with seed+1, up
     to 8 times, on eigenvalue collision or any verification failure.
+    Each ring keeps the table of its last (eps, seed), returned while they repeat.
     """
     _check_eps(eps)
+    key, table = _SPECTRA.get(ring, {}).get("table", (None, None))
+    if key == (eps, seed):
+        return table
     if not is_commutative(ring):
         raise NonCommutative("character table requires a commutative Grothendieck ring")
     r = ring.rank
@@ -231,10 +248,14 @@ def character_table(ring: FusionRing, eps: float = DEFAULT_EPS,
             continue
         rows = (eigvecs / units[None, :]).T
         try:
-            return build_table(ring, rows, eps=eps)
+            table = build_table(ring, rows, eps=eps)
         except DegenerateCombination as exc:
             last_error = exc
             continue
+        table.characters.setflags(write=False)
+        table.codegrees.setflags(write=False)
+        _SPECTRA.setdefault(ring, {})["table"] = ((eps, seed), table)
+        return table
     raise DegenerateCombination(
         f"no usable linear combination after {_MAX_RETRIES + 1} attempts: {last_error}")
 

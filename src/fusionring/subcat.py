@@ -96,11 +96,11 @@ def _build_profiles(ring: FusionRing, supports: list[frozenset[int]]) -> list[Ob
     """Profiles of objects with the given supports, from batched searches forwards and back."""
     r, unit, count = ring.rank, ring.unit, len(supports)
     if count == r and supports == [frozenset({i}) for i in range(r)]:
-        # the digraphs of all simples are N > 0 itself, searched backwards as a view, not a copy
-        adj = ring.N > 0  # adj[g, j, k]: e_k occurs in e_g * e_j
+        # the digraphs of all simples are the ring's pattern N > 0, searched backwards as a view
+        adj = ring.edges  # adj[g, j, k]: e_k occurs in e_g * e_j
         level, back = _levels(adj, unit), _levels(adj.transpose(0, 2, 1), unit)
     else:  # a few digraphs: one search runs both ways
-        adj = np.array([ring.N[sorted(s)].any(axis=0) for s in supports])
+        adj = np.array([ring.edges[sorted(s)].any(axis=0) for s in supports])
         both = _levels(np.concatenate((adj, adj.transpose(0, 2, 1))), unit)
         level, back = both[:count], both[count:]
     member = level >= 0

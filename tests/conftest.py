@@ -4,8 +4,9 @@ import sys
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
-from fusionring import FusionRing, builtin, character_table, fp_character, is_commutative
+from fusionring import FusionRing, builtin, catalog, character_table, fp_character, is_commutative
 from fusionring.catalog import all_builtin_names
 
 ALL_NAMES = all_builtin_names()
@@ -66,3 +67,10 @@ def count_calls(monkeypatch, fn):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def fresh_catalog(monkeypatch):
+    """An empty builtin cache for one test, restored after it: each builtin it asks for is built,
+    validated and profiled anew, so a test counting that work sees it."""
+    monkeypatch.setattr(catalog, "_ENTRIES", {})

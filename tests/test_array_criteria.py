@@ -284,8 +284,9 @@ def test_closure_defect_sees_even_multiplicities():
     assert closure_defect(ring, [0, 3]) == loop_closure_defect(ring, [0, 3]) == ("product", (3, 3, 2))
 
 
-def every_simple_witness(N, unit):
-    """Reference: the two GEMMs and np.array_equal for every simple in turn, not only generators."""
+def every_simple_witness(N, unit, edges=None):
+    """Reference: the two GEMMs and np.array_equal for every simple in turn, not only generators.
+    The pattern edges, which only orders the generator checks, is not read."""
     r = len(N)
     bound = _max_abs(N)
     M = N.astype(np.float64 if _float64_exact(bound, bound, r) else object)
@@ -796,7 +797,7 @@ def test_validate_checks_one_simple_of_a_permuted_su2_k(monkeypatch):
     for k in range(10):
         ring = unit_fixing_permutation(_su2_k(20), rng)
         checks.clear()
-        assert ring_module._associativity_witness(ring.N, ring.unit) is None
+        assert ring_module._associativity_witness(ring.N, ring.unit, ring.edges) is None
         assert len(checks) == 1, k
         assert ring.labels[checks[0][2]] in ("1", "19")
 
@@ -812,6 +813,6 @@ def test_a_failing_first_check_returns_the_witness_of_checking_every_simple(monk
         N = np.array(ring.N)
         N[b, b, ring.unit] += 1  # keeps every count of product constituents
         checks.clear()
-        w = ring_module._associativity_witness(N, ring.unit)
+        w = ring_module._associativity_witness(N, ring.unit, N > 0)
         assert checks[0][2] == first and w[0] < first, b
         assert w == every_simple_witness(N, ring.unit), b

@@ -58,7 +58,7 @@ def test_modular_data_presence():
         assert has_md == (family in ("fibonacci", "ising", "pointed_zn", "su2_k"))
 
 
-def test_a_builtin_checks_its_smatrix_once_on_first_use(monkeypatch):
+def test_a_builtin_checks_its_smatrix_once_on_first_use(monkeypatch, fresh_catalog):
     checks = count_calls(monkeypatch, modular_data)
     ising = builtin("ising")
     assert checks == []

@@ -308,7 +308,7 @@ def test_power_sweep_stops_early_with_the_full_sweep_result(name, factor):
     assert (clash is None) == (factor == 1)  # the unit alone clashes at twice its index
 
 
-def test_analyze_builds_one_profile_per_simple(capsys, monkeypatch):
+def test_analyze_builds_one_profile_per_simple(capsys, monkeypatch, fresh_catalog):
     builds = count_calls(monkeypatch, subcat._build_profiles)
     for name in SAMPLE_NAMES:
         builds.clear()
@@ -336,7 +336,7 @@ def test_analyze_calls_each_batched_core_once_with_all_simples(capsys, monkeypat
     assert not any(one_simple)
 
 
-def test_queries_on_a_builtin_never_build_its_modular_data(capsys, monkeypatch):
+def test_queries_on_a_builtin_never_build_its_modular_data(capsys, monkeypatch, fresh_catalog):
     checks = count_calls(monkeypatch, modular.modular_data)
     for name in SAMPLE_NAMES:
         label = ring_of(name).labels[-1]
@@ -348,7 +348,7 @@ def test_queries_on_a_builtin_never_build_its_modular_data(capsys, monkeypatch):
     assert code == 0 and "verlinde round trip: PASS" in out and len(checks) == 1
 
 
-def test_validate_subcommand_validates_once(capsys, monkeypatch, tmp_path):
+def test_validate_subcommand_validates_once(capsys, monkeypatch, tmp_path, fresh_catalog):
     path = tmp_path / "ising.json"
     save_ring(ring_of("ising"), path)
     validations = count_calls(monkeypatch, ring_module.validate)

@@ -343,7 +343,7 @@ def test_modular_data_with_a_moved_unit_still_checks_the_ring():
         modular_data(ring, klein)
 
 
-def test_builtin_validates_and_reconstructs_once(monkeypatch):
+def test_builtin_validates_and_reconstructs_once(monkeypatch, fresh_catalog):
     validations = count_calls(monkeypatch, ring_module.validate)
     tensors = count_calls(monkeypatch, modular._verlinde_tensor)
     assert builtin("su2_k(4)").smatrix is not None
