@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
+from json.decoder import WHITESPACE, scanstring
 from typing import Callable
 
 import numpy as np
@@ -215,11 +216,11 @@ def _require(data: dict, key: str, kind, context: str):
     return value
 
 
-def _read_json(path) -> dict:
+def _read_json(path, loads=json.loads) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
+        data = loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
@@ -227,16 +228,91 @@ def _read_json(path) -> dict:
     return data
 
 
+def _loads_ring(text: str):
+    """json.loads(text), except that a dense "N" of single digits comes as _digit_cube's cube."""
+    data = _ring_object(text)
+    return json.loads(text) if data is None else data
+
+
+def _ring_object(text: str) -> dict | None:
+    """The JSON object that text holds, walked with json's own key and value decoders as
+    json.loads walks it (a repeated key keeps its last value), with each "N" that _digit_cube
+    takes as its cube. None, never an exception, for anything else: json.loads then decides the
+    text and names what is wrong with it."""
+    skip = WHITESPACE.match
+    value_at = json.JSONDecoder().raw_decode
+    data = {}
+    try:
+        pos = skip(text).end()
+        if text[pos] != "{":
+            return None
+        pos = skip(text, pos + 1).end()
+        if text[pos] != "}":
+            while True:
+                if text[pos] != '"':
+                    return None
+                key, pos = scanstring(text, pos + 1)
+                pos = skip(text, pos).end()
+                if text[pos] != ":":
+                    return None
+                pos = skip(text, pos + 1).end()
+                digits = _digit_cube(text, pos) if key == "N" else None
+                data[key], pos = value_at(text, pos) if digits is None else digits
+                pos = skip(text, pos).end()
+                if text[pos] != ",":
+                    break
+                pos = skip(text, pos + 1).end()
+            if text[pos] != "}":
+                return None
+        return data if skip(text, pos + 1).end() == len(text) else None
+    except (ValueError, IndexError, RecursionError):
+        return None
+
+
+_CHUNK = 2**20
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _digit_cube(text: str, pos: int):
+    """(cube, end) if the JSON value text[pos:end] is an r x r x r array of single decimal
+    digits, else None; cube is the read-only uint8 array of their values.
+
+    Decided in C-level passes over the text, with no Python int per entry: the value runs to
+    the last "]" before the next quote; with JSON whitespace deleted, its digits each turned to
+    0 must give the text of the all-zero cube of the rank its first row has. So every entry is
+    one digit, and a sign, a point, an exponent, a leading zero, a literal, an empty slot or a
+    space inside a number all fail. The whitespace is deleted a chunk at a time, so a long
+    value is not copied whole.
+    """
+    stop = text.find('"', pos)
+    end = text.rfind("]", pos, len(text) if stop < 0 else stop) + 1
+    try:
+        c = b"".join([text[i:min(i + _CHUNK, end)].encode("ascii").translate(None, b" \t\n\r")
+                      for i in range(pos, end, _CHUNK)])
+    except UnicodeEncodeError:
+        return None
+    r = c.count(b",", 0, c.find(b"]")) + 1
+    # the cube's length, checked first so that its template is never built longer than c
+    if not c.startswith(b"[[[") or len(c) != 2 * r**3 + 2 * r**2 + 2 * r + 1:
+        return None
+    row = b"[" + b"0," * (r - 1) + b"0]"
+    plane = b"[" + b",".join([row] * r) + b"]"
+    if c.translate(_ZERO_DIGITS) != b"[" + b",".join([plane] * r) + b"]":
+        return None
+    return np.frombuffer(c.translate(_DIGIT_VALUES, b"[],"), np.uint8).reshape(r, r, r), end
+
+
 def load_ring(path) -> FusionRing:
     """Load, normalize (unit at 0, dual recomputed) and validate a ring file.
     The dual is recomputed at the file's own unit, so DualMismatch and a duality
     witness give indices in file order; relabel then moves the unit to index 0."""
-    data = _read_json(path)
+    data = _read_json(path, _loads_ring)
     ctx = str(path)
     rank = _require(data, "rank", int, ctx)
     labels = _require(data, "labels", list, ctx)
     unit = _require(data, "unit", int, ctx)
-    N_raw = _require(data, "N", list, ctx)
+    N_raw = _require(data, "N", (list, np.ndarray), ctx)
     name = _require(data, "name", str, ctx) if "name" in data else ""
     if len(labels) != rank or not all(isinstance(s, str) for s in labels):
         raise ParseError(f"{ctx}: labels must be {rank} strings")
@@ -244,7 +320,11 @@ def load_ring(path) -> FusionRing:
         raise ParseError(f"{ctx}: labels must be distinct")
     if not 0 <= unit < rank:
         raise ParseError(f"{ctx}: unit index {unit} out of range")
-    N = _int64_from_lists(N_raw, rank)  # FusionRing below decides it by structure_constants
+    if isinstance(N_raw, np.ndarray) and N_raw.shape == (rank, rank, rank):
+        N = N_raw.astype(np.int64)  # read-only, so FusionRing below keeps it without a copy
+        N.setflags(write=False)
+    else:  # a list, or a digit cube of the wrong rank, which the object route refuses by shape
+        N = _int64_from_lists(N_raw, rank)  # FusionRing below decides it by structure_constants
     if N is None:  # the object-array route, which names what is wrong
         try:
             N = np.asarray(N_raw, dtype=object)
@@ -256,7 +336,7 @@ def load_ring(path) -> FusionRing:
             N = structure_constants(N, rank)
         except ValueError as exc:
             raise ParseError(f"{ctx}: N entries must be nonnegative 64-bit integers") from exc
-    del N_raw, data["N"]  # r^3 parsed JSON values; validate below need not hold them
+    del N_raw, data["N"]  # r^3 decoded values; validate below need not hold them
     declared = data.get("dual")
     if declared is not None:
         if (not isinstance(declared, list) or len(declared) != rank
@@ -272,7 +352,7 @@ def load_ring(path) -> FusionRing:
         raise DualMismatch(
             f"{ctx}: declared dual {declared} disagrees with structure dual {list(recomputed)}")
     ring = FusionRing(labels=tuple(labels), N=N, dual=recomputed, unit=unit, name=name)
-    del N  # the ring holds its own copy
+    del N  # the ring holds it
     if unit != 0:
         ring = relabel(ring, [unit] + [i for i in range(rank) if i != unit], name=name)
     report = validate(ring)

@@ -81,7 +81,8 @@ def exact_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _int64_from_lists(N, rank: int) -> np.ndarray | None:
-    """N as a new int64 array if it is a cubic nested list of Python ints in [0, 2**63), else None.
+    """N as a new read-only int64 array if it is a cubic nested list of Python ints in
+    [0, 2**63), else None.
 
     Decided in one pass over the lists, with no object array: one type and length scan of
     the planes and of the rows, one type scan of the entries, then one np.fromiter, which
@@ -100,7 +101,18 @@ def _int64_from_lists(N, rank: int) -> np.ndarray | None:
         T = np.fromiter(chain.from_iterable(rows), np.int64, count=rank**3)
     except OverflowError:
         return None
+    T.setflags(write=False)
     return T.reshape(rank, rank, rank) if T.min() >= 0 else None
+
+
+def _sealed(A: np.ndarray) -> bool:
+    """Whether nothing can write A's memory through a writable array: A and every array it
+    views are read-only, and the last of them owns its memory."""
+    while A is not None:
+        if not isinstance(A, np.ndarray) or A.flags.writeable:
+            return False
+        A = A.base
+    return True
 
 
 def structure_constants(N, rank: int) -> np.ndarray:
@@ -108,10 +120,10 @@ def structure_constants(N, rank: int) -> np.ndarray:
     ValueError unless every entry is an integer in [0, 2**63), decided before the cast, which
     would wrap or saturate; booleans are not integers, also where numpy made them numbers.
     A cubic nested list of Python ints is decided in one pass by _int64_from_lists; any other
-    N, a list that pass refuses included, is decided as an array."""
+    N, a list that pass refuses included, is decided as an array. A read-only int64 array that
+    no writable array shares memory with, as load_ring decodes, is kept without a copy."""
     T = _int64_from_lists(N, rank)
     if T is not None:
-        T.setflags(write=False)
         return T
     A = np.ascontiguousarray(N)
     if A.shape != (rank, rank, rank):
@@ -132,7 +144,7 @@ def structure_constants(N, rank: int) -> np.ndarray:
         T = None
     if T is None or T.size and not 0 <= int(T.min()) <= int(T.max()) < 2**63:
         raise ValueError("structure constants must be nonnegative and below 2**63")
-    T = T.astype(np.int64, copy=T is A)
+    T = T.astype(np.int64, copy=T is A and not _sealed(A))
     T.setflags(write=False)
     return T
 

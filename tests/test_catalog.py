@@ -9,6 +9,7 @@ import pytest
 from conftest import ALL_NAMES, count_calls, entry, ring_of, table_of
 from fusionring import (
     FusionRing,
+    catalog,
     builtin,
     fp_character,
     is_faithful,
@@ -20,10 +21,12 @@ from fusionring import (
     save_smatrix,
     validate,
 )
+from fusionring import ring as ring_module
 from fusionring.catalog import _group_ring, _ising_smatrix, _zn_table, all_builtin_names
 from fusionring.errors import (
     DimensionMismatch,
     DualMismatch,
+    FusionRingError,
     ParseError,
     UnknownName,
     ValidationFailed,
@@ -393,3 +396,105 @@ def test_a_nested_list_of_numpy_ints_is_still_accepted():
     nested = [[list(row) for row in plane] for plane in ring.N]
     assert type(nested[-1][-1][-1]) is np.int64
     assert np.array_equal(FusionRing(labels=ring.labels, N=nested, dual=ring.dual).N, ring.N)
+
+
+def _z3_text(value, **fields):
+    """pointed_zn(3) as a ring file's text, compact, with the text value in N[1][1][2] (a 1)
+    and fields overriding the file's."""
+    z3 = ring_of("pointed_zn(3)")
+    planes = z3.N.tolist()
+    planes[1][1][2] = "X"
+    data = {"name": "z3", "rank": 3, "labels": list(z3.labels), "unit": 0, "N": planes, **fields}
+    return json.dumps(data, separators=(",", ":")).replace('"X"', value)
+
+
+def _save_ring_text(tmp_path):
+    path = tmp_path / "saved.json"
+    save_ring(ring_of("su2_k(3)"), path)
+    return path.read_text(encoding="utf-8")
+
+
+_Z3_N = json.dumps(ring_of("pointed_zn(3)").N.tolist())
+_LOAD_TEXTS = {  # name: (text, or a maker of it from tmp_path; whether N is read as digits)
+    "compact": (_z3_text("1"), True),
+    "save_ring's indent=1": (_save_ring_text, True),
+    "N before rank": ('{"N": %s, "rank": 3, "labels": ["1", "g1", "g2"], "unit": 0}' % _Z3_N,
+                      True),
+    "N twice, the right one last": (_z3_text("1")[:-1] + ', "N": %s}' % _Z3_N, True),
+    "N twice, a wrong one last": (_z3_text("1")[:-1] + ', "N": [[[1]]]}', True),
+    "a label holding N's text": (_z3_text("1", labels=["1", '"N": [[[1]]]', "g2"]), True),
+    "rank 1": ('{"rank": 1, "labels": ["1"], "unit": 0, "N": [[[1]]]}', True),
+    "a cube of the wrong rank": (_z3_text("1", rank=2, labels=["1", "g"]), True),
+    "a cube of the digits 2 to 9": (_z3_text("1", N=np.arange(2, 10).reshape(2, 2, 2).tolist(),
+                                             rank=2, labels=["1", "g"]), True),
+    "a leading zero": (_z3_text("01"), False),
+    "a space inside a number": (_z3_text("1 1"), False),
+    "a float": (_z3_text("1.0"), False),
+    "an exponent": (_z3_text("1e0"), False),
+    "minus zero": (_z3_text("-0"), False),
+    "a literal": (_z3_text("true"), False),
+    "two digits": (_z3_text("12"), False),
+    "a minus in place of a digit": (_z3_text("-"), False),
+    "a digit and a comma swapped": (_z3_text("1").replace("[0,0,1]", "[00,,1]", 1), False),
+    "an empty slot": (_z3_text("1, "), False),
+    "an extra ]": (_z3_text("1]"), False),
+    "U+00A0 as whitespace": (_z3_text("\u00a01"), False),
+    "a BOM": ("\ufeff" + _z3_text("1"), False),
+    "a trailing comma in the object": (_z3_text("1")[:-1] + ",}", False),
+    "trailing garbage": (_z3_text("1") + " x", False),
+    "a ragged cube": (_z3_text("1").replace("[0,0,1]", "[0,1]", 1), False),
+}
+
+
+def _load_outcome(path):
+    try:
+        ring = load_ring(path)
+    except FusionRingError as exc:  # the outcome compared is then the error itself
+        return type(exc), str(exc)
+    return ring.name, ring.labels, ring.dual, ring.unit, ring.N.dtype, ring.N.tolist()
+
+
+@pytest.mark.parametrize("case", list(_LOAD_TEXTS))
+def test_load_ring_reads_a_file_as_json_loads_does(tmp_path, monkeypatch, case):
+    # the outcome of the json.loads route is the expectation: the same ring, or the same error
+    text, dense = _LOAD_TEXTS[case]
+    text = text(tmp_path) if callable(text) else text
+    path = tmp_path / "ring.json"
+    path.write_text(text, encoding="utf-8")
+    data = catalog._ring_object(text)
+    if dense:  # the walk gives what json.loads gives, N as the digits of its cube
+        want = json.loads(text)
+        assert data.pop("N").tolist() == want.pop("N") and data == want
+    else:
+        assert data is None or data == json.loads(text)
+    got = _load_outcome(path)
+    monkeypatch.setattr(catalog, "_ring_object", lambda text: None)
+    assert got == _load_outcome(path)
+
+
+def test_only_files_beyond_single_digits_take_the_list_route(tmp_path, monkeypatch):
+    near_group = _group_ring(["1", "g", "m"], _zn_table(2), "ng", k=12)  # m * m holds 12 m
+    dense, beyond = tmp_path / "dense.json", tmp_path / "near_group.json"
+    save_ring(ring_of("pointed_zn(5)"), dense)
+    save_ring(near_group, beyond)
+    assert np.array_equal(load_ring(beyond).N, near_group.N)
+
+    def refuse(N, rank):
+        raise AssertionError("the list route ran")
+
+    monkeypatch.setattr(catalog, "_int64_from_lists", refuse)
+    assert np.array_equal(load_ring(dense).N, ring_of("pointed_zn(5)").N)
+    with pytest.raises(AssertionError, match="the list route ran"):
+        load_ring(beyond)
+
+
+@pytest.mark.parametrize("name", ["pointed_zn(5)", "K(Z2, 12)"])
+def test_a_loaded_ring_keeps_the_array_it_decoded(tmp_path, monkeypatch, name):
+    ring = (_group_ring(["1", "g", "m"], _zn_table(2), name, k=12) if name == "K(Z2, 12)"
+            else ring_of(name))
+    path = tmp_path / "ring.json"
+    save_ring(ring, path)
+    calls = count_calls(monkeypatch, ring_module.structure_constants)
+    loaded = load_ring(path)
+    decoded, _ = calls[-1]
+    assert np.shares_memory(decoded, loaded.N) and not loaded.N.flags.writeable

@@ -338,6 +338,18 @@ def test_structure_constants_must_be_nonnegative_int64_integers():
             FusionRing(labels=labels, N=bad, dual=dual)
 
 
+def test_a_ring_copies_a_tensor_that_can_still_be_written():
+    # a writable array, or a read-only view of one, is copied; a sealed one is kept as it is
+    z2 = ring_of("pointed_zn(2)")
+    writable = np.array(z2.N)
+    view = writable.view()
+    view.setflags(write=False)
+    rings = [FusionRing(labels=z2.labels, N=N, dual=z2.dual) for N in (writable, view)]
+    writable[1, 1, 0] = 7
+    assert all(np.array_equal(ring.N, z2.N) and not ring.N.flags.writeable for ring in rings)
+    assert FusionRing(labels=z2.labels, N=z2.N, dual=z2.dual).N is z2.N
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e19, 2.0**63])
 def test_structure_constants_are_decided_before_the_int64_cast(value):
     # the cast itself would turn these into some int64 (and warn); they must not get that far
