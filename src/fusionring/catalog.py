@@ -40,8 +40,8 @@ from .errors import (
     ValidationFailed,
 )
 from .modular import ModularData, modular_data
-from .ring import (FusionRing, ValidationReport, _int64_from_lists, dual_from_structure, relabel,
-                   structure_constants, validate)
+from .ring import (FusionRing, ValidationReport, dual_from_structure, relabel, structure_constants,
+                   validate)
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -216,22 +216,19 @@ def _require(data: dict, key: str, kind, context: str):
     return value
 
 
-def _read_json(path, loads=json.loads) -> dict:
+def _read_json(path) -> dict:
+    """The JSON object in the file, as _ring_object walks it, else as json.loads decodes it."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    try:
-        data = loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    data = _ring_object(text)
+    if data is None:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return data
-
-
-def _loads_ring(text: str):
-    """json.loads(text), except that a dense "N" of single digits comes as _digit_cube's cube."""
-    data = _ring_object(text)
-    return json.loads(text) if data is None else data
 
 
 def _ring_object(text: str) -> dict | None:
@@ -307,7 +304,7 @@ def load_ring(path) -> FusionRing:
     """Load, normalize (unit at 0, dual recomputed) and validate a ring file.
     The dual is recomputed at the file's own unit, so DualMismatch and a duality
     witness give indices in file order; relabel then moves the unit to index 0."""
-    data = _read_json(path, _loads_ring)
+    data = _read_json(path)
     ctx = str(path)
     rank = _require(data, "rank", int, ctx)
     labels = _require(data, "labels", list, ctx)
@@ -320,22 +317,17 @@ def load_ring(path) -> FusionRing:
         raise ParseError(f"{ctx}: labels must be distinct")
     if not 0 <= unit < rank:
         raise ParseError(f"{ctx}: unit index {unit} out of range")
-    if isinstance(N_raw, np.ndarray) and N_raw.shape == (rank, rank, rank):
-        N = N_raw.astype(np.int64)  # read-only, so FusionRing below keeps it without a copy
-        N.setflags(write=False)
-    else:  # a list, or a digit cube of the wrong rank, which the object route refuses by shape
-        N = _int64_from_lists(N_raw, rank)  # FusionRing below decides it by structure_constants
-    if N is None:  # the object-array route, which names what is wrong
+    if isinstance(N_raw, list):  # as objects, so that a float or a boolean stays what it is
         try:
-            N = np.asarray(N_raw, dtype=object)
+            N_raw = np.asarray(N_raw, dtype=object)
         except (ValueError, TypeError) as exc:
             raise ParseError(f"{ctx}: N is not a cubic integer array: {exc}") from exc
-        if N.shape != (rank, rank, rank):
-            raise ParseError(f"{ctx}: N has shape {N.shape}, expected cubic of rank {rank}")
-        try:
-            N = structure_constants(N, rank)
-        except ValueError as exc:
-            raise ParseError(f"{ctx}: N entries must be nonnegative 64-bit integers") from exc
+    if N_raw.shape != (rank, rank, rank):
+        raise ParseError(f"{ctx}: N has shape {N_raw.shape}, expected cubic of rank {rank}")
+    try:  # FusionRing below keeps the array this returns without a copy
+        N = structure_constants(N_raw, rank)
+    except ValueError as exc:
+        raise ParseError(f"{ctx}: N entries must be nonnegative 64-bit integers") from exc
     del N_raw, data["N"]  # r^3 decoded values; validate below need not hold them
     declared = data.get("dual")
     if declared is not None:

@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from . import analysis, catalog, grading, kernel, spectral
-from .analysis import _power_sweep  # noqa: F401  (imported from here by the tests)
 from .errors import FusionRingError, NonCommutative, UnknownName, ValidationFailed
 from .ring import FusionRing, ValidationReport
 

@@ -149,6 +149,7 @@ def check_brauer(ring: FusionRing, simples: Sequence[int], trivial: Sequence[boo
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1")
+    simples = list(simples)
     batch = profiles(ring, ([i] for i in simples))
     if len(trivial) != len(batch):
         raise ValueError("check_brauer takes one kernel flag per simple")

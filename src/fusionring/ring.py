@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -80,31 +79,6 @@ def exact_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A.astype(object).dot(v.astype(object))
 
 
-def _int64_from_lists(N, rank: int) -> np.ndarray | None:
-    """N as a new read-only int64 array if it is a cubic nested list of Python ints in
-    [0, 2**63), else None.
-
-    Decided in one pass over the lists, with no object array: one type and length scan of
-    the planes and of the rows, one type scan of the entries, then one np.fromiter, which
-    raises OverflowError past int64. None leaves every refusal to the caller's own route.
-    """
-    if type(N) is not list or len(N) != rank or not rank:
-        return None
-    if set(map(type, N)) != {list} or set(map(len, N)) != {rank}:
-        return None
-    rows = list(chain.from_iterable(N))
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {rank}:
-        return None
-    if set(map(type, chain.from_iterable(rows))) != {int}:
-        return None
-    try:
-        T = np.fromiter(chain.from_iterable(rows), np.int64, count=rank**3)
-    except OverflowError:
-        return None
-    T.setflags(write=False)
-    return T.reshape(rank, rank, rank) if T.min() >= 0 else None
-
-
 def _sealed(A: np.ndarray) -> bool:
     """Whether nothing can write A's memory through a writable array: A and every array it
     views are read-only, and the last of them owns its memory."""
@@ -119,12 +93,8 @@ def structure_constants(N, rank: int) -> np.ndarray:
     """N as a read-only int64 tensor of shape (rank, rank, rank); the one place deciding it.
     ValueError unless every entry is an integer in [0, 2**63), decided before the cast, which
     would wrap or saturate; booleans are not integers, also where numpy made them numbers.
-    A cubic nested list of Python ints is decided in one pass by _int64_from_lists; any other
-    N, a list that pass refuses included, is decided as an array. A read-only int64 array that
-    no writable array shares memory with, as load_ring decodes, is kept without a copy."""
-    T = _int64_from_lists(N, rank)
-    if T is not None:
-        return T
+    A read-only int64 array that no writable array shares memory with, as this returns, is
+    kept without a copy."""
     A = np.ascontiguousarray(N)
     if A.shape != (rank, rank, rank):
         raise DimensionMismatch(f"structure tensor shape {A.shape} != ({rank}, {rank}, {rank})")

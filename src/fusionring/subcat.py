@@ -20,8 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InternalInconsistency
-from .ring import (FusionRing, blocks, check_simples,  # closure_defect re-exported
-                   closure_defect, relabel)
+from .ring import FusionRing, blocks, check_simples, relabel
 
 
 @dataclass(frozen=True)

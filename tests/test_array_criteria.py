@@ -33,16 +33,16 @@ from fusionring import (
     verify_brauer,
 )
 from fusionring import ring as ring_module
+from fusionring.analysis import _power_sweep
 from fusionring.catalog import _group_ring, _pointed_zn, _su2_k, _zn_table
-from fusionring.cli import _power_sweep
 from fusionring.errors import (
     AmbiguousDual, CapExceeded, FusionRingError, InternalInconsistency, MethodDisagreement, NoDual)
 from fusionring.grading import grade_simples, object_index
 from fusionring.kernel import characters_at_fpdim, check_brauer
-from fusionring.ring import _float64_exact, _max_abs, dual_from_structure
+from fusionring.ring import _float64_exact, _max_abs, closure_defect, dual_from_structure
 from fusionring.spectral import (
     AGGREGATE_EPS, DEFAULT_EPS, DEFAULT_SEED, CharacterTable, within_eps)
-from fusionring.subcat import closure_defect, object_profile, restriction_order
+from fusionring.subcat import object_profile, restriction_order
 from test_ring import rounding_ring
 
 

@@ -361,7 +361,7 @@ def _z6_file(tmp_path, N):
 @pytest.mark.parametrize("where", [0, -1])
 @pytest.mark.parametrize("value", [False, 2.5, None, -1, 2**63, "1", "ragged row"])
 def test_a_bad_entry_at_either_end_of_the_last_plane_keeps_its_message(tmp_path, value, where):
-    # the one-pass int64 route refuses it; the route behind it names it as it always did
+    # structure_constants refuses it, and load_ring names it as it always did
     N = ring_of("pointed_zn(6)").N.tolist()
     if value == "ragged row":
         N[-1][where].pop()
@@ -472,20 +472,56 @@ def test_load_ring_reads_a_file_as_json_loads_does(tmp_path, monkeypatch, case):
     assert got == _load_outcome(path)
 
 
-def test_only_files_beyond_single_digits_take_the_list_route(tmp_path, monkeypatch):
-    near_group = _group_ring(["1", "g", "m"], _zn_table(2), "ng", k=12)  # m * m holds 12 m
-    dense, beyond = tmp_path / "dense.json", tmp_path / "near_group.json"
-    save_ring(ring_of("pointed_zn(5)"), dense)
-    save_ring(near_group, beyond)
-    assert np.array_equal(load_ring(beyond).N, near_group.N)
+@pytest.mark.parametrize("name, dtype", [("pointed_zn(5)", np.uint8), ("K(Z2, 12)", object)])
+def test_every_file_hands_its_n_to_structure_constants(tmp_path, monkeypatch, name, dtype):
+    # one route: a dense file of single digits as their uint8 cube, any other as objects
+    ring = (_group_ring(["1", "g", "m"], _zn_table(2), name, k=12) if name == "K(Z2, 12)"
+            else ring_of(name))  # K(Z2, 12): m * m holds 12 m
+    path = tmp_path / "ring.json"
+    save_ring(ring, path)
+    calls = count_calls(monkeypatch, ring_module.structure_constants)
+    assert np.array_equal(load_ring(path).N, ring.N)
+    assert calls[0][0].dtype == dtype
 
-    def refuse(N, rank):
-        raise AssertionError("the list route ran")
 
-    monkeypatch.setattr(catalog, "_int64_from_lists", refuse)
-    assert np.array_equal(load_ring(dense).N, ring_of("pointed_zn(5)").N)
-    with pytest.raises(AssertionError, match="the list route ran"):
-        load_ring(beyond)
+def _saved_smatrix_text(tmp_path):
+    path = tmp_path / "saved.S.json"
+    save_smatrix(entry("pointed_zn(2)").smatrix, path)
+    return path.read_text(encoding="utf-8")
+
+
+_S_TEXT = json.dumps({"ring": "z2", "S": [[[s, 0.0] for s in row] for row in [[1, 1], [1, -1]]]})
+_S_TEXTS = {  # name: the text of an S file for pointed_zn(2), or a maker of it from tmp_path
+    "compact": _S_TEXT.replace(" ", ""),
+    "save_smatrix's indent=1": _saved_smatrix_text,
+    "a BOM": "\ufeff" + _S_TEXT,
+    "a trailing comma in the object": _S_TEXT[:-1] + ",}",
+    "S twice, the right one last": '{"S": [[[1, 0]]], ' + _S_TEXT[1:],
+    "a NaN entry": _S_TEXT.replace("-1", "NaN"),
+    "extra data": _S_TEXT + " {}",
+}
+
+
+def _smatrix_outcome(path):
+    try:
+        md = load_smatrix(path, ring_of("pointed_zn(2)"))
+    except FusionRingError as exc:
+        return type(exc), str(exc)
+    return md.S.tolist(), md.global_dim
+
+
+@pytest.mark.parametrize("case", list(_S_TEXTS))
+def test_load_smatrix_reads_a_file_as_json_loads_does(tmp_path, monkeypatch, case):
+    # as for ring files: the outcome of the json.loads route is the expectation
+    text = _S_TEXTS[case]
+    text = text(tmp_path) if callable(text) else text
+    path = tmp_path / "s.json"
+    path.write_text(text, encoding="utf-8")
+    data = catalog._ring_object(text)
+    assert data is None or data == json.loads(text)
+    got = _smatrix_outcome(path)
+    monkeypatch.setattr(catalog, "_ring_object", lambda text: None)
+    assert got == _smatrix_outcome(path)
 
 
 @pytest.mark.parametrize("name", ["pointed_zn(5)", "K(Z2, 12)"])

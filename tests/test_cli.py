@@ -12,7 +12,8 @@ from conftest import (
     wrap_ring)
 from fusionring import catalog, cli, grading, kernel, modular, save_ring, save_smatrix, subcat
 from fusionring import ring as ring_module
-from fusionring.cli import _build_parser, _dumps, _power_sweep, main
+from fusionring.analysis import _power_sweep
+from fusionring.cli import _build_parser, _dumps, main
 
 
 def run(capsys, *argv):

@@ -34,8 +34,9 @@ from fusionring.errors import (
     SingularCharacterMatrix,
     ZeroClass,
 )
+from fusionring.ring import closure_defect
 from fusionring.spectral import CharacterTable, FPData, build_table
-from fusionring.subcat import _build_profiles, closure_defect, profiles
+from fusionring.subcat import _build_profiles, profiles
 
 
 def test_convergence_failure_when_the_top_eigenvector_is_not_positive():

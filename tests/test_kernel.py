@@ -17,7 +17,7 @@ from fusionring import (
     kernel_via_subring_idempotents,
     verify_brauer,
 )
-from fusionring.errors import CapExceeded, ZeroClass
+from fusionring.errors import CapExceeded, InternalInconsistency, ZeroClass
 from fusionring.spectral import fpdim_of_class, within_eps
 
 
@@ -223,3 +223,16 @@ def test_check_brauer_alone_profiles_a_fresh_ring_in_one_batch(monkeypatch):
     builds = count_calls(monkeypatch, subcat._build_profiles)
     check_brauer(ring, range(r), [k == {table.fp_index} for k in kernels])
     assert [batch for _, batch in builds] == [[frozenset({i}) for i in range(r)]]
+
+
+@pytest.mark.parametrize("trivial", [[True], [False]])
+def test_check_brauer_takes_a_generator_of_simples_as_it_takes_a_list(trivial):
+    from fusionring.kernel import check_brauer
+
+    def outcome(simples):
+        try:
+            return check_brauer(ring_of("ising"), simples, trivial)
+        except InternalInconsistency as exc:
+            return type(exc), str(exc)
+
+    assert outcome(i for i in [2]) == outcome([2]) != []

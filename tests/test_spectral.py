@@ -141,7 +141,7 @@ def test_character_invariants(name):
         outer = np.outer(row, row)
         images = np.einsum("ijk,k->ij", ring.N, row)
         assert np.abs(outer - images).max() < AGGREGATE_EPS
-    # row 0 agrees with the positive character from power iteration
+    # row 0 agrees with the positive character from the FP eigensolve
     assert np.abs(table.characters[0] - fp.dims).max() < 1e-8
 
 

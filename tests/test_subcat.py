@@ -15,7 +15,8 @@ from fusionring import (
     validate,
 )
 from fusionring.errors import NotClosed
-from fusionring.subcat import _build_profiles, closure_defect, object_profile, profiles
+from fusionring.ring import closure_defect
+from fusionring.subcat import _build_profiles, object_profile, profiles
 from test_array_criteria import near_group
 
 
