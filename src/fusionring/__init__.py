@@ -26,13 +26,10 @@ from .spectral import (
     FPData,
     IdempotentSet,
     adjoint_class,
-    bilinear_m,
     character_table,
     fp_character,
-    fpdim_of_class,
     is_commutative,
     primitive_idempotents,
-    regular_element,
 )
 from .subcat import Subcategory, generated_subcategory, is_faithful, is_indecomposable_matrix, restrict
 
@@ -53,7 +50,6 @@ __all__ = [
     "all_builtin_names",
     "analyze_report",
     "basis_vector",
-    "bilinear_m",
     "builtin",
     "center_of_class",
     "centralizer",
@@ -61,7 +57,6 @@ __all__ = [
     "characters_from_smatrix",
     "dual_from_structure",
     "fp_character",
-    "fpdim_of_class",
     "generated_subcategory",
     "invertibles",
     "is_commutative",
@@ -78,7 +73,6 @@ __all__ = [
     "object_order",
     "primitive_idempotents",
     "projective_centralizer",
-    "regular_element",
     "restrict",
     "save_ring",
     "save_smatrix",

@@ -1,15 +1,18 @@
 """Built-in example fusion rings with modular data, and ring/S-matrix files.
 
 Every built-in ring comes from one of three array rules. A group table sets
-N[i, j, table[i, j]] = 1: trivial, pointed_zn(n) (Z_n) and vec_s3 (S3). The
-near-group rule K(G, k) adds to G one simple m with g m = m g = m and
-m m = (sum of G) + k m: fibonacci = K(1, 1), ising = K(Z2, 0), rep_s3 =
-K(Z2, 1), rep_q8 = K(Z2 x Z2, 0) and tambara_yamagami_zn(n) = K(Z_n, 0). The
-su(2) level-k Verlinde ring su2_k(k) is the truncated Clebsch-Gordan mask.
-S-matrices come from exact expressions (sqrt, golden ratio, sines of rational
-angles). builtin builds and validates each entry once per process, on first
-use, and returns that entry after; each S-matrix, built in or loaded, is
-checked once, by modular_data: a built-in one on first use of entry.smatrix.
+N[i, j, table[i, j]] = 1: trivial, pointed_zn(n) (Z_n) and vec_s3 (S3, the
+one noncommutative entry). The near-group rule K(G, k) adds to G one simple m
+with g m = m g = m and m m = (sum of G) + k m: fibonacci = K(1, 1), ising =
+K(Z2, 0), rep_s3 = K(Z2, 1) and rep_q8 = K(Z2 x Z2, 0), the character rings
+of S3 and Q8, and tambara_yamagami_zn(n) = K(Z_n, 0), whose m has FP
+dimension sqrt(n). The su(2) level-k Verlinde ring su2_k(k) is the truncated
+Clebsch-Gordan mask. S-matrices come from exact expressions (sqrt, golden
+ratio, sines of rational angles); pointed_zn's is the standard pairing
+exp(2 pi i j k / n) / sqrt(n). builtin builds and validates each entry once
+per process, on first use, and returns that entry after; each S-matrix, built
+in or loaded, is checked once, by modular_data: a built-in one on first use of
+entry.smatrix.
 
 File formats (JSON, text):
   ring:     {"name": str, "rank": int, "labels": [str], "unit": int,
@@ -45,7 +48,7 @@ from .ring import (FusionRing, ValidationReport, dual_from_structure, relabel, s
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A built-in ring, its notes, and its modular data if it ships with an S-matrix.
+    """A built-in ring, and its modular data if it ships with an S-matrix.
 
     name is the canonical one, as list-builtins gives it. smatrix is built and
     checked by modular_data on first access, once per entry, with a read-only S,
@@ -54,7 +57,6 @@ class CatalogEntry:
 
     name: str
     ring: FusionRing
-    notes: str
     make_smatrix: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -154,20 +156,17 @@ def _su2_k_smatrix(k):
     return np.sqrt(2.0 / (k + 2)) * np.sin(np.pi * (a + 1) * (b + 1) / (k + 2)).astype(complex)
 
 
-# family -> (ring, S-matrix or None, largest parameter or 0 if it takes none, notes)
+# family -> (ring, S-matrix or None, largest parameter or 0 if it takes none)
 _CATALOG = {
-    "trivial": (_trivial, None, 0, "one simple object; the unit ring"),
-    "fibonacci": (_fibonacci, _fibonacci_smatrix, 0, "tau * tau = 1 + tau (golden ratio object)"),
-    "ising": (_ising, _ising_smatrix, 0, "sigma * sigma = 1 + psi, psi * psi = 1"),
-    "rep_s3": (_rep_s3, None, 0, "character ring of the symmetric group S3"),
-    "rep_q8": (_rep_q8, None, 0, "character ring of the quaternion group Q8"),
-    "vec_s3": (_vec_s3, None, 0, "group ring of S3 (noncommutative)"),
-    "pointed_zn": (_pointed_zn, _pointed_zn_smatrix, 24,
-                   "group ring of Z_n; S from the standard pairing"),
-    "tambara_yamagami_zn": (_tambara_yamagami_zn, None, 12,
-                            "Z_n invertibles plus one object of dimension sqrt(n)"),
-    "su2_k": (_su2_k, _su2_k_smatrix, 10,
-              "su(2) level-k Verlinde ring, truncated Clebsch-Gordan rules"),
+    "trivial": (_trivial, None, 0),
+    "fibonacci": (_fibonacci, _fibonacci_smatrix, 0),
+    "ising": (_ising, _ising_smatrix, 0),
+    "rep_s3": (_rep_s3, None, 0),
+    "rep_q8": (_rep_q8, None, 0),
+    "vec_s3": (_vec_s3, None, 0),
+    "pointed_zn": (_pointed_zn, _pointed_zn_smatrix, 24),
+    "tambara_yamagami_zn": (_tambara_yamagami_zn, None, 12),
+    "su2_k": (_su2_k, _su2_k_smatrix, 10),
 }
 
 _NAME_RE = re.compile(r"^([a-z0-9_]+)\((\d+)\)$")
@@ -178,7 +177,7 @@ _ENTRIES: dict[tuple[str, tuple[int, ...]], CatalogEntry] = {}
 
 def all_builtin_names() -> list[str]:
     return [f"{family}({n})" if top else family
-            for family, (_, _, top, _) in _CATALOG.items() for n in range(1, max(top, 1) + 1)]
+            for family, (_, _, top) in _CATALOG.items() for n in range(1, max(top, 1) + 1)]
 
 
 def builtin(name: str) -> CatalogEntry:
@@ -192,7 +191,7 @@ def builtin(name: str) -> CatalogEntry:
     family, args = (m.group(1), (int(m.group(2)),)) if m else (name, ())
     if family not in _CATALOG or bool(_CATALOG[family][2]) != bool(args):
         raise UnknownName(f"no built-in named {name!r}; see list-builtins")
-    make_ring, make_s, top, notes = _CATALOG[family]
+    make_ring, make_s, top = _CATALOG[family]
     if args and not 1 <= args[0] <= top:
         raise UnknownName(f"{family} parameter must be in 1..{top}, got {args[0]}")
     entry = _ENTRIES.get((family, args))
@@ -202,7 +201,7 @@ def builtin(name: str) -> CatalogEntry:
         if not report.valid:
             raise ValidationFailed(report)
         entry = _ENTRIES[family, args] = CatalogEntry(
-            name=ring.name, ring=ring, notes=notes,
+            name=ring.name, ring=ring,
             make_smatrix=None if make_s is None else partial(make_s, *args))
     return entry
 

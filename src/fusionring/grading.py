@@ -49,7 +49,7 @@ class GradingData:
     order: int
     grades: dict[int, int]
     components: tuple[tuple[int, ...], ...]
-    character_checked: bool = True
+    character_checked: bool
 
 
 def object_index(ring: FusionRing, i: int) -> int:

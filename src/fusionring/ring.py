@@ -374,8 +374,6 @@ def validate(ring: FusionRing) -> ValidationReport:
     N = ring.N
     r = ring.rank
     u = ring.unit
-    if N.shape != (r, r, r):
-        raise DimensionMismatch(f"structure tensor shape {N.shape} != rank {r}")
     dual = np.asarray(ring.dual)
     violations: list[tuple[str, tuple[int, ...]]] = []
 

@@ -126,32 +126,10 @@ def within_eps(values, targets, eps=DEFAULT_EPS, modulus: bool = False) -> list[
     return (np.abs(values - targets) < eps).ravel().nonzero()[0].tolist()
 
 
-def regular_element(ring: FusionRing, fp: FPData) -> np.ndarray:
-    """The virtual regular element: sum_j FPdim(e_j) e_j."""
-    return fp.dims.astype(float).copy()
-
-
-def fpdim_of_class(fp: FPData, x: np.ndarray) -> float:
-    """Linear extension of FPdim to class vectors."""
-    return float(sum(float(c) * d for c, d in zip(x, fp.dims)))
-
-
 def adjoint_class(ring: FusionRing) -> np.ndarray:
     """Class of the adjoint object: sum over simples j of e_j * e_{j*}."""
     return exact_matvec(ring.N[np.arange(ring.rank), list(ring.dual)].T,
                         np.ones(ring.rank, dtype=np.int64))
-
-
-def bilinear_m(ring: FusionRing, u: np.ndarray, v: np.ndarray) -> int:
-    """Hom-space pairing extended bilinearly; the simples are orthonormal. Integers only."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != (ring.rank,) or v.shape != (ring.rank,):
-        raise DimensionMismatch("class vectors must have length equal to the rank")
-    u, v = u.tolist(), v.tolist()
-    if not all(isinstance(c, int) or float(c).is_integer() for c in u + v):
-        raise ValueError("class vectors must have integer coefficients")
-    return int(sum(int(a) * int(b) for a, b in zip(u, v)))
 
 
 def _multiplicativity_residuals(ring: FusionRing, rows: np.ndarray) -> np.ndarray:
@@ -264,7 +242,8 @@ def primitive_idempotents(ring: FusionRing, table: CharacterTable) -> Idempotent
     """Solve mu_t(E_s) = delta_ts for the primitive central idempotents.
 
     With C[t][j] = mu_t(e_j) the idempotent E_s is the s-th column of C^-1;
-    E_0 coincides with the regular element divided by the global dimension.
+    E_0 coincides with the regular element sum_j FPdim(e_j) e_j divided by the
+    global dimension.
     """
     C = table.characters
     r = C.shape[0]

@@ -22,7 +22,6 @@ from fusionring import (
     center_of_class,
     character_table,
     fp_character,
-    fpdim_of_class,
     is_commutative,
     is_faithful,
     is_indecomposable_matrix,
@@ -582,7 +581,7 @@ def loop_universal_grading(ring, i, fp=None, table=None, eps=DEFAULT_EPS, seed=D
 def loop_kernel_of_class(ring, fp, table, x, eps=DEFAULT_EPS, modulus=False):
     """Reference: the kernel (or center) of one class, a matrix-vector product on its support."""
     s = (np.asarray(x) != 0).astype(np.int64)
-    return frozenset(within_eps(table.characters @ s.astype(complex), fpdim_of_class(fp, s), eps,
+    return frozenset(within_eps(table.characters @ s.astype(complex), float(fp.dims @ s), eps,
                                 modulus=modulus))
 
 

@@ -166,8 +166,9 @@ def test_simple_indices_outside_the_rank_are_rejected():
 def test_class_vectors_must_be_integral_and_of_the_rank():
     ring, fp, table = ring_of("ising"), fp_of("ising"), table_of("ising")
     for of_class in (kernel_of_class, center_of_class):
-        for x in ([0.5, 0, 0], [-0.5, 0, 1], [1, 0, float("nan")]):
-            with pytest.raises(ValueError):
+        for x in ([0.5, 0, 0], [-0.5, 0, 1], [1, 0, float("nan")],
+                  [1 + 0j, 0, 0], ["1", "0", "0"], [None, 0, 0]):
+            with pytest.raises(ValueError, match="nonnegative integer coefficients"):
                 of_class(ring, fp, table, np.array(x))
         with pytest.raises(DimensionMismatch):
             of_class(ring, fp, table, np.array([1, 0]))

@@ -18,7 +18,7 @@ from fusionring import (
     verify_brauer,
 )
 from fusionring.errors import CapExceeded, InternalInconsistency, ZeroClass
-from fusionring.spectral import fpdim_of_class, within_eps
+from fusionring.spectral import within_eps
 
 
 def char_index(name, values, tol=1e-8):
@@ -203,7 +203,7 @@ def test_class_kernels_agree_with_the_support(name):
         x = np.zeros(ring.rank, dtype=np.int64)
         for g in rng.sample(range(ring.rank), rng.randint(1, min(4, ring.rank))):
             x[g] = rng.randint(1, 5)
-        values, dim = table.characters @ x.astype(complex), fpdim_of_class(fp, x)
+        values, dim = table.characters @ x.astype(complex), float(fp.dims @ x)
         support = (x > 0).astype(np.int64)
         assert (kernel_of_class(ring, fp, table, x) == kernel_of_class(ring, fp, table, support)
                 == frozenset(within_eps(values, dim))), (name, x.tolist())

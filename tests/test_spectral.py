@@ -1,4 +1,4 @@
-"""FP dimensions, character tables, codegrees, idempotents, bilinear pairing."""
+"""FP dimensions, character tables, codegrees, idempotents."""
 
 import math
 
@@ -8,12 +8,9 @@ import pytest
 from conftest import ALL_NAMES, COMMUTATIVE_NAMES, fp_of, ring_of, table_of
 from fusionring import (
     adjoint_class,
-    bilinear_m,
     character_table,
-    fpdim_of_class,
     is_commutative,
     primitive_idempotents,
-    regular_element,
 )
 from fusionring import catalog, spectral
 from fusionring.errors import DegenerateCombination, NonCommutative
@@ -66,12 +63,6 @@ def test_fp_dims_su2k_closed_form():
         expected = [math.sin((j + 1) * math.pi / (k + 2)) / math.sin(math.pi / (k + 2))
                     for j in range(k + 1)]
         assert np.abs(fp.dims - expected).max() < 1e-9
-
-
-def test_regular_element():
-    assert np.abs(regular_element(ring_of("ising"), fp_of("ising")) - [1, 1, SQRT2]).max() < 1e-9
-    assert regular_element(ring_of("trivial"), fp_of("trivial")).tolist() == [1.0]
-    assert np.abs(regular_element(ring_of("rep_s3"), fp_of("rep_s3")) - [1, 1, 2]).max() < 1e-9
 
 
 def test_is_commutative():
@@ -184,7 +175,7 @@ def test_phase_propagates_to_constituents(name):
     for i in range(ring.rank):
         for j in range(ring.rank):
             x = ring.multiply(ring.basis_vector(i), ring.basis_vector(j))
-            dim_x = fpdim_of_class(fp, x)
+            dim_x = float(fp.dims @ x)
             values = table.characters @ x.astype(complex)
             for t in range(table.count):
                 if abs(abs(values[t]) - dim_x) < 1e-8:
@@ -224,16 +215,6 @@ def test_idempotents_fibonacci_closed_form():
 def test_idempotents_trivial():
     ids = primitive_idempotents(ring_of("trivial"), table_of("trivial")).idempotents
     assert np.abs(ids - [[1.0]]).max() < 1e-12
-
-
-def test_bilinear_m():
-    ising = ring_of("ising")
-    sq = ising.multiply(ising.basis_vector(2), ising.basis_vector(2))
-    assert bilinear_m(ising, sq, ising.basis_vector(1)) == 1
-    assert bilinear_m(ising, ising.basis_vector(0), ising.basis_vector(0)) == 1
-    s3 = ring_of("rep_s3")
-    vv = s3.multiply(s3.basis_vector(2), s3.basis_vector(2))
-    assert bilinear_m(s3, vv, s3.basis_vector(2)) == 1
 
 
 def test_adjoint_class_examples():
@@ -318,17 +299,6 @@ def test_build_table_does_not_depend_on_the_row_order(name):
             assert not np.signbit(rebuilt.characters[real].imag).any()
     reference = np.reshape(_python_sorted(table.characters[1:]), (-1, ring.rank))
     assert np.array_equal(reference, table.characters[1:])
-
-
-def test_bilinear_m_refuses_non_integral_coefficients():
-    ising = ring_of("ising")
-    e0 = ising.basis_vector(0)
-    assert bilinear_m(ising, np.array([1.0, 0.0, 0.0]), e0) == 1
-    for u in ([0.5, 0, 0], [1.9, 0, 0]):
-        with pytest.raises(ValueError, match="integer coefficients"):
-            bilinear_m(ising, np.array(u), e0)
-        with pytest.raises(ValueError, match="integer coefficients"):
-            bilinear_m(ising, e0, np.array(u))
 
 
 def test_character_table_of_rank_one_is_built_like_any_other(monkeypatch):
