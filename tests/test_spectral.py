@@ -65,6 +65,17 @@ def test_fp_dims_su2k_closed_form():
         assert np.abs(fp.dims - expected).max() < 1e-9
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_regular_element_absorbs_every_simple(name):
+    # R = sum_i d_i e_i satisfies e_j R = R e_j = d_j R, on either side
+    ring, fp = ring_of(name), fp_of(name)
+    regular = fp.dims.astype(float)
+    for j in range(ring.rank):
+        e = ring.basis_vector(j).astype(float)
+        for product in (ring.multiply(e, regular), ring.multiply(regular, e)):
+            assert np.abs(product - fp.dims[j] * regular).max() < 1e-8 * max(1.0, fp.global_dim)
+
+
 def test_is_commutative():
     assert is_commutative(ring_of("rep_s3"))
     assert not is_commutative(ring_of("vec_s3"))
