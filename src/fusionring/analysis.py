@@ -187,14 +187,14 @@ def modular_report(md: modular.ModularData, eps: float = spectral.DEFAULT_EPS) -
     ring, labels = md.ring, md.ring.labels
     fp = spectral.fp_character(ring)
     inv = modular.invertibles(ring, fp, eps=eps)
+    simples = range(ring.rank)
+    cent = modular.centralizers(md, simples, eps=eps)
+    proj = modular.projective_centralizers(md, simples, eps=eps)
     return {
         "ring": ring_block(ring, fp, spectral.is_commutative(ring)),
-        "centralizers": {
-            labels[i]: [labels[m] for m in modular.centralizer(md, i, eps=eps).members]
-            for i in range(ring.rank)},
-        "projective_centralizers": {
-            labels[i]: sorted(labels[m] for m in modular.projective_centralizer(md, i, eps=eps))
-            for i in range(ring.rank)},
+        "centralizers": {labels[i]: [labels[m] for m in cent[i].members] for i in simples},
+        "projective_centralizers": {labels[i]: sorted(labels[m] for m in proj[i])
+                                    for i in simples},
         "invertibles": sorted(labels[j] for j in inv),
         "verlinde_round_trip": True,  # modular_data raises unless it holds
     }

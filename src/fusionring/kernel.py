@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (
     CapExceeded, ClosureViolation, DimensionMismatch, InternalInconsistency, ZeroClass)
-from .ring import FusionRing, check_simples, closure_defect
+from .ring import FusionRing, check_simples, closed_rows, closure_defect
 from .spectral import DEFAULT_EPS, CharacterTable, FPData, within_eps
 from .subcat import Subcategory, object_profile, profiles
 
@@ -43,24 +43,29 @@ class BrauerReport:
     faithful_actual: bool
 
 
-def _closed_kernel(ring: FusionRing, values: np.ndarray, dims: np.ndarray,
-                   eps: float, message: str) -> Subcategory:
-    """Simples j with values[j] within eps of dims[j]; ClosureViolation unless they are closed."""
-    members = within_eps(values, dims, eps)
-    defect = closure_defect(ring, members)
-    if defect is not None:
-        kind, witness = defect
+def _closed_kernels(ring: FusionRing, values: np.ndarray, dims: np.ndarray,
+                    eps: float, message: str) -> list[Subcategory]:
+    """Per row of values, the simples j with values[row][j] within eps of dims[j].
+
+    One within_eps decides every row and one closed_rows every closure; ClosureViolation,
+    with closure_defect's witness, for the first row whose simples are not closed.
+    """
+    member = np.zeros(values.shape, dtype=bool)
+    member.flat[within_eps(values, dims, eps)] = True
+    bad = np.flatnonzero(~closed_rows(ring, member))
+    if bad.size:
+        kind, witness = closure_defect(ring, np.flatnonzero(member[bad[0]]))
         raise ClosureViolation(message.format(kind=kind, witness=witness))
-    return Subcategory(members=tuple(members))
+    return [Subcategory(members=tuple(row.nonzero()[0].tolist())) for row in member]
 
 
 def kernel_of_character(ring: FusionRing, fp: FPData, table: CharacterTable,
                         t: int, eps: float = DEFAULT_EPS) -> Subcategory:
     """Simples on which character t equals FPdim, as a closed subcategory."""
     check_simples(table.count, (t,))
-    return _closed_kernel(ring, table.characters[t], fp.dims, eps,
-                          "character kernel not closed under {kind} at {witness}; "
-                          "lower eps or re-examine the table")
+    return _closed_kernels(ring, table.characters[[t]], fp.dims, eps,
+                           "character kernel not closed under {kind} at {witness}; "
+                           "lower eps or re-examine the table")[0]
 
 
 def _support_class(ring: FusionRing, x: np.ndarray) -> np.ndarray:

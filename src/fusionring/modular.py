@@ -28,7 +28,7 @@ from .errors import (
     VerlindeMismatch,
     ZeroEntry,
 )
-from .kernel import _closed_kernel
+from .kernel import _closed_kernels
 from .ring import FusionRing, blocks, check_simples, dual_from_structure, validate
 from .spectral import (
     AGGREGATE_EPS,
@@ -153,7 +153,9 @@ def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = Non
     block equals it, else None: no r^3 reconstruction is made then. Either way
     every block is formed before anything is decided: NonIntegral names the
     first coefficient, in C order, farthest from its rounding; only then are
-    negatives refused, and only then does a mismatch count.
+    negatives refused, and only then does a mismatch count. A block whose real
+    and imaginary parts all lie within half the worst distance so far of Nr and
+    0 holds no farther coefficient, and forms no complex distances.
     """
     if np.abs(U[unit]).min() < 1e-12:
         raise InvalidRing("unit row of S has a vanishing entry")
@@ -166,11 +168,14 @@ def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = Non
         for i in range(bs.start, bs.stop):
             np.matmul(U[i] * U, weights.T, out=Nc[i - bs.start])
         Nr = np.rint(Nc.real)
-        off = np.abs(Nc - Nr)
-        at = np.unravel_index(np.argmax(off), off.shape)
-        if off[at] > drift:
-            worst, drift = (bs.start + at[0], *at[1:]), off[at]
-            value = Nc[at]
+        re = Nc.real - Nr
+        half = drift / 2  # parts within it keep |Nc - Nr| <= drift / sqrt(2); NaN fails this
+        if not (-half <= re.min() <= re.max() <= half and np.abs(Nc.imag).max() <= half):
+            off = np.abs(Nc - Nr)
+            at = np.unravel_index(np.argmax(off), off.shape)
+            if off[at] > drift:
+                worst, drift = (bs.start + at[0], *at[1:]), off[at]
+                value = Nc[at]
         block = Nr.astype(np.int64)
         negative = negative or block.min() < 0
         if N is not None:
@@ -188,19 +193,37 @@ def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = Non
     return expected if same else None
 
 
-def centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> Subcategory:
-    """Simples centralizing e_i: the kernel of s_i, against s_unit = S[unit] / S[unit][unit]."""
-    check_simples(md.ring.rank, (i,))
+def centralizers(md: ModularData, simples, eps: float = DEFAULT_EPS) -> list[Subcategory]:
+    """Per simple e_i of `simples`, the simples centralizing it: the kernel of s_i, against
+    s_unit = S[unit] / S[unit][unit]. One within_eps and one closure test decide them all;
+    ClosureViolation names the first simple, in the order given, whose set is not closed."""
+    simples = list(simples)
+    check_simples(md.ring.rank, simples)
     s = md.characters
-    return _closed_kernel(md.ring, s[i], s[md.ring.unit].real, eps,
-                          "centralizer not closed under {kind} at {witness}")
+    return _closed_kernels(md.ring, s[simples], s[md.ring.unit].real, eps,
+                           "centralizer not closed under {kind} at {witness}")
+
+
+def centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> Subcategory:
+    """Simples centralizing e_i; the batch of one of centralizers."""
+    return centralizers(md, [i], eps)[0]
+
+
+def projective_centralizers(md: ModularData, simples,
+                            eps: float = DEFAULT_EPS) -> list[frozenset[int]]:
+    """Per simple e_i of `simples`, the simples Y projectively centralizing it: |s_i(Y)|
+    attains s_unit(Y) = FPdim(Y). One within_eps decides them all."""
+    simples = list(simples)
+    check_simples(md.ring.rank, simples)
+    s = md.characters
+    member = np.zeros((len(simples), md.ring.rank), dtype=bool)
+    member.flat[within_eps(s[simples], s[md.ring.unit].real, eps, modulus=True)] = True
+    return [frozenset(row.nonzero()[0].tolist()) for row in member]
 
 
 def projective_centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> frozenset[int]:
-    """Simples projectively centralizing e_i: |s_i(Y)| attains s_unit(Y) = FPdim(Y)."""
-    check_simples(md.ring.rank, (i,))
-    s = md.characters
-    return frozenset(within_eps(s[i], s[md.ring.unit].real, eps, modulus=True))
+    """Simples projectively centralizing e_i; the batch of one of projective_centralizers."""
+    return projective_centralizers(md, [i], eps)[0]
 
 
 def invertibles(ring: FusionRing, fp: FPData, eps: float = DEFAULT_EPS) -> frozenset[int]:

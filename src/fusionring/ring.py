@@ -3,10 +3,11 @@
 A fusion ring of rank r is a based ring with basis e_0, ..., e_{r-1}, unit
 e_0 (by normalization), a duality involution, and nonnegative integer
 structure constants N[i][j][k] giving the multiplicity of e_k in e_i * e_j.
-All integer arithmetic in this module is exact and follows one rule,
-:func:`_float64_exact`: float64 while every partial sum is provably an exact
-integer, Python integers otherwise, so it never rounds or wraps around.
-:func:`exact_matvec` applies it per product, :func:`validate` once per call.
+All integer arithmetic in this module is exact and follows one rule: a
+float type while every partial sum is provably an exact integer in it
+(:func:`_float32_exact`, :func:`_float64_exact`), Python integers otherwise,
+so it never rounds or wraps around. :func:`exact_matvec` applies the float64
+bound per product, :func:`validate` both bounds once per call.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ def _float64_exact(bound_a: int, bound_b: int, inner: int) -> bool:
     return bound_a * bound_b * inner < 2**53
 
 
+def _float32_exact(bound_a: int, bound_b: int, inner: int) -> bool:
+    """The 2**24 rule, the float32 twin of _float64_exact: below 2**24 float32 holds every
+    partial sum of such a product exactly."""
+    return bound_a * bound_b * inner < 2**24
+
+
 # Entries per block of every r^3 pass that runs in blocks of one index: validate's
 # associativity GEMMs and Frobenius mask, the Verlinde tensor, the profiles' edge
 # lists. It splits r = 64 into several blocks: a single block as large as N made
@@ -94,7 +101,7 @@ def structure_constants(N, rank: int) -> np.ndarray:
     ValueError unless every entry is an integer in [0, 2**63), decided before the cast, which
     would wrap or saturate; booleans are not integers, also where numpy made them numbers.
     A read-only int64 array that no writable array shares memory with, as this returns, is
-    kept without a copy."""
+    kept without a copy, and so is the int64 array made from a nested list."""
     A = np.ascontiguousarray(N)
     if A.shape != (rank, rank, rank):
         raise DimensionMismatch(f"structure tensor shape {A.shape} != ({rank}, {rank}, {rank})")
@@ -114,7 +121,9 @@ def structure_constants(N, rank: int) -> np.ndarray:
         T = None
     if T is None or T.size and not 0 <= int(T.min()) <= int(T.max()) < 2**63:
         raise ValueError("structure constants must be nonnegative and below 2**63")
-    T = T.astype(np.int64, copy=T is A and not _sealed(A))
+    # an array numpy built from a list or tuple is this call's own, so it is sealed in place
+    fresh = isinstance(N, (list, tuple))
+    T = T.astype(np.int64, copy=T is A and not (fresh or _sealed(A)))
     T.setflags(write=False)
     return T
 
@@ -237,6 +246,34 @@ def closure_defect(ring: FusionRing, members: Iterable[int]):
     return None
 
 
+def closed_rows(ring: FusionRing, member: np.ndarray) -> np.ndarray:
+    """Per row of a boolean (count, rank) membership matrix, whether its simples are closed.
+
+    The tests of closure_defect, decided for every row at once: the unit, the duals,
+    then the constituents of pairwise products, only for rows that pass the first two.
+    e_k is such a constituent of row g when P[g][k] = sum_ab m[g][a] m[g][b] edges[a][b][k]
+    is positive. P is formed over blocks of b (see blocks): the block of ring.edges is cast
+    to float32 on its own and takes one GEMM with the rows holding a simple of the block,
+    so beyond edges the memory is O(count * rank * block). Every term is 0 or 1, so a sum
+    of them is positive, whatever its rounding, exactly when one term is.
+    """
+    r = ring.rank
+    closed = member[:, ring.unit] & ~(member & ~member[:, list(ring.dual)]).any(axis=1)
+    live = np.flatnonzero(closed)
+    rows = member[live]
+    weights = rows.astype(np.float32)
+    reached = np.zeros(rows.shape, dtype=np.float32)
+    for bs in blocks(r, r * r):
+        g = np.flatnonzero(rows[:, bs].any(axis=1))
+        if g.size:
+            E = ring.edges[:, bs].astype(np.float32).reshape(r, -1)
+            # X[g, b, k] = sum_a m[g][a] edges[a][b][k]
+            X = (weights[g] @ E).reshape(g.size, -1, r)
+            reached[g] += np.matmul(weights[g, None, bs], X)[:, 0]
+    closed[live] = ~((reached > 0) & ~rows).any(axis=1)
+    return closed
+
+
 def relabel(ring: FusionRing, order, name: str = "") -> FusionRing:
     """The ring on the simples `order` of ring: order[p] becomes p, order[0] the unit.
     It is named `name`, unnamed by default. A permutation relabels the ring; a list
@@ -326,7 +363,8 @@ def _associativity_witness(N: np.ndarray, unit: int, edges: np.ndarray):
     """
     r = len(N)
     bound = _max_abs(N)
-    dtype = np.float64 if _float64_exact(bound, bound, r) else object
+    dtype = (np.float32 if _float32_exact(bound, bound, r) else
+             np.float64 if _float64_exact(bound, bound, r) else object)
     counts = edges.sum(axis=(1, 2))
     order = np.lexsort((counts, counts == r)).tolist()  # stable: ties stay in index order
     covered = np.zeros(r, dtype=bool)
@@ -363,9 +401,10 @@ def validate(ring: FusionRing) -> ValidationReport:
     covered count as checked; of the rest, the simple with the fewest
     product constituents, invertibles last, is checked first, since it is
     the likeliest to generate. The dtype of the GEMMs is decided once per
-    call: one bound max|N|, float64 when _float64_exact(max|N|, max|N|, r)
-    holds and Python ints otherwise. For each checked i the two sides are
-    GEMMs over blocks of N cast to that dtype (see _associative_on), and
+    call from one bound max|N|: float32 when _float32_exact(max|N|, max|N|, r)
+    holds, else float64 when _float64_exact does, else Python ints. For each
+    checked i the two sides are GEMMs over blocks of N cast to that dtype
+    (see _associative_on), and
     the witness is the one that checking every simple in index order would
     report: a failing check is followed by checks of the uncovered simples
     below it. The Frobenius mask is formed in blocks too, so beyond N the

@@ -35,8 +35,8 @@ DEFAULT_SEED = 0
 
 _MAX_RETRIES = 8
 
-# ring -> {"fp": FPData, "table": ((eps, seed), CharacterTable)}; an entry goes when its ring
-# is collected
+# ring -> {"fp": FPData, "table": ((eps, seed), CharacterTable), "commutative": bool}; an
+# entry goes when its ring is collected
 _SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -74,8 +74,14 @@ class IdempotentSet:
 
 
 def is_commutative(ring: FusionRing) -> bool:
-    """True iff N[i][j][k] = N[j][i][k] for all i, j, k."""
-    return bool(np.array_equal(ring.N, ring.N.transpose(1, 0, 2)))
+    """True iff N[i][j][k] = N[j][i][k] for all i, j, k; compared over blocks of i, so no
+    r^3 temporary exists, and once per ring: later calls return the same answer."""
+    spectra = _SPECTRA.setdefault(ring, {})
+    if "commutative" not in spectra:
+        N = ring.N
+        spectra["commutative"] = all(np.array_equal(N[s], N[:, s].transpose(1, 0, 2))
+                                     for s in blocks(ring.rank, ring.rank**2))
+    return spectra["commutative"]
 
 
 def _check_eps(eps) -> None:

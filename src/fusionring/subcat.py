@@ -165,7 +165,9 @@ def is_indecomposable_matrix(A: np.ndarray) -> bool | np.ndarray:
 
     Equivalent to A admitting no partition of the index set into nonempty
     M, N with A[m][n] = 0 for m in M, n in N, and to (I + P)^(n-1) > 0 for its
-    0/1 pattern P: at most (n-1).bit_length() squarings, exact in float64 (entries <= n).
+    0/1 pattern P: at most (n-1).bit_length() squarings in float32, exact for every n that
+    fits in memory, since each entry of a squaring is a sum of n terms 0 or 1 and is clipped
+    back to 1; the positive entries are counted as integers.
     A matrix stops once its pattern is all positive or a squaring leaves it
     unchanged, as every later one would. The pattern holds I, so it only grows,
     and a squaring that keeps its count of positive entries keeps the pattern.
@@ -179,15 +181,15 @@ def is_indecomposable_matrix(A: np.ndarray) -> bool | np.ndarray:
     stack = A.reshape(-1, n, n)
     full = np.empty(len(stack), dtype=bool)
     for gs in blocks(len(stack), max(1, n * n)):
-        reach = np.maximum(np.eye(n), stack[gs] > 0)
-        count = reach.sum(axis=(1, 2))
+        reach = np.maximum(np.eye(n, dtype=np.float32), stack[gs] > 0)
+        count = np.count_nonzero(reach, axis=(1, 2))
         live = np.flatnonzero(count < n * n)
         reach = reach[live]
         for _ in range((n - 1).bit_length()):
             if not live.size:
                 break
             reach = np.minimum(reach @ reach, 1.0)
-            now = reach.sum(axis=(1, 2))
+            now = np.count_nonzero(reach, axis=(1, 2))
             grows = (now != count[live]) & (now < n * n)
             count[live] = now
             live, reach = live[grows], reach[grows]

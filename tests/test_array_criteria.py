@@ -13,7 +13,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import ALL_NAMES, count_calls, fp_of, ring_of, table_of, wrap_ring
+from conftest import (
+    ALL_NAMES, MODULAR_NAMES, count_calls, entry, fp_of, ring_of, table_of, wrap_ring)
 from fusionring import (
     BrauerReport,
     FusionRing,
@@ -33,12 +34,16 @@ from fusionring import (
 )
 from fusionring import ring as ring_module
 from fusionring.analysis import _power_sweep
-from fusionring.catalog import _group_ring, _pointed_zn, _su2_k, _zn_table
+from fusionring.catalog import (
+    _group_ring, _pointed_zn, _pointed_zn_smatrix, _su2_k, _su2_k_smatrix, _zn_table)
 from fusionring.errors import (
-    AmbiguousDual, CapExceeded, FusionRingError, InternalInconsistency, MethodDisagreement, NoDual)
+    AmbiguousDual, CapExceeded, ClosureViolation, FusionRingError, InternalInconsistency,
+    MethodDisagreement, NoDual)
 from fusionring.grading import grade_simples, object_index
 from fusionring.kernel import characters_at_fpdim, check_brauer
-from fusionring.ring import _float64_exact, _max_abs, closure_defect, dual_from_structure
+from fusionring.modular import centralizers, modular_data, projective_centralizers
+from fusionring.ring import (
+    _float64_exact, _max_abs, closed_rows, closure_defect, dual_from_structure, relabel)
 from fusionring.spectral import (
     AGGREGATE_EPS, DEFAULT_EPS, DEFAULT_SEED, CharacterTable, within_eps)
 from fusionring.subcat import object_profile, restriction_order
@@ -234,6 +239,28 @@ def test_closure_defect_matches_the_triple_loop(name):
         shuffled = list(members) * 2
         rng.shuffle(shuffled)
         assert closure_defect(ring, shuffled) == loop_closure_defect(ring, members)
+    # closed_rows decides every subset at once, whatever the blocks
+    member = np.zeros((len(subsets), ring.rank), dtype=bool)
+    for row, members in zip(member, subsets):
+        row[list(members)] = True
+    want = [loop_closure_defect(ring, members) is None for members in subsets]
+    assert closed_rows(ring, member).tolist() == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring_module, "_BLOCK", ring.rank**2)  # one simple b per block
+        assert closed_rows(ring, member).tolist() == want
+
+
+def test_closed_rows_refuses_sets_closed_under_products_only():
+    # on a ring never validated, x * x = x for a, its dual b and the self-dual c: {c} and
+    # {1, a} hold every constituent of their products, but not the unit and the dual
+    N = np.zeros((4, 4, 4), dtype=np.int64)
+    N[0] = N[:, 0] = np.eye(4, dtype=np.int64)
+    N[1, 1, 1] = N[2, 2, 2] = N[3, 3, 3] = 1
+    ring = FusionRing(labels=("1", "a", "b", "c"), N=N, dual=(0, 2, 1, 3))
+    member = np.array([[0, 0, 0, 1], [1, 1, 0, 0], [1, 0, 0, 1]], dtype=bool)
+    assert [loop_closure_defect(ring, np.flatnonzero(row)) for row in member] == [
+        ("unit", (0,)), ("dual", (1,)), None]
+    assert closed_rows(ring, member).tolist() == [False, False, True]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -377,6 +404,21 @@ def test_validate_matches_every_simple_past_2_53():
     for ring in (wrap_ring(), rounding_ring()):
         assert validate(ring).violations[0][0] == "associativity"
         assert_validate_matches_every_simple(ring)
+
+
+@pytest.mark.parametrize("m, dtype", [(2364, np.float32), (2365, np.float64)])
+def test_validate_takes_float32_only_below_2_24(monkeypatch, m, dtype):
+    # K(Z2, m) has rank 3 and max|N| = m, so max|N|^2 * 3 is just below 2**24 at m = 2364
+    # and just above it at 2365; X * a = 2 X then breaks ((X a) X) = X (a X)
+    checks = count_calls(monkeypatch, ring_module._associative_on)
+    ring = near_group(m)
+    assert validate(ring).valid
+    N = np.array(ring.N)
+    N[2, 1, 2] += 1
+    want = every_simple_witness(N, ring.unit)
+    checks.clear()
+    assert validate(with_N(ring, N)).violations[0] == ("associativity", want)
+    assert checks and {c[1] for c in checks} == {dtype}
 
 
 @pytest.mark.parametrize("name", [n for n in ALL_NAMES if ring_of(n).dual != tuple(range(ring_of(n).rank))
@@ -761,6 +803,52 @@ def test_a_cap_of_one_fails_the_batch_as_the_loop(name):
     for i in range(ring.rank):
         assert (outcome(verify_brauer, ring, fp, table, i, cap=1)
                 == outcome(loop_verify_brauer, ring, fp, table, i, cap=1))
+
+
+def loop_centralizer(md, i, eps=DEFAULT_EPS):
+    """Reference: within_eps of s_i against the unit row of S, then closure_defect."""
+    s = md.characters
+    members = within_eps(s[i], s[md.ring.unit].real, eps)
+    defect = closure_defect(md.ring, members)
+    if defect is not None:
+        kind, witness = defect
+        raise ClosureViolation(f"centralizer not closed under {kind} at {witness}")
+    return Subcategory(members=tuple(members))
+
+
+def loop_projective_centralizer(md, i, eps=DEFAULT_EPS):
+    s = md.characters
+    return frozenset(within_eps(s[i], s[md.ring.unit].real, eps, modulus=True))
+
+
+RELABELED = {"su2_k(10)": (_su2_k, _su2_k_smatrix, 10),
+             "pointed_zn(24)": (_pointed_zn, _pointed_zn_smatrix, 24),
+             "pointed_zn(128)": (_pointed_zn, _pointed_zn_smatrix, 128)}
+
+
+def centralizer_data(name):
+    """Modular data of a builtin, or of a ring of RELABELED in a seeded order, the unit first."""
+    if not name.endswith(" relabeled"):
+        return entry(name).smatrix
+    make, make_s, n = RELABELED[name.removesuffix(" relabeled")]
+    ring = make(n)
+    order = [0] + random.Random(n).sample(range(1, ring.rank), ring.rank - 1)
+    return modular_data(relabel(ring, order), make_s(n)[np.ix_(order, order)])
+
+
+@pytest.mark.parametrize("name", MODULAR_NAMES + [f"{n} relabeled" for n in RELABELED])
+def test_batched_centralizers_match_the_loop(name):
+    # the loose tolerances admit S-characters that are not closed: the batch must refuse
+    # the first simple the loop refuses, in whatever order the simples come
+    md = centralizer_data(name)
+    r = md.ring.rank
+    orders = [list(range(r)), random.Random(r).sample(range(r), r)]
+    for eps in (DEFAULT_EPS, 1e-3, 0.1, 0.5, 0.9, 1.5, 2.5):
+        for order in orders:
+            want = first_outcome(lambda i: loop_centralizer(md, order[i], eps), md.ring)
+            assert outcome(centralizers, md, order, eps) == want, eps
+        assert projective_centralizers(md, range(r), eps) == [
+            loop_projective_centralizer(md, i, eps) for i in range(r)], eps
 
 
 def unit_last(ring):

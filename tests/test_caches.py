@@ -1,6 +1,6 @@
-"""The per-process caches: builtin entries, FP data and character tables, and each ring's
-pattern N > 0. A cached answer must be the one a cold call gives, read-only, bounded, and
-never kept past its ring."""
+"""The per-process caches: builtin entries, FP data, commutativity and character tables, and
+each ring's pattern N > 0. A cached answer must be the one a cold call gives, read-only,
+bounded, and never kept past its ring."""
 
 import gc
 import tracemalloc
@@ -11,6 +11,7 @@ import pytest
 
 from conftest import ALL_NAMES, count_calls, ring_of
 from fusionring import FusionRing, analysis, catalog, spectral, subcat
+from fusionring import ring as ring_module
 from fusionring.catalog import builtin, load_ring, save_ring, save_smatrix
 from fusionring.cli import main
 from fusionring.errors import ConvergenceFailure, NonCommutative, UnknownName
@@ -76,6 +77,15 @@ def test_another_seed_gets_its_own_table(monkeypatch):
     table = spectral.character_table(ring, seed=3)
     assert spectral.character_table(ring, seed=3) is table and len(builds) == 1
     assert spectral.character_table(ring, seed=4) is not table and len(builds) == 2
+
+
+@pytest.mark.parametrize("name", ["vec_s3", "su2_k(3)"])
+def test_commutativity_is_decided_once_per_ring(monkeypatch, name):
+    # the blocked comparison of N with its transpose runs on the first call only
+    passes = count_calls(monkeypatch, ring_module.blocks)
+    ring = FusionRing(labels=ring_of(name).labels, N=ring_of(name).N, dual=ring_of(name).dual)
+    assert spectral.is_commutative(ring) == (name != "vec_s3") and len(passes) == 1
+    assert spectral.is_commutative(ring) == (name != "vec_s3") and len(passes) == 1
 
 
 @pytest.mark.parametrize("name", ["ising", "pointed_zn(6)", "su2_k(3)"])

@@ -1,6 +1,7 @@
 """S-matrix validation, Verlinde reconstruction, centralizers, invertibles."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from fusionring import (
     kernel_of_character,
     kernel_of_class,
     modular_data,
+    modular_report,
     projective_centralizer,
     validate,
     verlinde_ring,
@@ -33,6 +35,7 @@ from fusionring.errors import (
     ZeroEntry,
 )
 from fusionring import catalog, modular, ring as ring_module
+from fusionring.spectral import within_eps
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -382,6 +385,40 @@ def test_kernels_and_centralizers_refuse_a_set_that_is_not_closed():
     with pytest.raises(ClosureViolation,
                        match=r"^centralizer not closed under product at \(2, 2, 1\)$"):
         centralizer(entry("ising").smatrix, 2, eps=1.5)
+
+
+@pytest.mark.parametrize("name, eps, witness", [
+    ("pointed_zn(12)", 1.5, (1, 3, 4)), ("su2_k(10)", 0.9, (1, 2, 3)),
+    ("su2_k(10)", 0.5, (1, 1, 2)), ("su2_k(7)", 0.5, (1, 1, 2))])
+def test_a_loose_eps_refuses_the_first_centralizer_that_is_not_closed(name, eps, witness):
+    # the centralizers of all simples are decided together; the error is that of the first
+    # simple, in index order, whose set is not closed, as when they were decided one by one
+    md = entry(name).smatrix
+    first = next(i for i in range(md.ring.rank)
+                 if ring_module.closure_defect(md.ring, within_eps(
+                     md.characters[i], md.characters[md.ring.unit].real, eps)) is not None)
+    with pytest.raises(ClosureViolation) as caught:
+        centralizer(md, first, eps=eps)
+    message = f"centralizer not closed under product at {witness}"
+    assert str(caught.value) == message
+    with pytest.raises(ClosureViolation, match=f"^{re.escape(message)}$"):
+        modular_report(md, eps=eps)
+
+
+def test_modular_report_holds_no_r3_array_beyond_the_pattern():
+    # traced peak at rank 128, the modular data and the pattern N > 0 made beforehand: the
+    # closure test of all centralizers casts ring.edges to float32 one block at a time
+    r = 128
+    ring = catalog._pointed_zn(r)
+    md = modular_data(ring, catalog._pointed_zn_smatrix(r))
+    assert ring.edges.nbytes == r**3
+    tracemalloc.start()
+    try:
+        modular_report(md)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < r**3
 
 
 def test_centralizers_share_the_zero_entry_check_of_the_s_characters():

@@ -350,6 +350,17 @@ def test_a_ring_copies_a_tensor_that_can_still_be_written():
     assert FusionRing(labels=z2.labels, N=z2.N, dual=z2.dual).N is z2.N
 
 
+def test_a_ring_seals_the_array_it_builds_from_a_nested_list(monkeypatch):
+    # numpy's int64 array of a list or tuple belongs to the call alone: sealed, never copied
+    z2 = ring_of("pointed_zn(2)")
+    built, build = [], np.ascontiguousarray
+    monkeypatch.setattr(np, "ascontiguousarray", lambda N: built.append(build(N)) or built[-1])
+    for N in (z2.N.tolist(), tuple(z2.N.tolist())):
+        ring = FusionRing(labels=z2.labels, N=N, dual=z2.dual)
+        assert any(ring.N is A for A in built) and not ring.N.flags.writeable
+        assert np.array_equal(ring.N, z2.N)
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e19, 2.0**63])
 def test_structure_constants_are_decided_before_the_int64_cast(value):
     # the cast itself would turn these into some int64 (and warn); they must not get that far
