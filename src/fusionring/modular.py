@@ -11,8 +11,10 @@ against the unit row s_unit, which modular_data checked against FPdim.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .spectral import (
     FPData,
     build_table,
     fp_character,
+    is_commutative,
     within_eps,
 )
 from .subcat import Subcategory
@@ -87,9 +90,11 @@ def modular_data(ring: FusionRing, S: np.ndarray) -> ModularData:
     NonIntegral or InvalidRing when its Verlinde coefficients are not
     nonnegative integers, and VerlindeMismatch when they are but do not
     reproduce the ring's structure constants and duality. The Verlinde blocks
-    are compared with ring.N as they are formed (see _verlinde_tensor), so no
-    second r^3 tensor exists; every block is formed first, so NonIntegral and
-    InvalidRing come before VerlindeMismatch.
+    of the pairs i <= j are compared with ring.N[i, i:] as they are formed (see
+    _verlinde_tensor), so no second r^3 tensor exists; the constants are
+    symmetric in i and j, so the ring must also be commutative
+    (spectral.is_commutative, computed once per ring). Every block is formed
+    first, so NonIntegral and InvalidRing come before VerlindeMismatch.
     """
     S = np.asarray(S, dtype=complex)
     g = _nondegenerate(S, ring.rank, InvariantFailed)
@@ -104,7 +109,7 @@ def modular_data(ring: FusionRing, S: np.ndarray) -> ModularData:
     if np.abs(dims - fp.dims).max() > AGGREGATE_EPS * max(1.0, fp.dims.max()):
         raise InvariantFailed("unit row of S is not proportional to the FP dimensions")
     N = _verlinde_tensor(S / np.sqrt(g), ring.unit, ring.N)
-    if N is None or dual_from_structure(N, ring.unit) != ring.dual:
+    if N is None or not is_commutative(ring) or dual_from_structure(N, ring.unit) != ring.dual:
         raise VerlindeMismatch(
             "Verlinde reconstruction from S does not reproduce the declared ring")
     return ModularData(S=S, ring=ring, global_dim=g)
@@ -123,7 +128,9 @@ def verlinde_ring(S: np.ndarray) -> FusionRing:
 
     With U = S normalized to a unitary matrix, the structure constants are
     N[i][j][k] = sum_m U[i][m] U[j][m] conj(U[k][m]) / U[0][m], rounded to
-    the nearest integer (tolerance 1e-6). The result must validate.
+    the nearest integer (tolerance 1e-6). They are symmetric in i and j, so
+    _verlinde_tensor forms the pairs i <= j and writes each to N[i][j] and
+    N[j][i]. The result must validate.
     """
     S = np.asarray(S, dtype=complex)
     r = len(S)
@@ -144,44 +151,60 @@ def verlinde_ring(S: np.ndarray) -> FusionRing:
 def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = None):
     """Rounded, nonnegative Verlinde constants of a unitary U, divided by its unit row U[unit].
 
-    N[i][j][k] = sum_m U[i][m] U[j][m] conj(U[k][m]) / U[unit][m], formed as
-    one r x r complex GEMM per i, (U[i] * U) @ weights.T, over blocks of i (see
-    ring.blocks). Each block is rounded to int64 and written into a preallocated
-    N, which is returned, so beyond N the memory is O(r^2 * block). Given an
-    (r, r, r) tensor `expected`, each block is compared with its part of
-    `expected` instead and dropped, and the result is `expected` when every
-    block equals it, else None: no r^3 reconstruction is made then. Either way
-    every block is formed before anything is decided: NonIntegral names the
-    first coefficient, in C order, farthest from its rounding; only then are
-    negatives refused, and only then does a mismatch count. A block whose real
-    and imaginary parts all lie within half the worst distance so far of Nr and
+    N[i][j][k] = sum_m U[i][m] U[j][m] conj(U[k][m]) / U[unit][m] is symmetric in i and j,
+    so only the pairs i <= j are formed. For the i of a block (see ring.blocks), the rows
+    U[i] * U[i:] are stacked and multiplied by weights.T in one GEMM, in real arithmetic
+    when U has no imaginary part (every su2_k) and in complex arithmetic otherwise. Each
+    block is rounded to int64 and written to N[i, i:] and N[i:, i] of a preallocated N,
+    which is returned, so beyond N the memory is O(r^2 * block). Given an (r, r, r) tensor
+    `expected`, each block is compared with expected[i, i:] instead and dropped, and the
+    result is `expected` when every block equals it, else None: no r^3 reconstruction is
+    made then, and nothing below the diagonal i = j is compared, so the caller checks that
+    `expected` is commutative. Either way every block is formed before anything is decided:
+    NonIntegral names the first coefficient, in C order, farthest from its rounding (its
+    i <= j); only then are negatives refused, and only then does a mismatch count. A block
+    whose real and imaginary parts all lie within half the worst distance so far of Nr and
     0 holds no farther coefficient, and forms no complex distances.
     """
     if np.abs(U[unit]).min() < 1e-12:
         raise InvalidRing("unit row of S has a vanishing entry")
     weights = U.conj() / U[unit][None, :]
+    real = not U.imag.any()
+    if real:  # weights from the complex division, so both dtypes round alike
+        U, weights = np.ascontiguousarray(U.real), np.ascontiguousarray(weights.real)
     r = len(U)
     N = np.empty((r, r, r), dtype=np.int64) if expected is None else None
     worst, drift, negative, same = None, _VERLINDE_INT_TOL, False, True
     for bs in blocks(r, r * r):
-        Nc = np.empty((bs.stop - bs.start, r, r), dtype=complex)
-        for i in range(bs.start, bs.stop):
-            np.matmul(U[i] * U, weights.T, out=Nc[i - bs.start])
+        # the rows of pair (i, j) in the block: starts[i - bs.start] + j - i
+        starts = [0, *accumulate(r - i for i in range(bs.start, bs.stop))]
+        spans = list(zip(range(bs.start, bs.stop), starts, starts[1:]))
+        pairs = np.empty((starts[-1], r), dtype=U.dtype)
+        for i, a, b in spans:
+            np.multiply(U[i], U[i:], out=pairs[a:b])
+        Nc = pairs @ weights.T
+        del pairs
         Nr = np.rint(Nc.real)
         re = Nc.real - Nr
         half = drift / 2  # parts within it keep |Nc - Nr| <= drift / sqrt(2); NaN fails this
-        if not (-half <= re.min() <= re.max() <= half and np.abs(Nc.imag).max() <= half):
+        near = -half <= re.min() <= re.max() <= half
+        del re
+        if not (near and (real or np.abs(Nc.imag).max() <= half)):
             off = np.abs(Nc - Nr)
-            at = np.unravel_index(np.argmax(off), off.shape)
-            if off[at] > drift:
-                worst, drift = (bs.start + at[0], *at[1:]), off[at]
-                value = Nc[at]
+            p, k = np.unravel_index(np.argmax(off), off.shape)
+            if off[p, k] > drift:
+                n = bisect_right(starts, p) - 1
+                i = bs.start + n
+                worst, drift = (i, i + p - starts[n], k), off[p, k]
+                value = complex(Nc[p, k])
         block = Nr.astype(np.int64)
         negative = negative or block.min() < 0
-        if N is not None:
-            N[bs] = block
-        else:
-            same = same and np.array_equal(block, expected[bs])
+        for i, a, b in spans:
+            if N is not None:
+                N[i, i:] = N[i:, i] = block[a:b]
+            elif same:
+                same = np.array_equal(block[a:b], expected[i, i:])
+        del Nc, Nr, block  # freed before the next block's GEMM
     if worst is not None:
         raise NonIntegral(
             f"Verlinde coefficient at {tuple(int(x) for x in worst)} is not integral: "

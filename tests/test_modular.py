@@ -35,7 +35,7 @@ from fusionring.errors import (
     ZeroEntry,
 )
 from fusionring import catalog, modular, ring as ring_module
-from fusionring.spectral import within_eps
+from fusionring.spectral import fp_character, is_commutative, within_eps
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -483,3 +483,71 @@ def test_a_mismatch_in_the_last_verlinde_block_is_found(monkeypatch):
     with pytest.raises(VerlindeMismatch):
         modular_data(FusionRing(labels=ring.labels, N=N, dual=ring.dual), S)
     assert modular_data(ring, S).ring is ring
+
+
+def test_a_ring_off_the_verlinde_tensor_only_below_the_diagonal_is_refused():
+    # Z2 with N[1][0][1] = 2: the pairs i <= j still match its S, and the FP dimensions stay
+    # (1, 1), since M + M^T = [[2, 3], [3, 2]] keeps its top eigenvector; only the check that
+    # the ring is commutative sees the entry below the diagonal
+    ring = catalog._pointed_zn(2)
+    N = np.array(ring.N)
+    N[1, 0, 1] = 2
+    bent = FusionRing(labels=ring.labels, N=N, dual=ring.dual)
+    S = catalog._pointed_zn_smatrix(2)
+    U = S / np.sqrt(modular._nondegenerate(S, 2, InvalidRing))
+    assert modular._verlinde_tensor(U, 0, bent.N) is bent.N
+    with pytest.raises(VerlindeMismatch):
+        modular_data(bent, S)
+
+
+@pytest.mark.parametrize("name", ["su2_k(10)", "pointed_zn(8)"])
+def test_a_noncommutative_ring_matching_s_on_the_pairs_is_refused(name):
+    # the rows N[j][unit], j > 0, cycled: a ring built, not validated, that is not
+    # commutative, agrees with the Verlinde tensor of S on every pair i <= j, and keeps
+    # M = sum_i N[i] and with it the FP dimensions, so only the commutativity check refuses it
+    ring, S = ring_of(name), entry(name).smatrix.S
+    N = np.array(ring.N)
+    N[1:, 0] = np.roll(N[1:, 0], 1, axis=0)
+    bent = FusionRing(labels=ring.labels, N=N, dual=ring.dual)
+    assert not is_commutative(bent)
+    assert np.array_equal(fp_character(bent).dims, fp_character(ring).dims)
+    with pytest.raises(VerlindeMismatch):
+        modular_data(bent, S)
+
+
+@pytest.mark.parametrize("rows", [None, 1])
+@pytest.mark.parametrize("name", MODULAR_NAMES + list(LADDER))
+def test_verlinde_ring_is_symmetric_and_matches_an_einsum(monkeypatch, name, rows):
+    # each pair i <= j is written to N[i][j] and N[j][i]; 2^14 entries make 9, 7 and 4
+    # rows per block on the ladder, and one row per block makes every block its own GEMM
+    S = LADDER[name][1] if name in LADDER else entry(name).smatrix.S
+    r = len(S)
+    monkeypatch.setattr(ring_module, "_BLOCK", 2**14 if rows is None else rows * r * r)
+    N = verlinde_ring(S).N
+    U = S / np.sqrt(modular._nondegenerate(S, r, InvalidRing))
+    assert np.array_equal(N, N.transpose(1, 0, 2))
+    assert np.array_equal(N, einsum_verlinde(U, 0))
+
+
+def test_a_perturbed_real_smatrix_names_its_nonintegral_coefficient_as_a_complex_number():
+    # su2_k(10) has a real S, so the real GEMM runs; the message keeps the complex value
+    S = entry("su2_k(10)").smatrix.S.copy()
+    S[2, 3] = S[3, 2] = S[2, 3] + 1e-3
+    assert not S.imag.any()
+    with pytest.raises(NonIntegral) as exc:
+        modular._verlinde_tensor(S, 0)
+    assert str(exc.value) == "Verlinde coefficient at (3, 9, 2) is not integral: 0.00076180168+0j"
+
+
+def test_a_tiny_imaginary_part_takes_the_complex_path():
+    # an imaginary part of 1e-300 leaves N as it is, but the product runs in complex
+    # arithmetic: the perturbed coefficient then carries an imaginary part of its own
+    S = entry("su2_k(10)").smatrix.S.copy()
+    tiny = S.copy()
+    tiny[3, 5] = tiny[5, 3] = tiny[3, 5] + 1e-300j
+    assert np.array_equal(verlinde_ring(tiny).N, verlinde_ring(S).N)
+    tiny[2, 3] = tiny[3, 2] = tiny[2, 3] + 1e-3
+    with pytest.raises(NonIntegral) as exc:
+        modular._verlinde_tensor(tiny, 0)
+    assert re.fullmatch(r"Verlinde coefficient at \(3, 9, 2\) is not integral: "
+                        r"0\.00076180168[+-][1-9](\.\d+)?e-\d+j", str(exc.value)), str(exc.value)
