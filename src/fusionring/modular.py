@@ -45,6 +45,12 @@ from .spectral import (
 from .subcat import Subcategory
 
 _VERLINDE_INT_TOL = 1e-6
+#: real multiply-adds (a complex one counts 4) below which OpenBLAS runs a GEMM on the
+#: calling thread. A threaded GEMM stalls for whole scheduler ticks, 8-16 ms, when the
+#: caller was just moved to the CPU its worker thread sits on; a call below this never does.
+#: Where fewer than 8 stacked Verlinde rows fit (complex r > 90, real r > 181), a block
+#: is one GEMM: calls that thin cost more than the stalls they avoid.
+_GEMM_MADDS = 2**18
 
 
 @dataclass
@@ -153,10 +159,11 @@ def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = Non
 
     N[i][j][k] = sum_m U[i][m] U[j][m] conj(U[k][m]) / U[unit][m] is symmetric in i and j,
     so only the pairs i <= j are formed. For the i of a block (see ring.blocks), the rows
-    U[i] * U[i:] are stacked and multiplied by weights.T in one GEMM, in real arithmetic
-    when U has no imaginary part (every su2_k) and in complex arithmetic otherwise. Each
-    block is rounded to int64 and written to N[i, i:] and N[i:, i] of a preallocated N,
-    which is returned, so beyond N the memory is O(r^2 * block). Given an (r, r, r) tensor
+    U[i] * U[i:] are stacked and multiplied by weights.T, in real arithmetic when U has no
+    imaginary part (every su2_k) and in complex arithmetic otherwise, in GEMMs of fewer
+    than _GEMM_MADDS multiply-adds each (see there). Each block is rounded to int64 and
+    written to N[i, i:] and N[i:, i] of a preallocated N, which is returned, so beyond N
+    the memory is O(r^2 * block). Given an (r, r, r) tensor
     `expected`, each block is compared with expected[i, i:] instead and dropped, and the
     result is `expected` when every block equals it, else None: no r^3 reconstruction is
     made then, and nothing below the diagonal i = j is compared, so the caller checks that
@@ -175,6 +182,7 @@ def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = Non
     r = len(U)
     N = np.empty((r, r, r), dtype=np.int64) if expected is None else None
     worst, drift, negative, same = None, _VERLINDE_INT_TOL, False, True
+    step = (_GEMM_MADDS - 1) // (r * r * (1 if real else 4))  # stacked rows per GEMM
     for bs in blocks(r, r * r):
         # the rows of pair (i, j) in the block: starts[i - bs.start] + j - i
         starts = [0, *accumulate(r - i for i in range(bs.start, bs.stop))]
@@ -182,7 +190,12 @@ def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = Non
         pairs = np.empty((starts[-1], r), dtype=U.dtype)
         for i, a, b in spans:
             np.multiply(U[i], U[i:], out=pairs[a:b])
-        Nc = pairs @ weights.T
+        Nc = np.empty_like(pairs)
+        # split evenly, not with a short last call: numpy hands one row to GEMV, which is threaded
+        calls = -(-len(pairs) // step) if step >= 8 else 1
+        for c in range(calls):
+            rows = slice(c * len(pairs) // calls, (c + 1) * len(pairs) // calls)
+            np.matmul(pairs[rows], weights.T, out=Nc[rows])
         del pairs
         Nr = np.rint(Nc.real)
         re = Nc.real - Nr

@@ -551,3 +551,35 @@ def test_a_tiny_imaginary_part_takes_the_complex_path():
         modular._verlinde_tensor(tiny, 0)
     assert re.fullmatch(r"Verlinde coefficient at \(3, 9, 2\) is not integral: "
                         r"0\.00076180168[+-][1-9](\.\d+)?e-\d+j", str(exc.value)), str(exc.value)
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_verlinde_gemms_stay_below_the_blas_threading_size(monkeypatch, name):
+    # OpenBLAS threads a GEMM of _GEMM_MADDS multiply-adds or more (a complex one counts 4),
+    # and numpy hands a one-row product to a threaded GEMV; a threaded call stalls when the
+    # caller has just moved to another CPU, so on the ladder every call has two rows or
+    # more and stays below the size (pointed_zn(64) splits 904 rows into 61 calls)
+    ring, S = LADDER[name]
+    U = S / np.sqrt(modular._nondegenerate(S, ring.rank, InvalidRing))
+    calls, matmul = [], np.matmul
+
+    def recording(a, b, **kwargs):
+        calls.append(a.shape[0] * b.shape[0] * b.shape[1] * (4 if a.dtype == complex else 1))
+        assert a.shape[0] >= 2
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    assert modular._verlinde_tensor(U, ring.unit, ring.N) is ring.N
+    assert len(calls) > len(ring_module.blocks(ring.rank, ring.rank**2))
+    assert max(calls) < modular._GEMM_MADDS
+
+
+@pytest.mark.parametrize("name", MODULAR_NAMES)
+def test_verlinde_ring_matches_an_einsum_over_split_gemms(monkeypatch, name):
+    # a size that fits 8 complex or 35 real rows splits the block of a complex S of rank 4
+    # and up, and of a real S of rank 8 and up, into calls of uneven heights
+    S = entry(name).smatrix.S
+    r = len(S)
+    monkeypatch.setattr(modular, "_GEMM_MADDS", 36 * r * r)
+    U = S / np.sqrt(modular._nondegenerate(S, r, InvalidRing))
+    assert np.array_equal(verlinde_ring(S).N, einsum_verlinde(U, 0))
