@@ -31,7 +31,7 @@ from .errors import (
     ZeroEntry,
 )
 from .kernel import _closed_kernels
-from .ring import FusionRing, blocks, check_simples, dual_from_structure, validate
+from .ring import FusionRing, blocks, check_simples, dual_from_structure, gemm, validate
 from .spectral import (
     AGGREGATE_EPS,
     DEFAULT_EPS,
@@ -45,12 +45,6 @@ from .spectral import (
 from .subcat import Subcategory
 
 _VERLINDE_INT_TOL = 1e-6
-#: real multiply-adds (a complex one counts 4) below which OpenBLAS runs a GEMM on the
-#: calling thread. A threaded GEMM stalls for whole scheduler ticks, 8-16 ms, when the
-#: caller was just moved to the CPU its worker thread sits on; a call below this never does.
-#: Where fewer than 8 stacked Verlinde rows fit (complex r > 90, real r > 181), a block
-#: is one GEMM: calls that thin cost more than the stalls they avoid.
-_GEMM_MADDS = 2**18
 
 
 @dataclass
@@ -82,7 +76,7 @@ def _nondegenerate(S: np.ndarray, rank: int, error: type[Exception]) -> float:
         raise DimensionMismatch(f"S-matrix shape {S.shape} does not match rank {rank}")
     if not np.isfinite(S).all():
         raise error("S-matrix has a non-finite entry")
-    G = S @ S.conj()
+    G = gemm(S, S.conj())
     g = float(np.mean(np.diag(G)).real)
     if g <= 0 or np.abs(G - g * np.eye(rank)).max() > AGGREGATE_EPS * max(1.0, g):
         raise error("S conj(S) is not a positive multiple of the identity")
@@ -159,9 +153,10 @@ def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = Non
 
     N[i][j][k] = sum_m U[i][m] U[j][m] conj(U[k][m]) / U[unit][m] is symmetric in i and j,
     so only the pairs i <= j are formed. For the i of a block (see ring.blocks), the rows
-    U[i] * U[i:] are stacked and multiplied by weights.T, in real arithmetic when U has no
-    imaginary part (every su2_k) and in complex arithmetic otherwise, in GEMMs of fewer
-    than _GEMM_MADDS multiply-adds each (see there). Each block is rounded to int64 and
+    U[i] * U[i:] are stacked and multiplied by weights.T through ring.gemm, in real
+    arithmetic when U has no imaginary part (every su2_k) and in complex arithmetic
+    otherwise; where fewer than 8 stacked rows fit (complex r > 90, real r > 181), a block
+    is one threaded GEMM. Each block is rounded to int64 and
     written to N[i, i:] and N[i:, i] of a preallocated N, which is returned, so beyond N
     the memory is O(r^2 * block). Given an (r, r, r) tensor
     `expected`, each block is compared with expected[i, i:] instead and dropped, and the
@@ -182,7 +177,6 @@ def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = Non
     r = len(U)
     N = np.empty((r, r, r), dtype=np.int64) if expected is None else None
     worst, drift, negative, same = None, _VERLINDE_INT_TOL, False, True
-    step = (_GEMM_MADDS - 1) // (r * r * (1 if real else 4))  # stacked rows per GEMM
     for bs in blocks(r, r * r):
         # the rows of pair (i, j) in the block: starts[i - bs.start] + j - i
         starts = [0, *accumulate(r - i for i in range(bs.start, bs.stop))]
@@ -190,12 +184,7 @@ def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = Non
         pairs = np.empty((starts[-1], r), dtype=U.dtype)
         for i, a, b in spans:
             np.multiply(U[i], U[i:], out=pairs[a:b])
-        Nc = np.empty_like(pairs)
-        # split evenly, not with a short last call: numpy hands one row to GEMV, which is threaded
-        calls = -(-len(pairs) // step) if step >= 8 else 1
-        for c in range(calls):
-            rows = slice(c * len(pairs) // calls, (c + 1) * len(pairs) // calls)
-            np.matmul(pairs[rows], weights.T, out=Nc[rows])
+        Nc = gemm(pairs, weights.T)
         del pairs
         Nr = np.rint(Nc.real)
         re = Nc.real - Nr

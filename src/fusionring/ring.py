@@ -72,6 +72,33 @@ def blocks(n: int, row: int) -> list[slice]:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+#: real multiply-adds (a complex one counts 4) below which OpenBLAS runs a GEMM on the
+#: calling thread. A threaded call wakes OpenBLAS's worker thread, which then spins for
+#: longer than a whole `modular` call: a caller moved to the CPU it spins on stalls for
+#: scheduler ticks, 8-16 ms, in that call or in any later one, pure Python included.
+_GEMM_MADDS = 2**18
+
+
+def gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The matrix product a @ b, into out if given, in calls that OpenBLAS runs unthreaded.
+
+    The rows of a are split evenly into calls of fewer than _GEMM_MADDS multiply-adds each,
+    never with a short last call: numpy hands a one-row product to GEMV, which OpenBLAS
+    threads. Where fewer than 8 rows fit, the product is one call, since calls that thin
+    cost more than the stalls they avoid (on 2 vCPUs, 3-row Verlinde calls at pointed_zn(128)
+    took 90 ms against 29 ms threaded). Callers put the long side of a product in its rows.
+    """
+    m = len(a)
+    if out is None:
+        out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
+    step = (_GEMM_MADDS - 1) // max(1, b.size * (4 if out.dtype.kind == "c" else 1))
+    calls = -(-m // step) if step >= 8 else 1
+    for c in range(calls):
+        rows = slice(c * m // calls, (c + 1) * m // calls)
+        np.matmul(a[rows], b, out=out[rows])
+    return out
+
+
 def exact_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A @ v over the integers, exactly; v is a vector or a matrix.
 
@@ -253,9 +280,10 @@ def closed_rows(ring: FusionRing, member: np.ndarray) -> np.ndarray:
     then the constituents of pairwise products, only for rows that pass the first two.
     e_k is such a constituent of row g when P[g][k] = sum_ab m[g][a] m[g][b] edges[a][b][k]
     is positive. P is formed over blocks of b (see blocks): the block of ring.edges is cast
-    to float32 on its own and takes one GEMM with the rows holding a simple of the block,
-    so beyond edges the memory is O(count * rank * block). Every term is 0 or 1, so a sum
-    of them is positive, whatever its rounding, exactly when one term is.
+    to float32 on its own and multiplied, as block * rank rows (see gemm), by the rows
+    holding a simple of the block, so beyond edges the memory is O(count * rank * block).
+    Every term is 0 or 1, so a sum of them is positive, whatever its rounding, exactly when
+    one term is.
     """
     r = ring.rank
     closed = member[:, ring.unit] & ~(member & ~member[:, list(ring.dual)]).any(axis=1)
@@ -267,9 +295,11 @@ def closed_rows(ring: FusionRing, member: np.ndarray) -> np.ndarray:
         g = np.flatnonzero(rows[:, bs].any(axis=1))
         if g.size:
             E = ring.edges[:, bs].astype(np.float32).reshape(r, -1)
-            # X[g, b, k] = sum_a m[g][a] edges[a][b][k]
-            X = (weights[g] @ E).reshape(g.size, -1, r)
-            reached[g] += np.matmul(weights[g, None, bs], X)[:, 0]
+            # X[b, k, g] = sum_a edges[a][b][k] m[g][a], over two columns at least (one
+            # column would be a GEMV): a lone row g is taken twice
+            W = weights[np.resize(g, max(2, g.size))]
+            X = gemm(E.T, W.T).reshape(-1, r, len(W))
+            reached[g] += np.einsum("gb,bkg->gk", W[:g.size, bs], X[:, :, :g.size])
     closed[live] = ~((reached > 0) & ~rows).any(axis=1)
     return closed
 
@@ -327,8 +357,8 @@ def _associative_on(N: np.ndarray, dtype, i: int):
 
     lhs[j][k][l] = sum_m N[i][j][m] N[m][k][l] and rhs[j][k][l] = sum_m
     N[j][k][m] N[i][m][l] are formed over blocks of k: each block N[:, ks] is
-    cast to dtype and takes two GEMMs, so the extra memory is a few arrays of
-    shape (r, block, r).
+    cast to dtype and takes two products of r * block rows (see gemm), so the extra
+    memory is a few arrays of shape (r, block, r).
     """
     r = len(N)
     Mi = N[i].astype(dtype)
@@ -336,9 +366,9 @@ def _associative_on(N: np.ndarray, dtype, i: int):
     def mismatch(ks):
         M = N[:, ks].astype(dtype)
         b = M.shape[1]
-        lhs = Mi @ M.reshape(r, b * r)
-        rhs = M.reshape(r * b, r) @ Mi
-        return lhs.reshape(r, b, r) != rhs.reshape(r, b, r)
+        lhs = gemm(M.reshape(r, b * r).T, Mi.T)  # lhs[j][k][l] at row (k, l), column j
+        rhs = gemm(M.reshape(r * b, r), Mi)
+        return lhs.reshape(b, r, r).transpose(2, 0, 1) != rhs.reshape(r, b, r)
 
     return _first_in_blocks(r, 1, mismatch)
 

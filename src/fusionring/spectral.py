@@ -1,7 +1,7 @@
 """Spectral data of a commutative fusion ring.
 
 Computes the Frobenius-Perron character (the unique basis-positive ring
-homomorphism) as the top eigenvector of one symmetric eigensolve, exact to
+homomorphism) as the top eigenvector of one symmetric matrix, exact to
 rounding whatever the tolerance; the full character table by simultaneous
 diagonalization of the commuting left-multiplication matrices, formal
 codegrees f_t = sum_j mu_t(j) mu_t(j*), and the primitive central idempotents.
@@ -25,6 +25,7 @@ from .errors import (
     SingularCharacterMatrix,
 )
 from .ring import FusionRing, blocks, exact_matvec
+from .subcat import is_indecomposable_matrix
 
 #: equality tolerance for complex scalars
 DEFAULT_EPS = 1e-9
@@ -34,6 +35,9 @@ AGGREGATE_EPS = 1e-8
 DEFAULT_SEED = 0
 
 _MAX_RETRIES = 8
+#: the least gap, relative to the largest |eigenvalue|, between the top eigenvalue of
+#: fp_character's matrix and the next one, below which the top one counts as repeated
+_SIMPLE_GAP = 1e-8
 
 # ring -> {"fp": FPData, "table": ((eps, seed), CharacterTable), "commutative": bool}; an
 # entry goes when its ring is collected
@@ -92,30 +96,43 @@ def _check_eps(eps) -> None:
 
 
 def fp_character(ring: FusionRing) -> FPData:
-    """Frobenius-Perron dimensions from one symmetric eigensolve.
+    """Frobenius-Perron dimensions from one symmetric eigenvalue solve and inverse iteration.
 
     The vector d of FP dimensions satisfies (A_i^T d)_j = d_i d_j for every
     fusion matrix A_i, hence is the principal eigenvector of the strictly
     positive matrix M[j][k] = sum_i N[i][j][k]. M is symmetric on a valid ring:
     by Frobenius reciprocity N[i][j][k] = N[i*][k][j], and i -> i* permutes the
-    simples, so M[j][k] = M[k][j]. One np.linalg.eigh of the exact integer sum
-    M + M^T gives that eigenvector: on a valid ring the sum is 2M, and on a ring
-    never validated (modular_data reads such rings) it is still symmetric. The
-    top eigenvector, signed so that its unit entry is nonnegative, must be
-    strictly positive, or ConvergenceFailure; d is then normalized so that
-    d[unit] = 1. No tolerance enters, so the dims do not move with eps, and
-    they are computed once per ring: later calls return the same FPData.
+    simples, so M[j][k] = M[k][j]. The exact integer sum A = M + M^T is 2M on a
+    valid ring, and symmetric on a ring never validated (modular_data reads such
+    rings). np.linalg.eigvalsh(A) gives its top eigenvalue; the nonnegative A has a
+    strictly positive top eigenvector exactly when its pattern is connected
+    (subcat.is_indecomposable_matrix), and the eigenvalue must also be simple, above the
+    next by more than _SIMPLE_GAP of the largest |eigenvalue|, or ConvergenceFailure.
+    Three solves with A shifted by 2**-20 of that gap above the top eigenvalue, from the
+    all-ones vector, shrink every other eigenvector's share by 2**-20 each: d is the
+    result normalized so that d[unit] = 1, np.linalg.eigh's top vector to rounding.
+    eigh itself is not called: OpenBLAS threads its eigenvector stage, at rank 41 already
+    (see ring._GEMM_MADDS for what a threaded call costs). No tolerance enters, so the
+    dims do not move with eps, and they are computed once per ring: later calls return
+    the same FPData.
     """
     fp = _SPECTRA.get(ring, {}).get("fp")
     if fp is not None:
         return fp
+    r = ring.rank
     M = ring.N.sum(axis=0)
-    v = np.linalg.eigh((M + M.T).astype(float))[1][:, -1]
-    if v[ring.unit] < 0:
-        v = -v
-    if v.min() <= 0:
+    A = (M + M.T).astype(float)
+    lam = np.linalg.eigvalsh(A)
+    gap = lam[-1] - lam[-2] if r > 1 else 1.0  # one eigenvalue is simple
+    dims = np.zeros(r)
+    if gap > _SIMPLE_GAP * np.abs(lam).max() and is_indecomposable_matrix(A):
+        shifted = A - (lam[-1] + gap * 2**-20) * np.eye(r)
+        v = np.ones(r)
+        for _ in range(3):
+            v = np.linalg.solve(shifted, v)
+        dims = v / v[ring.unit]
+    if not dims.min() > 0:
         raise ConvergenceFailure("principal eigenvector is not strictly positive")
-    dims = v / v[ring.unit]
     dims.setflags(write=False)
     fp = _SPECTRA.setdefault(ring, {})["fp"] = FPData(dims=dims, global_dim=float(np.sum(dims**2)))
     return fp

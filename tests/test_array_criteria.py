@@ -387,6 +387,24 @@ def test_validate_matches_every_simple_on_permuted_ladder_rings(make, n):
         assert_validate_matches_every_simple(perturbed(permuted, rng, low=1), k)
 
 
+@pytest.mark.parametrize("name", ["rep_q8", "tambara_yamagami_zn(12)", "su2_k(10)",
+                                  "pointed_zn(24)"])
+def test_validate_and_closed_rows_agree_over_split_gemms(monkeypatch, name):
+    # a size that fits 8 rows of r * r multiply-adds splits every product of validate and
+    # closed_rows at catalog ranks into calls of uneven heights, in every dtype of validate
+    ring = ring_of(name)
+    rng = np.random.default_rng(ALL_NAMES.index(name))
+    rings = [ring] + [perturbed(ring, rng, low=k % 3) for k in range(12)]
+    member = rng.random((16, ring.rank)) < 0.3
+    member[::2, ring.unit] = True
+    member |= member[:, list(ring.dual)]
+    reports = [validate(x) for x in rings]
+    closed = closed_rows(ring, member)
+    monkeypatch.setattr(ring_module, "_GEMM_MADDS", 8 * ring.rank**2 + 1)
+    assert [validate(x) for x in rings] == reports
+    assert closed_rows(ring, member).tolist() == closed.tolist()
+
+
 def test_validate_matches_every_simple_on_near_group_rings():
     rng = np.random.default_rng(2)
     rings = [near_group(m) for m in (2, 3)]

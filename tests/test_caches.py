@@ -170,8 +170,9 @@ def test_modular_from_files_solves_for_fp_dimensions_once(tmp_path, monkeypatch,
     save_ring(ring, tmp_path / "r.json")
     save_smatrix(modular_data(ring, entry.smatrix.S[np.ix_(order, order)]), tmp_path / "s.json")
     solves = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: solves.append(a) or eigh(*a, **k))
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: solves.append(a) or eigvalsh(*a, **k))
     code, out, _ = outcome(capsys, ["modular", "--ring", str(tmp_path / "r.json"),
                                     "--smatrix", str(tmp_path / "s.json")])
     assert code == 0 and "verlinde round trip: PASS" in out

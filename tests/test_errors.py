@@ -34,6 +34,7 @@ from fusionring.errors import (
     SingularCharacterMatrix,
     ZeroClass,
 )
+from fusionring import spectral
 from fusionring.ring import closure_defect
 from fusionring.spectral import CharacterTable, FPData, build_table
 from fusionring.subcat import _build_profiles, profiles
@@ -48,6 +49,27 @@ def test_convergence_failure_when_the_top_eigenvector_is_not_positive():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceFailure, match="not strictly positive"):
             fp_character(ring)
+
+
+def test_convergence_failure_when_the_top_eigenvector_vanishes_somewhere():
+    # N[0] = I, N[1] = diag(0, 1): M + M^T = diag(2, 4) has a simple top eigenvalue whose
+    # eigenvector e_1 is zero at the unit; inverse iteration from the all-ones vector would
+    # only shrink that entry, so the disconnected pattern of M + M^T refuses it
+    N = [np.eye(2, dtype=int), np.diag([0, 1])]
+    ring = FusionRing(labels=["1", "x"], N=N, dual=(0, 1))
+    with pytest.raises(ConvergenceFailure, match="not strictly positive"):
+        fp_character(ring)
+
+
+def test_convergence_failure_when_the_top_eigenvalue_is_within_the_gap_margin(monkeypatch):
+    # ising's M + M^T has eigenvalues 4 + 2 sqrt(2), 4 - 2 sqrt(2) and 0: its top one lies
+    # 0.83 of itself above the next; a fresh ring, since fp_character keeps its dims per ring
+    ising = FusionRing(labels=["1", "psi", "sigma"], N=ring_of("ising").N, dual=(0, 1, 2))
+    monkeypatch.setattr(spectral, "_SIMPLE_GAP", 0.9)
+    with pytest.raises(ConvergenceFailure, match="not strictly positive"):
+        fp_character(ising)
+    monkeypatch.setattr(spectral, "_SIMPLE_GAP", 0.8)
+    assert np.allclose(fp_character(ising).dims, [1, 1, 2**0.5])
 
 
 def test_build_table_rejects_non_characters():

@@ -1,13 +1,19 @@
 """S-matrix validation, Verlinde reconstruction, centralizers, invertibles."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import MODULAR_NAMES, count_calls, entry, fp_of, ring_of, table_of
+import fusionring
 from fusionring import (
     FusionRing,
     adjoint_class,
@@ -35,6 +41,7 @@ from fusionring.errors import (
     ZeroEntry,
 )
 from fusionring import catalog, modular, ring as ring_module
+from fusionring.modular import centralizers
 from fusionring.spectral import fp_character, is_commutative, within_eps
 
 SQRT2 = math.sqrt(2.0)
@@ -556,22 +563,33 @@ def test_a_tiny_imaginary_part_takes_the_complex_path():
 @pytest.mark.parametrize("name", list(LADDER))
 def test_verlinde_gemms_stay_below_the_blas_threading_size(monkeypatch, name):
     # OpenBLAS threads a GEMM of _GEMM_MADDS multiply-adds or more (a complex one counts 4),
-    # and numpy hands a one-row product to a threaded GEMV; a threaded call stalls when the
-    # caller has just moved to another CPU, so on the ladder every call has two rows or
-    # more and stays below the size (pointed_zn(64) splits 904 rows into 61 calls)
+    # and numpy hands a one-row or one-column product to a threaded GEMV; a threaded call
+    # stalls when the caller has just moved to another CPU, so on the ladder every product
+    # of the modular path has two rows and two columns or more and stays below the size:
+    # the Verlinde tensor's (pointed_zn(64) splits 904 rows into 61 calls), validate's,
+    # the centralizers' closure test's and _nondegenerate's
     ring, S = LADDER[name]
-    U = S / np.sqrt(modular._nondegenerate(S, ring.rank, InvalidRing))
+    md = modular_data(ring, S)
+    U = S / np.sqrt(md.global_dim)
     calls, matmul = [], np.matmul
 
     def recording(a, b, **kwargs):
-        calls.append(a.shape[0] * b.shape[0] * b.shape[1] * (4 if a.dtype == complex else 1))
-        assert a.shape[0] >= 2
+        complex_ = np.iscomplexobj(a) or np.iscomplexobj(b)
+        calls.append(a.shape[0] * b.shape[0] * b.shape[1] * (4 if complex_ else 1))
+        assert a.shape[0] >= 2 and b.shape[1] >= 2
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recording)
     assert modular._verlinde_tensor(U, ring.unit, ring.N) is ring.N
     assert len(calls) > len(ring_module.blocks(ring.rank, ring.rank**2))
-    assert max(calls) < modular._GEMM_MADDS
+    sites = {"verlinde": lambda: True,
+             "validate": lambda: validate(ring).valid,
+             "centralizers": lambda: len(centralizers(md, range(ring.rank))) == ring.rank,
+             "nondegenerate": lambda: modular._nondegenerate(S, ring.rank, InvalidRing) > 0}
+    for site, run in sites.items():
+        assert run() and calls, site
+        assert max(calls) < ring_module._GEMM_MADDS, site
+        calls.clear()
 
 
 @pytest.mark.parametrize("name", MODULAR_NAMES)
@@ -580,6 +598,51 @@ def test_verlinde_ring_matches_an_einsum_over_split_gemms(monkeypatch, name):
     # and up, and of a real S of rank 8 and up, into calls of uneven heights
     S = entry(name).smatrix.S
     r = len(S)
-    monkeypatch.setattr(modular, "_GEMM_MADDS", 36 * r * r)
+    monkeypatch.setattr(ring_module, "_GEMM_MADDS", 36 * r * r)
     U = S / np.sqrt(modular._nondegenerate(S, r, InvalidRing))
     assert np.array_equal(verlinde_ring(S).N, einsum_verlinde(U, 0))
+
+
+# Builds the ladder files, lets OpenBLAS's worker threads fall asleep, and prints the run
+# time that every thread but the main one accrues over `modular` on each file.
+_WORKER_PROBE = """
+import contextlib, glob, io, json, os, sys, time
+from fusionring import catalog, cli
+from fusionring.catalog import save_ring, save_smatrix
+from fusionring.modular import modular_data
+
+def others():
+    tasks = glob.glob("/proc/self/task/*/schedstat")
+    return len(tasks), sum(int(open(t).read().split()[0]) for t in tasks
+                           if int(t.split("/")[4]) != os.getpid())
+
+argvs = []
+for name, ring, S in (("su2_k", catalog._su2_k(40), catalog._su2_k_smatrix(40)),
+                      ("zn48", catalog._pointed_zn(48), catalog._pointed_zn_smatrix(48)),
+                      ("zn64", catalog._pointed_zn(64), catalog._pointed_zn_smatrix(64))):
+    ring_path, s_path = (os.path.join(sys.argv[1], name + end) for end in (".r.json", ".s.json"))
+    save_ring(ring, ring_path)
+    save_smatrix(modular_data(ring, S), s_path)
+    argvs.append(["modular", "--ring", ring_path, "--smatrix", s_path, "--format", "json"])
+time.sleep(0.5)
+threads, before = others()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(json.dumps({"threads": threads, "codes": codes, "grew_ns": others()[1] - before}))
+"""
+
+
+def test_modular_on_the_ladder_never_wakes_a_blas_worker(tmp_path):
+    # a threaded BLAS or LAPACK call leaves OpenBLAS's worker spinning beyond the item, and
+    # a caller moved to its CPU stalls for scheduler ticks in whatever it runs next
+    if not os.path.exists("/proc/self/task"):
+        pytest.skip("no /proc to read thread run times from")
+    env = {**os.environ, "PYTHONPATH": str(Path(fusionring.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _WORKER_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    if seen["threads"] == 1:
+        pytest.skip("one thread: OpenBLAS has no worker to wake")
+    assert seen["codes"] == [0, 0, 0]
+    assert seen["grew_ns"] == 0

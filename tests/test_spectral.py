@@ -253,6 +253,18 @@ def test_fp_dims_are_exact_to_rounding(ring):
         assert np.abs(character_table(ring).characters[0].real - d).max() <= 1e-13 * d.max()
 
 
+@pytest.mark.parametrize("ring", [ring_of(name) for name in ALL_NAMES]
+                         + [catalog._su2_k(40), catalog._su2_k(120), catalog._pointed_zn(64)],
+                         ids=lambda ring: ring.name)
+def test_fp_dims_match_the_top_eigenvector_of_eigh(ring):
+    # np.linalg.eigh of the same sum M + M^T, eigenvectors included, is an oracle independent
+    # of fp_character's eigenvalue solve and inverse iteration
+    M = ring.N.sum(axis=0)
+    v = np.linalg.eigh((M + M.T).astype(float))[1][:, -1]
+    d = fp_character(ring).dims
+    assert np.abs(d - v / v[ring.unit]).max() <= 1e-13 * d.max()
+
+
 def test_within_eps_is_strict_and_can_compare_moduli():
     assert within_eps([1.0, 1.5, 2.0], 1.0, 0.5) == [0]  # 0.5 away is outside
     assert within_eps([1.0, 1j, -2.0], [1.0, 1.0, 1.0], 0.1, modulus=True) == [0, 1]
