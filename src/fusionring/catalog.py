@@ -217,8 +217,11 @@ def _require(data: dict, key: str, kind, context: str):
 
 def _read_json(path) -> dict:
     """The JSON object in the file, as _ring_object walks it, else as json.loads decodes it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:  # missing, a directory, no permission
+        raise ParseError(f"{path}: {exc.strerror}") from exc
     data = _ring_object(text)
     if data is None:
         try:

@@ -174,41 +174,65 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the parser of each subcommand by name."""
     parser = argparse.ArgumentParser(
         prog="fusionring",
         description="Compute fusion ring invariants: FP dimensions, characters, "
                     "kernels, gradings, and S-matrix centralizers.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    _add_common(sub.add_parser("validate", help="check the based-ring axioms"))
-    p = sub.add_parser("analyze", help="full report with theorem checks")
+    def add(name, help):
+        p = commands[name] = sub.add_parser(name, help=help)
+        return p
+
+    _add_common(add("validate", "check the based-ring axioms"))
+    p = add("analyze", "full report with theorem checks")
     _add_common(p)
     p.add_argument("--no-verify", action="store_true", help="skip theorem checks")
-    _add_common(sub.add_parser("characters", help="character table and codegrees"))
-    p = sub.add_parser("kernel", help="kernel and center of one simple")
+    _add_common(add("characters", "character table and codegrees"))
+    p = add("kernel", "kernel and center of one simple")
     _add_common(p)
     p.add_argument("--object", required=True, metavar="LABEL")
-    p = sub.add_parser("grading", help="index, order and universal grading of one simple")
+    p = add("grading", "index, order and universal grading of one simple")
     _add_common(p)
     p.add_argument("--object", required=True, metavar="LABEL")
-    p = sub.add_parser("brauer", help="tensor-power coverage of one simple")
+    p = add("brauer", "tensor-power coverage of one simple")
     _add_common(p)
     p.add_argument("--object", required=True, metavar="LABEL")
     p.add_argument("--cap", default=None,
                    type=_number(int, lambda x: x >= 1, "a positive integer"))
-    p = sub.add_parser("modular", help="centralizer tables from an S-matrix")
+    p = add("modular", "centralizer tables from an S-matrix")
     _add_common(p)
     p.add_argument("--smatrix", default=None,
                    help="path to an S-matrix JSON file (defaults to builtin modular data)")
-    p = sub.add_parser("list-builtins", help="list built-in ring names")
+    p = add("list-builtins", "list built-in ring names")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), in one parse by the subcommand's parser where it can be.
+
+    In nested mode argparse hands argv[1:] to the subcommand's parse_known_args and then
+    reports whatever that leaves over, after classifying every argument at the top level
+    first. So where argv[0] names a subcommand and its parser leaves nothing over, that
+    one parse is the whole answer. Everything else (no arguments, help or an option before
+    the command, an unknown command, leftovers) goes through parser.parse_args, which
+    prints the usage, help or error text and exits as nested mode does.
+    """
+    parser, commands = _build_parser()
+    if argv and (sub := commands.get(argv[0])) is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser = _build_parser()[0]
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     out = sys.stdout
     try:
         if args.command == "list-builtins":

@@ -175,6 +175,20 @@ def test_load_parse_errors(tmp_path):
         load_ring(path)
 
 
+@pytest.mark.parametrize("kind, cause", [("missing", FileNotFoundError),
+                                         ("directory", IsADirectoryError)])
+def test_a_file_that_cannot_be_read_is_a_parse_error(tmp_path, kind, cause):
+    path = tmp_path / "x.json"
+    if kind == "directory":
+        path.mkdir()
+    loaders = (lambda: load_ring(path), lambda: load_smatrix(path, ring_of("ising")))
+    for load in loaders:
+        with pytest.raises(ParseError) as info:
+            load()
+        assert type(info.value.__cause__) is cause
+        assert str(info.value) == f"{path}: {info.value.__cause__.strerror}"
+
+
 @pytest.mark.parametrize("change, why", [
     (lambda d: d["N"][1][1].__setitem__(0, 0.5), "a non-integer entry"),
     (lambda d: d["N"][1][1].__setitem__(0, 1.0), "an integer written as a float"),

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, formats, determinism."""
 
+import argparse
 import json
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ from conftest import (
 from fusionring import catalog, cli, grading, kernel, modular, save_ring, save_smatrix, subcat
 from fusionring import ring as ring_module
 from fusionring.analysis import _power_sweep
-from fusionring.cli import _build_parser, _dumps, main
+from fusionring.cli import _build_parser, _dumps, _parse, main
 
 
 def run(capsys, *argv):
@@ -178,6 +180,20 @@ def test_malformed_ring_file_is_a_parse_error(capsys, tmp_path):
     assert err.startswith("error: ParseError:")
 
 
+@pytest.mark.parametrize("flag", ["--ring", "--smatrix"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_file_that_cannot_be_read_is_a_parse_error(capsys, tmp_path, flag, kind):
+    path = tmp_path / "x.json"
+    if kind == "directory":
+        path.mkdir()
+    argv = (["analyze", "--ring", str(path)] if flag == "--ring"
+            else ["modular", "--ring", "ising", "--smatrix", str(path)])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    assert err == f"error: ParseError: {path}: {reason}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["brauer", "--ring", "rep_s3", "--object", "V", "--cap", "0"],
     ["brauer", "--ring", "rep_s3", "--object", "V", "--seed", "-1"],
@@ -237,6 +253,103 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+_ISING_KERNEL = ["kernel", "--ring", "ising", "--object", "psi"]
+PARSE_CORPUS = [
+    # one valid argv per subcommand
+    ["validate", "--ring", "ising"],
+    ["analyze", "--ring", "ising", "--no-verify", "--format", "json"],
+    ["characters", "--ring", "rep_q8", "--epsilon", "1e-6", "--seed", "3"],
+    _ISING_KERNEL,
+    ["grading", "--ring", "rep_q8", "--object", "V"],
+    ["brauer", "--ring", "rep_s3", "--object", "V", "--cap", "8"],
+    ["modular", "--ring", "fibonacci", "--smatrix", "s.json"],
+    ["list-builtins"],
+    ["list-builtins", "--format", "json"],
+    # no command, help, an unknown command, an option before the command
+    [], ["-h"], ["--help"], ["kernel", "-h"], [*_ISING_KERNEL, "--help"], ["nosuch"],
+    ["nosuch", "--ring", "ising"], ["--format", "json", *_ISING_KERNEL],
+    # a missing required option, a bad choice
+    ["kernel", "--object", "psi"], ["kernel", "--ring", "ising"],
+    ["analyze", "--ring", "ising", "--format", "xml"], ["list-builtins", "--format", "xml"],
+    # bad numbers
+    ["analyze", "--ring", "ising", "--epsilon", "0"],
+    ["analyze", "--ring", "ising", "--epsilon", "x"],
+    ["analyze", "--ring", "ising", "--epsilon=-1e-9"],
+    ["analyze", "--ring", "ising", "--seed", "-1"],
+    ["analyze", "--ring", "ising", "--seed", "1.5"],
+    ["brauer", "--ring", "rep_s3", "--object", "V", "--cap", "0"],
+    ["brauer", "--ring", "rep_s3", "--object", "V", "--cap", "y"],
+    # leftovers
+    [*_ISING_KERNEL, "--bogus"], [*_ISING_KERNEL, "extra"], [*_ISING_KERNEL, "--bogus=1"],
+    ["list-builtins", "--ring", "ising"], ["kernel", "extra", "--ring", "ising"],
+    # abbreviations, "=", a repeated option, the "--" separator
+    ["kernel", "--ring", "ising", "--obj", "psi"], ["kernel", "--r", "ising", "--o", "psi"],
+    ["analyze", "--ring=ising", "--format=json"], ["analyze", "--ring", "ising", "--fo", "json"],
+    ["analyze", "--ring", "fibonacci", "--ring", "ising", "--format", "json", "--format", "text"],
+    [*_ISING_KERNEL, "--"], [*_ISING_KERNEL, "--", "extra"], ["kernel", "--", "--ring", "ising"],
+    ["--", *_ISING_KERNEL], ["kernel", "--ring", "--", "--object", "psi"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr, vars of the namespace or None) of one parse of argv."""
+    try:
+        namespace, code = vars(parse(list(argv))), 0
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_parse_matches_the_top_level_parser(capsys, argv):
+    expected = _parse_outcome(capsys, _build_parser()[0].parse_args, argv)
+    assert _parse_outcome(capsys, _parse, argv) == expected
+
+
+def test_the_parse_corpus_reaches_every_subcommand_and_every_outcome(capsys):
+    outcomes = [_parse_outcome(capsys, _parse, argv) for argv in PARSE_CORPUS]
+    parsed = {namespace["command"] for _, _, _, namespace in outcomes if namespace}
+    assert parsed == set(_build_parser()[1])
+    assert {code for code, *_ in outcomes} == {0, 2}
+    assert any(out.startswith("usage: fusionring kernel") for _, out, _, _ in outcomes)
+    assert any(err.endswith("fusionring: error: unrecognized arguments: --bogus\n")
+               for _, _, err, _ in outcomes)
+
+
+@pytest.mark.parametrize("argv", [
+    _ISING_KERNEL,
+    ["grading", "--ring", "ising", "--object", "sigma"],
+    ["brauer", "--ring", "rep_s3", "--object", "V"],
+    ["analyze", "--ring", "ising"],
+    ["modular", "--ring", "ising"],
+])
+def test_a_warm_query_parses_its_argv_once_with_the_subcommand_parser(capsys, monkeypatch, argv):
+    assert main(argv) == 0
+    parsers, parse_known_args = [], argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    assert main(argv) == 0
+    assert parsers == [_build_parser()[1][argv[0]]]
+
+
+def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):
+    code, out, err = run(capsys, *_ISING_KERNEL)
+    monkeypatch.setattr(sys, "argv", ["fusionring", *_ISING_KERNEL])
+    assert main() == code == 0
+    assert capsys.readouterr() == (out, err)
+    monkeypatch.setattr(sys, "argv", ["fusionring", *_ISING_KERNEL, "--bogus"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "fusionring: error: unrecognized arguments: --bogus\n")
 
 
 def test_list_builtins(capsys):
