@@ -1,9 +1,13 @@
 """The analyze and modular reports, and the theorem checks that analyze runs.
 
 Each check is a function that raises InternalInconsistency when its theorem
-fails on the ring. The two power checks read a support sweep of their own
-(_power_sweep), not the breadth-first profiles they verify, so they test
-those profiles instead of reusing them.
+fails on the ring. The two power checks certify the breadth-first profiles
+instead of reusing them: they verify the profile levels of every simple by
+local conditions on the edges of its digraph (_certify_profiles). Levels that
+meet them are the first exponents of the powers, whatever search produced
+them, so the checks need no search of their own and share no code with the
+one in subcat: a wrong level, index or order fails a check rather than
+agreeing with itself.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import numpy as np
 
 from . import grading, kernel, modular, spectral, subcat
 from .errors import FusionRingError, InternalInconsistency
-from .ring import FusionRing
+from .ring import FusionRing, blocks
 
 
 def ring_block(ring: FusionRing, fp: spectral.FPData, commutative: bool) -> dict:
@@ -46,49 +50,61 @@ def spectral_data(ring, eps, seed):
     return fp, spectral.character_table(ring, eps=eps, seed=seed) if commutative else None
 
 
-def _power_sweep(ring: FusionRing, ind: list[int]):
-    """Support sweep over the powers of all simples at once, exact as N >= 0.
+# the local conditions under which the profile levels are the first exponents, in check order
+LEVEL_CONDITIONS = ("the unit is not at level 0",
+                    "an edge out of a member leaves the members",
+                    "an edge climbs more than one level",
+                    "a member other than the unit has no in-edge from one level down")
 
-    Step n takes, for every simple e_i still swept, the support of e_i^n from
-    the one before: e_k is in it when N[i][j][k] > 0 for some j in that
-    support, a gather of the rows of those (i, j) pairs, scattered into one
-    boolean matrix. Simple i is swept until the first step whose support holds
-    no simple absent from its earlier powers, at most rank steps: every later
-    support lies in the simples seen, so every first exponent is known. The
-    least residue clash is one step past the first exponent of some simple,
-    and the first unit return one step past that of a simple with an edge to
-    the unit, so both show by then. Returns the (generator, simple, exponent,
-    later exponent) least in (later exponent, generator, simple) whose
-    exponents differ by a non-multiple of ind, or None, and per simple the
-    least n >= 1 whose power holds the unit (0 if none).
+
+def _certify_profiles(ring: FusionRing):
+    """Verify the breadth-first levels of every simple against ring.edges by local conditions.
+
+    In the digraph of e_i (an edge u -> v when e_v is in e_i * e_u) take the
+    cached profile levels l of e_i, its members those with l >= 0. If l(unit) = 0,
+    every edge u -> v out of a member lands on a member with l(v) <= l(u) + 1, and
+    every member but the unit has an in-edge from a member one level down, then
+    l is the first exponent: a walk of length n from the unit ends on a member
+    of level at most n, and a chain of parents gives a walk of length l(v). The
+    members are then C(e_i), the period of its digraph is the gcd of the gaps
+    l(u) + 1 - l(v) over the edges, and the unit first recurs at 1 + the least
+    level of a member with an edge into it. Returns broken[c, i], true when
+    simple i breaks LEVEL_CONDITIONS[c], with per simple that gcd and that
+    return (0 if none). The edges are listed for a block of simples at a time.
     """
-    r, unit, p = ring.rank, ring.unit, np.asarray(ind, dtype=np.int64)
-    edges = ring.edges  # the pattern the profiles search too; the stepping below is the sweep's own
-    supp = np.zeros((r, r), dtype=bool)  # supp[row]: that of e_swept[row]^n
-    supp[:, unit] = True
-    first = np.full((r, r), -1)  # first[i, k]: least n with e_k in e_i^n
-    first[:, unit] = 0
-    clash, returns = None, np.zeros(r, dtype=np.int64)
-    swept, n = np.arange(r), 0
-    while swept.size:
-        n += 1
-        pos, j = supp.nonzero()
-        pair, k = edges[swept[pos], j].nonzero()
-        supp = np.zeros((swept.size, r), dtype=bool)
-        supp[pos[pair], k] = True
-        seen = first[swept]
-        new = supp & (seen < 0)
-        seen[new] = n
-        first[swept] = seen
-        returns[swept[(returns[swept] == 0) & supp[:, unit]]] = n
-        if clash is None:
-            bad = np.argwhere(supp & ((n - seen) % p[swept, None] != 0))
-            if bad.size:
-                row, k = bad[0].tolist()
-                clash = (int(swept[row]), k, int(seen[row, k]), n)
-        grew = new.any(axis=1)
-        swept, supp = swept[grew], supp[grew]
-    return clash, returns
+    r, unit = ring.rank, ring.unit
+    level = np.array([p.level for p in subcat.profiles(ring, [[i] for i in range(r)])],
+                     dtype=np.int64).reshape(r, r)
+    member = level >= 0
+    broken = np.zeros((len(LEVEL_CONDITIONS), r), dtype=bool)
+    broken[0] = level[:, unit] != 0
+    parent = np.zeros((r, r), dtype=bool)  # parent[i, v]: an in-edge from one level below v
+    parent[:, unit] = True
+    period = np.zeros(r, dtype=np.int64)
+    for gs in blocks(r, r * r):  # the edges out of members, for a block of simples
+        edge = np.flatnonzero(ring.edges[gs] & member[gs, :, None]) + gs.start * r * r
+        gu, v = np.divmod(edge, r)  # gu = g * r + u, the entry of level.ravel() at (g, u)
+        g = gu // r
+        head = level[g, v]
+        gap = level.ravel()[gu] + 1 - head
+        broken[1, g[head < 0]] = True
+        broken[2, g[gap < 0]] = True
+        tight = gap == 0
+        parent[g[tight], v[tight]] = True
+        np.gcd.at(period, g, gap)
+    broken[3] = (member & ~parent).any(axis=1)
+    returns = level.min(axis=1, initial=r, where=member & ring.edges[:, :, unit]) + 1
+    return broken, period, np.where(returns > r, 0, returns)
+
+
+def _raise_first(ring, broken, wrong, explain) -> None:
+    """InternalInconsistency for the first simple that breaks a level condition or whose
+    claim is wrong, naming the condition, else explain(i)."""
+    fails = broken.any(axis=0) | wrong
+    if fails.any():
+        i = int(fails.argmax())
+        why = LEVEL_CONDITIONS[int(broken[:, i].argmax())] if broken[:, i].any() else explain(i)
+        raise InternalInconsistency(f"simple {ring.labels[i]}: {why}")
 
 
 def brauer_equivalence(ring, table, kernels, faithful) -> None:
@@ -102,26 +118,21 @@ def brauer_equivalence(ring, table, kernels, faithful) -> None:
         raise InternalInconsistency(f"simple {ring.labels[split]}: faithful != indecomposable")
 
 
-def power_residue_classes(ring, ind, clash) -> None:
-    """Every simple in the powers of e_i occurs only at exponents congruent mod ind(e_i)."""
-    if clash is not None:
-        i, k, m, n = clash
-        raise InternalInconsistency(
-            f"simple {ring.labels[k]} occurs in powers of {ring.labels[i]} at exponents "
-            f"{m} and {n}, not congruent mod {ind[i]}")
+def power_residue_classes(ring, ind, certificate) -> None:
+    """The profile levels of e_i are its first exponents, and ind(e_i) is the gcd of their
+    gaps over its edges: every simple of C(e_i) occurs only at exponents congruent mod ind."""
+    broken, period, _ = certificate
+    _raise_first(ring, broken, period != ind, lambda i: (
+        f"level gaps over its edges have gcd {period[i]}, object_index says {ind[i]}"))
 
 
-def index_divides_order(ring, ind, returns) -> None:
-    """The sweep's first return of the unit is object_order, and ind divides it."""
-    for i in range(ring.rank):
-        order = grading.object_order(ring, i)
-        if returns[i] != order:
-            raise InternalInconsistency(
-                f"simple {ring.labels[i]}: unit first recurs in power {returns[i]}, "
-                f"object_order says {order}")
-        if order % ind[i]:
-            raise InternalInconsistency(
-                f"simple {ring.labels[i]}: order {order} not divisible by index {ind[i]}")
+def index_divides_order(ring, ind, certificate) -> None:
+    """The certified first return of the unit is object_order, and ind divides it."""
+    broken, _, returns = certificate
+    order = np.array([grading.object_order(ring, i) for i in range(ring.rank)], dtype=np.int64)
+    _raise_first(ring, broken, (returns != order) | (order % ind != 0), lambda i: (
+        f"unit first recurs in power {returns[i]}, object_order says {order[i]}"
+        if returns[i] != order[i] else f"order {order[i]} not divisible by index {ind[i]}"))
 
 
 def character_orthogonality(ring, table) -> str:
@@ -137,10 +148,10 @@ def character_orthogonality(ring, table) -> str:
 def _run_checks(ring, table, kernels, faithful) -> list[dict]:
     """One pass/fail entry per theorem check, named after its function."""
     ind = [grading.object_index(ring, i) for i in range(ring.rank)]
-    clash, returns = _power_sweep(ring, ind)
+    certificate = _certify_profiles(ring)
     checks = [(brauer_equivalence, ring, table, kernels, faithful),
-              (power_residue_classes, ring, ind, clash),
-              (index_divides_order, ring, ind, returns)]
+              (power_residue_classes, ring, ind, certificate),
+              (index_divides_order, ring, ind, certificate)]
     if table is not None:
         checks.append((character_orthogonality, ring, table))
     entries = []

@@ -222,6 +222,8 @@ def _read_json(path) -> dict:
             text = fh.read()
     except OSError as exc:  # missing, a directory, no permission
         raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason})") from exc
     data = _ring_object(text)
     if data is None:
         try:

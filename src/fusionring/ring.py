@@ -192,8 +192,8 @@ class FusionRing:
     def edges(self) -> np.ndarray:
         """The read-only pattern N > 0, built on first use: edges[i, j, k] iff e_k is in e_i * e_j.
 
-        validate's choice of generators, the profiles' searches and analyze's power
-        sweep all read this one array, so a ring builds its r^3 bytes once.
+        validate's choice of generators, the profiles' searches and analyze's check of
+        the profiles all read this one array, so a ring builds its r^3 bytes once.
         """
         edges = self.N > 0
         edges.setflags(write=False)

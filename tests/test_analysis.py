@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import ALL_NAMES, MODULAR_NAMES, SAMPLE_NAMES, entry, fp_of, ring_of, table_of
-from fusionring import analysis, analyze_report, cli, grading, kernel_of_class, modular_report
+from fusionring import (
+    analysis, analyze_report, cli, grading, kernel_of_class, modular_report, subcat)
 from fusionring.errors import InternalInconsistency
 from fusionring.spectral import DEFAULT_EPS, DEFAULT_SEED
 from test_cli import built_reports
@@ -39,22 +40,94 @@ def test_modular_report_is_the_cli_report(capsys, monkeypatch):
         assert modular_report(entry(name).smatrix, DEFAULT_EPS) == report, name
 
 
-def sweep(ring, factor=1):
-    ind = [factor * grading.object_index(ring, i) for i in range(ring.rank)]
-    return (ind, *analysis._power_sweep(ring, ind))
+def power_failures(ring, ind=None):
+    """{check name: message} of the power checks that fail on the ring's cached profiles,
+    with the given indices or else those of object_index."""
+    if ind is None:
+        ind = [grading.object_index(ring, i) for i in range(ring.rank)]
+    certificate = analysis._certify_profiles(ring)
+    failures = {}
+    for check in (analysis.power_residue_classes, analysis.index_divides_order):
+        try:
+            check(ring, ind, certificate)
+        except InternalInconsistency as exc:
+            failures[check.__name__] = str(exc)
+    return failures
 
 
-@pytest.mark.parametrize("name", SAMPLE_NAMES)
-def test_power_checks_fail_on_a_doctored_sweep(name):
+def depth_first_levels(ring, i):
+    """Depths of a depth-first tree of the digraph of e_i from the unit (-1 where unreached).
+
+    Every member has a parent one level down in its tree, so where the tree is not
+    breadth-first the only condition these levels break is that no edge climbs."""
+    depth = [-1] * ring.rank
+    depth[ring.unit] = 0
+
+    def visit(u):
+        for v in np.flatnonzero(ring.edges[i, u]).tolist():
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                visit(v)
+
+    visit(ring.unit)
+    return tuple(depth)
+
+
+def doctored_profiles(ring, i, profile):
+    """(kind, change, {failing check: its accepted message endings}) for profiles of simple i
+    doctored one field at a time."""
+    checks = ("power_residue_classes", "index_divides_order")
+    any_level = dict.fromkeys(checks, analysis.LEVEL_CONDITIONS)
+    for k, n in enumerate(profile.level):  # a member's level by +-1, or a non-member's to 0
+        for step in (-1, 1) if n >= 0 else (1,):
+            level = profile.level[:k] + (n + step,) + profile.level[k + 1:]
+            yield "level +-1", {"level": level}, any_level
+    deepest = max(profile.level)
+    if deepest > 0:
+        # the deepest level moved one up: none of its members has a parent there
+        level = tuple(n - (n == deepest) for n in profile.level)
+        yield "orphan", {"level": level}, dict.fromkeys(checks, analysis.LEVEL_CONDITIONS[3:])
+        # the deepest level left out of the members: edges from the level above leave them
+        level = tuple(-1 if n == deepest else n for n in profile.level)
+        yield "leave", {"level": level}, dict.fromkeys(checks, analysis.LEVEL_CONDITIONS[1:2])
+    level = depth_first_levels(ring, i)
+    if level != profile.level:
+        yield "climb", {"level": level}, dict.fromkeys(checks, analysis.LEVEL_CONDITIONS[2:3])
+    ind, order = profile.index, profile.order
+    for index in [2 * ind] + [ind // 2] * (ind % 2 == 0):  # a doubled index, a halved even one
+        failures = {"power_residue_classes": (f"object_index says {index}",)}
+        if order % index:  # a doubled index may stop dividing the order
+            failures["index_divides_order"] = (f"not divisible by index {index}",)
+        yield "index", {"index": index}, failures
+    yield "order", {"order": order + 1}, {"index_divides_order": (
+        f"unit first recurs in power {order}, object_order says {order + 1}",)}
+
+
+# su2_k(8) has simples whose depth-first trees are not breadth-first
+@pytest.mark.parametrize("name", [*SAMPLE_NAMES, "su2_k(8)"])
+def test_power_checks_fail_on_doctored_profiles(monkeypatch, name):
     ring = ring_of(name)
-    ind, clash, returns = sweep(ring)
-    assert analysis.power_residue_classes(ring, ind, clash) is None
-    assert analysis.index_divides_order(ring, ind, returns) is None
-    doubled, clash, _ = sweep(ring, factor=2)  # the unit alone clashes at twice its index
-    with pytest.raises(InternalInconsistency, match="not congruent mod"):
-        analysis.power_residue_classes(ring, doubled, clash)
-    with pytest.raises(InternalInconsistency, match="unit first recurs in power"):
-        analysis.index_divides_order(ring, ind, returns + 1)
+    profiles = subcat.profiles(ring, [[i] for i in range(ring.rank)])
+    assert power_failures(ring) == {}
+    cache, kinds = subcat._PROFILES[ring], set()
+    for i, profile in enumerate(profiles):
+        for kind, change, expected in doctored_profiles(ring, i, profile):
+            with monkeypatch.context() as m:
+                m.setitem(cache, frozenset({i}), dataclasses.replace(profile, **change))
+                failures = power_failures(ring)
+            assert failures.keys() == expected.keys(), (i, change)
+            for check, endings in expected.items():
+                head, _, reason = failures[check].partition(": ")
+                assert head == f"simple {ring.labels[i]}", (i, change)
+                assert reason.endswith(endings), (i, change, reason)
+            kinds.add(kind)
+    assert power_failures(ring) == {}
+    expected = {"level +-1", "index", "order"}
+    if ring.rank > 1:
+        expected |= {"orphan", "leave"}
+    if name == "su2_k(8)":
+        expected.add("climb")
+    assert kinds == expected
 
 
 @pytest.mark.parametrize("name", SAMPLE_NAMES)

@@ -2,8 +2,8 @@
 
 Each reference below is the loop the library used before it was stated as one
 array criterion, or before a per-simple function became a batch: structural
-tests, catalog rules, the power sweep, gradings, kernels, centers and the
-Brauer check. The two must agree everywhere, witnesses and errors included.
+tests, catalog rules, the powers of each simple, gradings, kernels, centers and
+the Brauer check. The two must agree everywhere, witnesses and errors included.
 """
 
 import operator
@@ -33,7 +33,7 @@ from fusionring import (
     verify_brauer,
 )
 from fusionring import ring as ring_module
-from fusionring.analysis import _power_sweep
+from fusionring.analysis import _certify_profiles
 from fusionring.catalog import (
     _group_ring, _pointed_zn, _pointed_zn_smatrix, _su2_k, _su2_k_smatrix, _zn_table)
 from fusionring.errors import (
@@ -47,6 +47,7 @@ from fusionring.ring import (
 from fusionring.spectral import (
     AGGREGATE_EPS, DEFAULT_EPS, DEFAULT_SEED, CharacterTable, within_eps)
 from fusionring.subcat import object_profile, restriction_order
+from test_analysis import power_failures
 from test_ring import rounding_ring
 
 
@@ -557,12 +558,17 @@ def test_near_group_rule_matches_the_loop(k):
     assert np.array_equal(near_group(k).N, loop_group_ring(["1", "a", "X"], operator.xor, k))
 
 
-def loop_power_sweep(ring, ind):
-    """Reference: the support sweep of one simple at a time, one boolean product per exponent."""
+def loop_powers(ring, ind):
+    """Reference: the support sweep of one simple at a time, one boolean product per exponent.
+
+    Returns the first residue clash mod ind, the first return of the unit per simple, and
+    the first exponents first[i, k] of e_k in the powers of e_i (-1 if none)."""
     edges, start = ring.N > 0, np.arange(ring.rank) == ring.unit
     clash, returns = None, np.zeros(ring.rank, dtype=np.int64)
+    firsts = np.full((ring.rank, ring.rank), -1)
     for i, p in enumerate(ind):
-        supports, first = [start], np.where(start, 0, -1)
+        supports, first = [start], firsts[i]
+        first[start] = 0
         for n in range(1, 3 * ring.rank * p + 1):
             supp = supports[-1] @ edges[i]  # boolean: some j in the support has an edge j -> k
             supports.append(supp)
@@ -574,25 +580,29 @@ def loop_power_sweep(ring, ind):
                 clash = (i, int(bad[0]), int(first[bad[0]]), n)
             if n >= p and np.array_equal(supp, supports[n - p]):
                 break
-    return clash, returns
+    return clash, returns, firsts
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + ["near_group(Z2, 2)", "near_group(Z2, 3)"])
-def test_power_sweep_matches_the_loop(name):
-    # with ind no simple clashes; with 2 ind the unit clashes first, at n = 1; doubling all
-    # but the unit ties generators at the least n (rep_q8: a, b and ab at n = 2); one index
-    # skewed by one, tried for each simple in turn, ties simples (su2_k(8) with ind[6] + 1:
-    # simples 2 and 4 at n = 3)
+def test_certified_profiles_match_the_loop(name):
+    # the levels are the loop's first exponents; of the trial indices (ind, 2 ind, 2 ind with
+    # the unit's kept, and one index + 1 for each simple in turn), the checks must reject
+    # exactly those under which the loop finds exponents of a simple in two residue classes
     ring = near_group(int(name[-2])) if name.startswith("near_group") else ring_of(name)
     ind = [object_index(ring, i) for i in range(ring.rank)]
+    broken, _, returns = _certify_profiles(ring)
+    _, want_returns, first = loop_powers(ring, ind)
+    assert not broken.any()
+    assert np.array_equal([object_profile(ring, i).level for i in range(ring.rank)], first)
+    assert np.array_equal(returns, want_returns)
     trials = [ind, [2 * p for p in ind]]
     trials += [[p if i == ring.unit else 2 * p for i, p in enumerate(ind)]]
     trials += [ind[:j] + [ind[j] + 1] + ind[j + 1:] for j in range(ring.rank)]
     for trial in trials:
-        clash, returns = _power_sweep(ring, trial)
-        want_clash, want_returns = loop_power_sweep(ring, trial)
-        assert clash == want_clash and np.array_equal(returns, want_returns), trial
-        assert (clash is None) == (trial == ind), trial
+        clash = loop_powers(ring, trial)[0]
+        failed = power_failures(ring, trial)
+        assert (clash is None) == (trial == ind) == (failed == {}), trial
+        assert (clash is None) != ("power_residue_classes" in failed), trial
 
 
 def loop_universal_grading(ring, i, fp=None, table=None, eps=DEFAULT_EPS, seed=DEFAULT_SEED):

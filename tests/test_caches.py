@@ -201,18 +201,17 @@ def test_relabel_names_the_ring_it_builds():
     assert relabel(ising, [0, 2, 1], name="swapped").name == "swapped"
 
 
-def test_validate_profiles_and_sweep_read_one_pattern_per_ring():
+def test_validate_profiles_and_certificate_read_one_pattern_per_ring():
     r = 128
     ring = catalog._pointed_zn(r)
     assert "edges" not in vars(ring)
     assert validate(ring).valid
     edges = vars(ring)["edges"]  # validate built the ring's pattern
     assert np.array_equal(edges, ring.N > 0) and not edges.flags.writeable
-    ind = [1] * r
     tracemalloc.start()
     try:  # neither forms an r^3 pattern of its own
         subcat.profiles(ring, [[i] for i in range(r)])
-        analysis._power_sweep(ring, ind)
+        analysis._certify_profiles(ring)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

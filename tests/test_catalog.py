@@ -189,6 +189,17 @@ def test_a_file_that_cannot_be_read_is_a_parse_error(tmp_path, kind, cause):
         assert str(info.value) == f"{path}: {info.value.__cause__.strerror}"
 
 
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_bytes(b"\xff\xfe{}")
+    loaders = (lambda: load_ring(path), lambda: load_smatrix(path, ring_of("ising")))
+    for load in loaders:
+        with pytest.raises(ParseError) as info:
+            load()
+        assert type(info.value.__cause__) is UnicodeDecodeError
+        assert str(info.value) == f"{path}: not UTF-8 (invalid start byte)"
+
+
 @pytest.mark.parametrize("change, why", [
     (lambda d: d["N"][1][1].__setitem__(0, 0.5), "a non-integer entry"),
     (lambda d: d["N"][1][1].__setitem__(0, 1.0), "an integer written as a float"),

@@ -12,10 +12,11 @@ import pytest
 from conftest import (
     ALL_NAMES, COMMUTATIVE_NAMES, MODULAR_NAMES, SAMPLE_NAMES, count_calls, entry, ring_of,
     wrap_ring)
-from fusionring import catalog, cli, grading, kernel, modular, save_ring, save_smatrix, subcat
+from fusionring import (
+    analysis, catalog, cli, grading, kernel, modular, save_ring, save_smatrix, subcat)
 from fusionring import ring as ring_module
-from fusionring.analysis import _power_sweep
 from fusionring.cli import _build_parser, _dumps, _parse, main
+from fusionring.errors import InternalInconsistency
 
 
 def run(capsys, *argv):
@@ -181,16 +182,19 @@ def test_malformed_ring_file_is_a_parse_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--ring", "--smatrix"])
-@pytest.mark.parametrize("kind", ["missing", "directory"])
-def test_a_file_that_cannot_be_read_is_a_parse_error(capsys, tmp_path, flag, kind):
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory"),
+                                          ("not UTF-8", "not UTF-8 (invalid start byte)")])
+def test_a_file_that_cannot_be_read_is_a_parse_error(capsys, tmp_path, flag, kind, reason):
     path = tmp_path / "x.json"
     if kind == "directory":
         path.mkdir()
+    elif kind == "not UTF-8":
+        path.write_bytes(b"\xff\xfe{}")
     argv = (["analyze", "--ring", str(path)] if flag == "--ring"
             else ["modular", "--ring", "ising", "--smatrix", str(path)])
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    reason = "No such file or directory" if kind == "missing" else "Is a directory"
     assert err == f"error: ParseError: {path}: {reason}\n"
 
 
@@ -383,7 +387,7 @@ def test_text_and_json_verdicts_agree(capsys):
     ("object_order", lambda f: lambda ring, i, cap=None: f(ring, i) + 1, "index_divides_order"),
 ])
 def test_power_checks_catch_a_wrong_index_or_order(capsys, monkeypatch, name, skew, check):
-    # the checks run their own power sweep, so a wrong profile answer must fail them
+    # the checks certify the profile levels themselves, so a wrong index or order fails them
     monkeypatch.setattr(grading, name, skew(getattr(grading, name)))
     code, out, _ = run(capsys, "analyze", "--ring", "pointed_zn(4)", "--format", "json")
     assert code == 1
@@ -393,8 +397,13 @@ def test_power_checks_catch_a_wrong_index_or_order(capsys, monkeypatch, name, sk
 
 
 def _full_cap_sweep(ring, ind):
-    """_power_sweep without its early stop: the exact powers up to 3 * rank * ind."""
-    clashes, returns = [], []
+    """Reference: the exact powers of each simple up to 3 * rank * ind, by ring.multiply.
+
+    Returns the (generator, simple, exponent, later exponent) least in (later exponent,
+    generator, simple) whose exponents differ by a non-multiple of ind, or None; per
+    simple the least n >= 1 whose power holds the unit (0 if none); and per simple the
+    first exponent of every simple in its powers (-1 if none)."""
+    clashes, returns, firsts = [], [], []
     for i, p in enumerate(ind):
         cap, power, first, ret = 3 * ring.rank * p, ring.tensor_power(i, 0), {ring.unit: 0}, 0
         for n in range(1, cap + 1):
@@ -406,20 +415,31 @@ def _full_cap_sweep(ring, ind):
             ret = ret or (n if power[ring.unit] else 0)
         assert np.array_equal(power, ring.tensor_power(i, cap))
         returns.append(ret)
+        firsts.append([first.get(k, -1) for k in range(ring.rank)])
     if not clashes:
-        return None, returns
+        return None, returns, firsts
     n, i, k, m = min(clashes)
-    return (i, k, m, n), returns
+    return (i, k, m, n), returns, firsts
 
 
 @pytest.mark.parametrize("factor", [1, 2])
 @pytest.mark.parametrize("name", SAMPLE_NAMES)
-def test_power_sweep_stops_early_with_the_full_sweep_result(name, factor):
+def test_power_checks_certify_the_full_sweep_result(name, factor):
     ring = ring_of(name)
     ind = [factor * grading.object_index(ring, i) for i in range(ring.rank)]
-    clash, returns = _power_sweep(ring, ind)
-    assert (clash, returns.tolist()) == _full_cap_sweep(ring, ind)
-    assert (clash is None) == (factor == 1)  # the unit alone clashes at twice its index
+    clash, returns, first = _full_cap_sweep(ring, ind)
+    certificate = broken, _, certified_returns = analysis._certify_profiles(ring)
+    levels = [list(subcat.object_profile(ring, i).level) for i in range(ring.rank)]
+    assert not broken.any() and levels == first
+    assert certified_returns.tolist() == returns
+    if factor == 1:
+        assert clash is None
+        assert analysis.power_residue_classes(ring, ind, certificate) is None
+        assert analysis.index_divides_order(ring, ind, certificate) is None
+    else:  # the unit clashes at twice its index
+        assert clash is not None
+        with pytest.raises(InternalInconsistency, match="object_index says"):
+            analysis.power_residue_classes(ring, ind, certificate)
 
 
 def test_analyze_builds_one_profile_per_simple(capsys, monkeypatch, fresh_catalog):
@@ -500,15 +520,15 @@ def test_power_checks_fail_under_python_optimize():
     assert verdicts["brauer_equivalence"] and verdicts["character_orthogonality"]
 
 
-def test_power_sweep_stays_within_a_memory_budget():
-    # traced peak at rank 128, ring and indices made beforehand: the boolean pattern N > 0
-    # takes r^3 bytes, so a second r^3 array of supports breaks the budget
+def test_profile_certificate_stays_within_a_memory_budget():
+    # traced peak at rank 128, ring and profiles made beforehand: the boolean pattern N > 0
+    # takes r^3 bytes, so an r^3 array of the certificate's own breaks the budget
     r = 128
     ring = catalog._pointed_zn(r)
-    ind = [grading.object_index(ring, i) for i in range(r)]
+    subcat.profiles(ring, [[i] for i in range(r)])
     tracemalloc.start()
     try:
-        _power_sweep(ring, ind)
+        analysis._certify_profiles(ring)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
