@@ -7,7 +7,9 @@ local conditions on the edges of its digraph (_certify_profiles). Levels that
 meet them are the first exponents of the powers, whatever search produced
 them, so the checks need no search of their own and share no code with the
 one in subcat: a wrong level, index or order fails a check rather than
-agreeing with itself.
+agreeing with itself. The report and the checks read the levels, indices,
+orders and faithfulness of all simples from the ring's profile table
+(subcat.profile_table) as whole arrays, with no lookup per simple.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _certify_profiles(ring: FusionRing):
     """Verify the breadth-first levels of every simple against ring.edges by local conditions.
 
     In the digraph of e_i (an edge u -> v when e_v is in e_i * e_u) take the
-    cached profile levels l of e_i, its members those with l >= 0. If l(unit) = 0,
+    profile table's levels l of e_i, its members those with l >= 0. If l(unit) = 0,
     every edge u -> v out of a member lands on a member with l(v) <= l(u) + 1, and
     every member but the unit has an in-edge from a member one level down, then
     l is the first exponent: a walk of length n from the unit ends on a member
@@ -73,8 +75,7 @@ def _certify_profiles(ring: FusionRing):
     return (0 if none). The edges are listed for a block of simples at a time.
     """
     r, unit = ring.rank, ring.unit
-    level = np.array([p.level for p in subcat.profiles(ring, [[i] for i in range(r)])],
-                     dtype=np.int64).reshape(r, r)
+    level = subcat.profile_table(ring).level
     member = level >= 0
     broken = np.zeros((len(LEVEL_CONDITIONS), r), dtype=bool)
     broken[0] = level[:, unit] != 0
@@ -127,9 +128,9 @@ def power_residue_classes(ring, ind, certificate) -> None:
 
 
 def index_divides_order(ring, ind, certificate) -> None:
-    """The certified first return of the unit is object_order, and ind divides it."""
+    """The certified first return of the unit is the profile table's order, and ind divides it."""
     broken, _, returns = certificate
-    order = np.array([grading.object_order(ring, i) for i in range(ring.rank)], dtype=np.int64)
+    order = subcat.profile_table(ring).order
     _raise_first(ring, broken, (returns != order) | (order % ind != 0), lambda i: (
         f"unit first recurs in power {returns[i]}, object_order says {order[i]}"
         if returns[i] != order[i] else f"order {order[i]} not divisible by index {ind[i]}"))
@@ -147,7 +148,7 @@ def character_orthogonality(ring, table) -> str:
 
 def _run_checks(ring, table, kernels, faithful) -> list[dict]:
     """One pass/fail entry per theorem check, named after its function."""
-    ind = [grading.object_index(ring, i) for i in range(ring.rank)]
+    ind = subcat.profile_table(ring).index
     certificate = _certify_profiles(ring)
     checks = [(brauer_equivalence, ring, table, kernels, faithful),
               (power_residue_classes, ring, ind, certificate),
@@ -173,7 +174,7 @@ def analyze_report(ring: FusionRing, eps: float = spectral.DEFAULT_EPS,
         report["notice"] = "noncommutative Grothendieck ring: no character data"
     simples = range(ring.rank)
     gradings = grading.grade_simples(ring, simples, fp, table, eps=eps, seed=seed)
-    faithful = [subcat.is_faithful(ring, i) for i in simples]
+    faithful = (subcat.profile_table(ring).level >= 0).all(axis=1).tolist()
     report["simples"] = [
         {"label": ring.labels[i], "faithful": faithful[i], "index": grad.index,
          "order": grad.order, "grading_character_checked": grad.character_checked,

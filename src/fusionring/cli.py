@@ -109,9 +109,10 @@ def _dumps(obj, indent: str = "\n") -> str:
 
     json.dumps runs its pure-Python encoder whenever indent is set, so this
     writes the same text with C-level joins instead: a list of str is one join,
-    and a list of numbers, or of nonempty lists of numbers, one repr, which
-    writes finite ints and floats as JSON does. A repr holding an "n" holds a
-    nan or an inf, and such a list goes item by item, as does any other list.
+    a list of nonempty lists of str one join per inner list, and a list of
+    numbers, or of nonempty lists of numbers, one repr, which writes finite
+    ints and floats as JSON does. A repr holding an "n" holds a nan or an inf,
+    and such a list goes item by item, as does any other list.
     Scalars are dispatched by exact type; other types, empty lists and dicts
     and non-finite floats go to json.dumps without indent.
     """
@@ -130,13 +131,18 @@ def _dumps(obj, indent: str = "\n") -> str:
         body = sep.join(f"{_ESCAPE(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj))
         return "{" + inner + body + indent + "}"
     types = set(map(type, obj))
+    # the types of the items of the inner lists, when every item is a nonempty list
+    rows = (types == {list} and all(map(len, obj))
+            and set(map(type, itertools.chain.from_iterable(obj))))
     if types == {str}:
         body = sep.join(map(_ESCAPE, obj))
     elif types <= _NUMBERS and "n" not in (text := repr(obj)):
         body = text[1:-1].replace(", ", sep)
-    elif (types == {list} and all(map(len, obj))
-          and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBERS
-          and "n" not in (text := repr(obj))):
+    elif rows == {str}:
+        deeper = inner + "  "
+        body = sep.join(f"[{deeper}{(',' + deeper).join(map(_ESCAPE, row))}{inner}]"
+                        for row in obj)
+    elif rows and rows <= _NUMBERS and "n" not in (text := repr(obj)):
         body = text[2:-2].replace("], [", f"{inner}],{inner}[{inner}  ").replace(", ", sep + "  ")
         body = f"[{inner}  {body}{inner}]"
     else:

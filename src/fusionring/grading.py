@@ -7,8 +7,10 @@ group of that subcategory. Index, order and grades are read off the
 breadth-first profile of X (see subcat.object_profile): a simple first
 occurring in X^n has grade n mod ind. The grading is cross-checked against
 the character whose value on X is exp(2*pi*i/ind) * FPdim(X). grade_simples
-grades a batch of simples as array steps over their stacked levels, one row
-per simple; universal_grading is its batch of one.
+grades a batch of simples as array steps over their levels, one row per
+simple (for all simples, the rows of the ring's profile table; see
+subcat.profile_rows), and files each row's grades and components in one pass
+over its levels; universal_grading is its batch of one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .spectral import (
     is_commutative,
     within_eps,
 )
-from .subcat import Subcategory, object_profile, profiles, restrict, restriction_order
+from .subcat import Subcategory, object_profile, profile_rows, restrict, restriction_order
 
 
 @dataclass
@@ -106,9 +108,8 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
     """
     simples = list(simples)
     r, unit, count = ring.rank, ring.unit, len(simples)
-    batch = profiles(ring, ([i] for i in simples))
-    level = np.array([p.level for p in batch], dtype=np.int64).reshape(count, r)
-    ind = np.array([p.index for p in batch], dtype=np.int64)[:, None]
+    level, index, order = profile_rows(ring, simples)
+    ind = index[:, None]
     member = level >= 0
     grade = level % ind
 
@@ -121,25 +122,27 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
         checked = [True] * count
     else:
         checked = []
-        for row, (i, profile) in enumerate(zip(simples, batch)):
-            sub = Subcategory(members=profile.members)
-            small, order = restrict(ring, sub), restriction_order(ring, sub)
+        for row, i in enumerate(simples):
+            sub = Subcategory(members=tuple(np.flatnonzero(member[row]).tolist()))
+            small, positions = restrict(ring, sub), restriction_order(ring, sub)
             checked.append(is_commutative(small))
             if checked[-1]:  # the characters of C(e_i), spread over the ambient basis
-                chars = np.zeros((len(order), r), dtype=complex)
-                chars[:, order] = character_table(small, eps=eps, seed=seed).characters
+                chars = np.zeros((len(positions), r), dtype=complex)
+                chars[:, positions] = character_table(small, eps=eps, seed=seed).characters
                 at = slice(row, row + 1)
                 _cross_check(ring, [i], grade[at], ind[at], member[at], fp.dims, chars)
 
     result = []
-    for profile, row_grade, row_checked in zip(batch, grade.tolist(), checked):
+    for row_level, row_grade, row_index, row_order, row_checked in zip(
+            level.tolist(), grade.tolist(), index.tolist(), order.tolist(), checked):
         grades = {unit: row_grade[unit]}  # unit first, then ascending
-        components = [[] for _ in range(profile.index)]
-        for k in profile.members:
-            grades[k] = row_grade[k]
-            components[row_grade[k]].append(k)
-        result.append(GradingData(profile.index, profile.order, grades,
-                                  tuple(map(tuple, components)), row_checked))
+        components = [[] for _ in range(row_index)]
+        for k, n in enumerate(row_level):
+            if n >= 0:
+                grades[k] = g = row_grade[k]
+                components[g].append(k)
+        result.append(GradingData(row_index, row_order, grades, tuple(map(tuple, components)),
+                                  row_checked))
     return result
 
 

@@ -6,9 +6,13 @@ of pairwise products. What the powers of an object decide, and the subcategory
 any set of simples generates, is read off a breadth-first search of its fusion
 digraph, cached per support (ObjectProfile). profiles builds every support it
 misses in one batch: all simples of a ring at once, or a few supports searched
-forwards and backwards in one pass. Faithfulness of a simple is equivalent to
+forwards and backwards in one pass. The search of all simples also keeps its
+levels, indices and orders as read-only arrays, the ring's ProfileTable, which
+the readers of every simple take whole (profile_rows); a batch of fewer simples
+searches only its own supports. Faithfulness of a simple is equivalent to
 indecomposability of its fusion matrix, tested independently and exactly by
-the Frobenius criterion (I + A)^(n-1) > 0.
+the Frobenius criterion (I + A)^(n-1) > 0. A restricted ring is built once per
+ring and member set while the ring lives, so what is cached per ring applies to it.
 """
 
 from __future__ import annotations
@@ -58,8 +62,21 @@ class ObjectProfile:
     order: int
 
 
-# ring -> {support: profile}; an entry goes when its ring is collected
+@dataclass(frozen=True)
+class ProfileTable:
+    """The profiles of all simples of a ring as read-only arrays: row i of level (r x r),
+    and entry i of index and order, are those of the ObjectProfile of e_i."""
+
+    level: np.ndarray
+    index: np.ndarray
+    order: np.ndarray
+
+
+# ring -> {support: profile}, and ring -> ProfileTable; an entry goes when its ring is collected
 _PROFILES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# ring -> {members: the ring restricted to them}
+_RESTRICTED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -92,9 +109,13 @@ def _levels(adj: np.ndarray, start: int) -> np.ndarray:
 
 
 def _build_profiles(ring: FusionRing, supports: list[frozenset[int]]) -> list[ObjectProfile]:
-    """Profiles of objects with the given supports, from batched searches forwards and back."""
+    """Profiles of objects with the given supports, from batched searches forwards and back.
+
+    The search of all simples in order also keeps its arrays as the ring's ProfileTable.
+    """
     r, unit, count = ring.rank, ring.unit, len(supports)
-    if count == r and supports == [frozenset({i}) for i in range(r)]:
+    everything = count == r and supports == [frozenset({i}) for i in range(r)]
+    if everything:
         # the digraphs of all simples are the ring's pattern N > 0, searched backwards as a view
         adj = ring.edges  # adj[g, j, k]: e_k occurs in e_g * e_j
         level, back = _levels(adj, unit), _levels(adj.transpose(0, 2, 1), unit)
@@ -114,12 +135,17 @@ def _build_profiles(ring: FusionRing, supports: list[frozenset[int]]) -> list[Ob
                                     "is not strongly connected on its subcategory")
     index = np.zeros(count, dtype=np.int64)
     for gs in blocks(count, r * r):  # the edge list of a block of digraphs, sorted by digraph
-        g, u, v = adj[gs].nonzero()
-        tail = level[gs][g, u]
+        gu, v = np.divmod(np.flatnonzero(adj[gs]) + gs.start * r * r, r)
+        g = gu // r  # gu = g * r + u, the entry of level.ravel() at (g, u)
+        tail = level.ravel()[gu]
         inside = tail >= 0
-        g, gap = g[inside], (tail + 1 - level[gs][g, v])[inside]
+        g, gap = g[inside], (tail + 1 - level[g, v])[inside]
         heads = _run_starts(g)
-        index[gs.start + g[heads]] = np.gcd.reduceat(gap, heads)
+        index[g[heads]] = np.gcd.reduceat(gap, heads)
+    if everything:
+        for array in (level, index, order):
+            array.setflags(write=False)
+        _TABLES[ring] = ProfileTable(level, index, order)
     return [ObjectProfile(level=tuple(row), members=tuple(k for k, n in enumerate(row) if n >= 0),
                           index=i, order=o)
             for row, i, o in zip(level.tolist(), index.tolist(), order.tolist())]
@@ -139,6 +165,31 @@ def profiles(ring: FusionRing, supports: Iterable[Iterable[int]]) -> list[Object
     if missing:
         cache.update(zip(missing, _build_profiles(ring, missing)))
     return [cache[s] for s in supports]
+
+
+def profile_table(ring: FusionRing) -> ProfileTable:
+    """The ProfileTable of a ring, built with the profiles of its simples by one search."""
+    table = _TABLES.get(ring)
+    if table is None:
+        singles = [frozenset({i}) for i in range(ring.rank)]
+        _PROFILES.setdefault(ring, {}).update(zip(singles, _build_profiles(ring, singles)))
+        table = _TABLES[ring]
+    return table
+
+
+def profile_rows(ring: FusionRing, simples: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level, index and order of each simple of a batch, a row or an entry per simple.
+
+    All simples in order are the ring's ProfileTable itself; any other batch is stacked
+    from the profiles of its own supports and never builds the table.
+    """
+    if len(simples) == ring.rank and simples == list(range(ring.rank)):
+        table = profile_table(ring)
+        return table.level, table.index, table.order
+    batch = profiles(ring, ([i] for i in simples))
+    return (np.array([p.level for p in batch], dtype=np.int64).reshape(len(batch), ring.rank),
+            np.array([p.index for p in batch], dtype=np.int64),
+            np.array([p.order for p in batch], dtype=np.int64))
 
 
 def object_profile(ring: FusionRing, *simples: int) -> ObjectProfile:
@@ -203,5 +254,12 @@ def restriction_order(ring: FusionRing, sub: Subcategory) -> list[int]:
 
 
 def restrict(ring: FusionRing, sub: Subcategory) -> FusionRing:
-    """Unnamed fusion ring on the members of a closed subcategory, unit re-indexed to 0."""
-    return relabel(ring, restriction_order(ring, sub))
+    """Unnamed fusion ring on the members of a closed subcategory, unit re-indexed to 0.
+
+    Built once per ring and members while the ring lives; later calls return the same ring.
+    """
+    cache = _RESTRICTED.setdefault(ring, {})
+    small = cache.get(sub.members)
+    if small is None:
+        small = cache[sub.members] = relabel(ring, restriction_order(ring, sub))
+    return small

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import ALL_NAMES, MODULAR_NAMES, SAMPLE_NAMES, entry, fp_of, ring_of, table_of
 from fusionring import (
-    analysis, analyze_report, cli, grading, kernel_of_class, modular_report, subcat)
+    analysis, analyze_report, cli, kernel_of_class, modular_report, subcat)
 from fusionring.errors import InternalInconsistency
 from fusionring.spectral import DEFAULT_EPS, DEFAULT_SEED
 from test_cli import built_reports
@@ -41,10 +41,10 @@ def test_modular_report_is_the_cli_report(capsys, monkeypatch):
 
 
 def power_failures(ring, ind=None):
-    """{check name: message} of the power checks that fail on the ring's cached profiles,
-    with the given indices or else those of object_index."""
+    """{check name: message} of the power checks that fail on the ring's profile table,
+    with the given indices or else the table's."""
     if ind is None:
-        ind = [grading.object_index(ring, i) for i in range(ring.rank)]
+        ind = subcat.profile_table(ring).index
     certificate = analysis._certify_profiles(ring)
     failures = {}
     for check in (analysis.power_residue_classes, analysis.index_divides_order):
@@ -103,17 +103,27 @@ def doctored_profiles(ring, i, profile):
         f"unit first recurs in power {order}, object_order says {order + 1}",)}
 
 
+def doctored_table(table, i, change):
+    """A copy of the profile table with the entries of simple i replaced as change says."""
+    arrays = {field: getattr(table, field).copy() for field in ("level", "index", "order")}
+    for field, value in change.items():
+        arrays[field][i] = value
+    return subcat.ProfileTable(**arrays)
+
+
 # su2_k(8) has simples whose depth-first trees are not breadth-first
 @pytest.mark.parametrize("name", [*SAMPLE_NAMES, "su2_k(8)"])
 def test_power_checks_fail_on_doctored_profiles(monkeypatch, name):
+    # the checks read the profile table, so the table is what is doctored, one row at a time
     ring = ring_of(name)
     profiles = subcat.profiles(ring, [[i] for i in range(ring.rank)])
+    table = subcat.profile_table(ring)
     assert power_failures(ring) == {}
-    cache, kinds = subcat._PROFILES[ring], set()
+    kinds = set()
     for i, profile in enumerate(profiles):
         for kind, change, expected in doctored_profiles(ring, i, profile):
             with monkeypatch.context() as m:
-                m.setitem(cache, frozenset({i}), dataclasses.replace(profile, **change))
+                m.setitem(subcat._TABLES, ring, doctored_table(table, i, change))
                 failures = power_failures(ring)
             assert failures.keys() == expected.keys(), (i, change)
             for check, endings in expected.items():

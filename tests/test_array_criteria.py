@@ -46,7 +46,8 @@ from fusionring.ring import (
     _float64_exact, _max_abs, closed_rows, closure_defect, dual_from_structure, relabel)
 from fusionring.spectral import (
     AGGREGATE_EPS, DEFAULT_EPS, DEFAULT_SEED, CharacterTable, within_eps)
-from fusionring.subcat import object_profile, restriction_order
+from fusionring.subcat import (
+    _build_profiles, object_profile, profile_table, profiles, restriction_order)
 from test_analysis import power_failures
 from test_ring import rounding_ring
 
@@ -903,6 +904,33 @@ def test_the_unit_is_the_first_member_named_wherever_it_sits():
     assert outcome(universal_grading, ring, g1, fp, doctored) == want
     assert (outcome(grade_simples, ring, range(ring.rank), fp, doctored)
             == first_outcome(lambda i: loop_universal_grading(ring, i, fp, doctored), ring))
+
+
+TABLE_RINGS = (BATCH_RINGS + [f"{n} relabeled" for n in RELABELED]
+               + [f"{n} unit last" for n in ("ising", "pointed_zn(4)", "su2_k(6)")])
+
+
+def table_ring(name):
+    if name.endswith(" relabeled"):
+        return centralizer_data(name).ring
+    if name.endswith(" unit last"):
+        return unit_last(ring_of(name.removesuffix(" unit last")))
+    return batch_ring(name)
+
+
+@pytest.mark.parametrize("name", TABLE_RINGS)
+def test_profile_table_rows_are_the_profiles_of_each_simple_alone(name):
+    # one search of all simples fills the table; a search of simple i alone finds its row
+    ring = table_ring(name)
+    table = profile_table(ring)
+    assert table.level.shape == (ring.rank, ring.rank)
+    for array in (table.level, table.index, table.order):
+        assert not array.flags.writeable
+    rows = [(list(table.level[i]), table.index[i], table.order[i]) for i in range(ring.rank)]
+    alone = [_build_profiles(ring, [frozenset({i})])[0] for i in range(ring.rank)]
+    assert rows == [(list(p.level), p.index, p.order) for p in alone]
+    # the profiles cached with the table are the same rows
+    assert profiles(ring, [[i] for i in range(ring.rank)]) == alone
 
 
 def test_validate_checks_one_simple_of_a_permuted_su2_k(monkeypatch):

@@ -117,6 +117,47 @@ def test_the_spectral_cache_does_not_keep_a_file_ring_alive(tmp_path):
     assert ref() is None
 
 
+def test_a_second_analyze_of_vec_s3_restricts_nothing_and_builds_no_table(monkeypatch):
+    # each C(e_i) is restricted once per ring; its character table is then answered from the
+    # restricted ring's own cache
+    s3 = ring_of("vec_s3")
+    ring = FusionRing(labels=s3.labels, N=s3.N, dual=s3.dual, name=s3.name)
+    relabels = count_calls(monkeypatch, ring_module.relabel)
+    builds = count_calls(monkeypatch, spectral.build_table)
+    first = analysis.analyze_report(ring)
+    assert relabels and builds
+    restricted = dict(subcat._RESTRICTED[ring])
+    relabels.clear()
+    builds.clear()
+    assert analysis.analyze_report(ring) == first
+    assert not relabels and not builds
+    assert all(subcat.restrict(ring, subcat.Subcategory(members)) is small
+               for members, small in restricted.items())
+
+
+def test_a_restricted_ring_is_collected_with_its_ring(tmp_path):
+    path = tmp_path / "vec_s3.json"
+    save_ring(ring_of("vec_s3"), path)
+    ring = load_ring(path)
+    analysis.analyze_report(ring)
+    refs = [weakref.ref(ring)] + [weakref.ref(small) for small in subcat._RESTRICTED[ring].values()]
+    assert len(refs) > 1
+    del ring
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("command", ["grading", "brauer", "kernel"])
+def test_a_one_simple_query_builds_no_profile_table(capsys, fresh_catalog, command):
+    # a query searches the support of its own simple only; the table of all simples is analyze's
+    for label in ring_of("su2_k(6)").labels:
+        assert outcome(capsys, [command, "--ring", "su2_k(6)", "--object", label])[0] == 0
+    ring = builtin("su2_k(6)").ring
+    assert ring is not ring_of("su2_k(6)")
+    assert ring not in subcat._TABLES
+    assert (ring in subcat._PROFILES) == (command != "kernel")  # a kernel reads no profile
+
+
 def test_a_file_ring_is_read_anew_on_every_load(tmp_path, capsys):
     # only builtins are cached: a file that changes between calls gives the new answer
     path = tmp_path / "ring.json"

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, formats, determinism."""
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -383,12 +384,21 @@ def test_text_and_json_verdicts_agree(capsys):
 
 
 @pytest.mark.parametrize("name, skew, check", [
-    ("object_index", lambda f: lambda ring, i: 2 * f(ring, i), "power_residue_classes"),
-    ("object_order", lambda f: lambda ring, i, cap=None: f(ring, i) + 1, "index_divides_order"),
+    ("index", lambda index: 2 * index, "power_residue_classes"),
+    ("order", lambda order: order + 1, "index_divides_order"),
 ])
 def test_power_checks_catch_a_wrong_index_or_order(capsys, monkeypatch, name, skew, check):
-    # the checks certify the profile levels themselves, so a wrong index or order fails them
-    monkeypatch.setattr(grading, name, skew(getattr(grading, name)))
+    # the checks certify the profile levels themselves, so a wrong index or order in the
+    # profile table they read fails them; the report's simples are built before it is skewed
+    run_checks = analysis._run_checks
+
+    def skewed(ring, *args):
+        table = subcat.profile_table(ring)
+        monkeypatch.setitem(subcat._TABLES, ring,
+                            dataclasses.replace(table, **{name: skew(getattr(table, name))}))
+        return run_checks(ring, *args)
+
+    monkeypatch.setattr(analysis, "_run_checks", skewed)
     code, out, _ = run(capsys, "analyze", "--ring", "pointed_zn(4)", "--format", "json")
     assert code == 1
     verdicts = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
@@ -451,6 +461,22 @@ def test_analyze_builds_one_profile_per_simple(capsys, monkeypatch, fresh_catalo
         assert code == 0 and supports == [frozenset({i}) for i in range(ring_of(name).rank)], name
 
 
+def test_a_warm_analyze_reads_the_profile_table_whole(capsys, monkeypatch):
+    # no profile lookup per simple: the same number of table reads at every rank, no lookups
+    for name in SAMPLE_NAMES:
+        run(capsys, "analyze", "--ring", name)
+    lookups = count_calls(monkeypatch, subcat.profiles)
+    tables = count_calls(monkeypatch, subcat.profile_table)
+    counts = set()
+    for name in SAMPLE_NAMES:
+        lookups.clear()
+        tables.clear()
+        code, _, _ = run(capsys, "analyze", "--ring", name, "--format", "json")
+        assert code == 0, name
+        counts.add((len(lookups), len(tables)))
+    assert len(counts) == 1 and counts.pop()[0] == 0
+
+
 def test_analyze_calls_each_batched_core_once_with_all_simples(capsys, monkeypatch):
     gradings = count_calls(monkeypatch, grading.grade_simples)
     kernels = count_calls(monkeypatch, kernel.characters_at_fpdim)
@@ -503,11 +529,15 @@ def test_power_checks_fail_under_python_optimize():
     import fusionring
 
     script = (
-        "import sys\n"
-        "from fusionring import grading\n"
+        "import dataclasses, sys\n"
+        "from fusionring import analysis, subcat\n"
         "from fusionring.cli import main\n"
-        "order = grading.object_order\n"
-        "grading.object_order = lambda ring, i, cap=None: order(ring, i) + 1\n"
+        "run_checks = analysis._run_checks\n"
+        "def skewed(ring, *args):\n"
+        "    table = subcat.profile_table(ring)\n"
+        "    subcat._TABLES[ring] = dataclasses.replace(table, order=table.order + 1)\n"
+        "    return run_checks(ring, *args)\n"
+        "analysis._run_checks = skewed\n"
         "print(sys.flags.optimize, file=sys.stderr)\n"
         "sys.exit(main(['analyze', '--ring', 'pointed_zn(4)', '--format', 'json']))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(fusionring.__file__).parents[1])}
@@ -624,6 +654,10 @@ def adversarial_value(rng, depth):
     [5e-324, 1e300, -0.0, 2**63, -2**63 - 1], [np.float64(2.5), 1], np.float64(-0.0),
     np.float64("nan"), [[np.float64(1.0)]], ["], [", ", ", "n", '\xe9"]', "\U0001f600"],
     {"], [": [", "], "a, b": {"": []}, "\x00": [[1, 2]]},
+    # lists of label lists, as in grading_components: one join per inner list unless one is empty
+    [["1"]], [["1", "a, b"], ['q"'], ["\xe9", "\U0001f600"]], [["], ["], ["", "n"]],
+    [["a"], []], [[], ["a"]], [["a"], [], ["b", "c"]], [["a"], ["b", 1]], [["a"], [["b"]]],
+    {"grading_components": [["1", 'x, "y"'], ["\u2028", "\\"]], "label": "\xe9"},
 ])
 def test_dumps_matches_json_dumps_on_edge_values(value):
     assert _dumps(value) == indented_json(value)
