@@ -10,7 +10,7 @@ first occurrence are the breadth-first levels of the object's fusion
 digraph (see subcat.object_profile). Kernels, centers and the Brauer check
 run on batches: characters_at_fpdim decides the kernels, or the centers, of many
 supports on one support matrix, and check_brauer tests the Brauer property of many
-simples as array steps over their profile rows; the one-object functions are batches of one.
+simples in one walk over their profiles; the one-object functions are batches of one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     CapExceeded, ClosureViolation, DimensionMismatch, InternalInconsistency, ZeroClass)
 from .ring import FusionRing, check_simples, closed_rows, closure_defect
 from .spectral import DEFAULT_EPS, CharacterTable, FPData, within_eps
-from .subcat import Subcategory, object_profile, profile_rows
+from .subcat import Subcategory, object_profile, profiles
 
 
 @dataclass
@@ -144,41 +144,35 @@ def check_brauer(ring: FusionRing, simples: Sequence[int], trivial: Sequence[boo
     trivial[k] says whether the kernel of simples[k] is trivial. A trivial
     kernel must, and a nontrivial one must not, produce every simple in the
     powers e_i^n with n <= cap; the generated-subcategory notion of
-    faithfulness must agree with both. All three are read off the profile
-    rows (subcat.profile_rows) and compared for the whole batch at once: e_i
-    covers the basis within the cap when C(e_i) is the whole ring and its
-    deepest level is at most the cap. The first failing simple of the batch is
-    named: CapExceeded when a predicted-faithful simple runs out of budget
-    before covering the basis, InternalInconsistency otherwise. The cap
-    defaults per simple to the Wielandt-style (|C(e_i)| - 1)^2 + 1 + ind.
-    Returns the cap of each simple.
+    faithfulness must agree with both. All three are read off the cached
+    profiles: e_i covers the basis within the cap when C(e_i) is the whole
+    ring and its deepest level is at most the cap. The first
+    failing simple of the batch is named: CapExceeded when a predicted-faithful
+    simple runs out of budget before covering the basis, InternalInconsistency
+    otherwise. The cap defaults per simple to the Wielandt-style
+    (|C(e_i)| - 1)^2 + 1 + ind. Returns the cap of each simple.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1")
     simples = list(simples)
-    level, index, _ = profile_rows(ring, simples)
-    if len(trivial) != len(simples):
+    batch = profiles(ring, ([i] for i in simples))
+    if len(trivial) != len(batch):
         raise ValueError("check_brauer takes one kernel flag per simple")
-    size = np.add.reduce(level >= 0, axis=1)
-    actual = size == ring.rank  # C(e_i) is the whole ring
-    if cap is None:  # with C(e_i) the whole ring this cap is at least the rank, past every level
-        caps = [(n - 1) ** 2 + 1 + k for n, k in zip(size.tolist(), index.tolist())]
-        covered = actual
-    else:
-        caps = [cap] * len(simples)
-        covered = actual & (np.maximum.reduce(level, axis=1) <= min(cap, ring.rank))
-    failed = (covered != actual) | (covered != np.array(trivial, dtype=bool))
-    if failed.any():
-        row = int(failed.argmax())
-        i, expected, faithful = simples[row], bool(trivial[row]), bool(actual[row])
-        if expected and not covered[row]:
-            found = sum(0 <= n <= caps[row] for n in level[row].tolist())
+    caps = []
+    for i, profile, expected in zip(simples, batch, map(bool, trivial)):
+        size = len(profile.members)
+        caps.append((size - 1) ** 2 + 1 + profile.index if cap is None else cap)
+        actual = size == ring.rank  # C(e_i) is the whole ring
+        covered = actual and max(profile.level) <= caps[-1]
+        if expected and not covered:
+            found = sum(0 <= n <= caps[-1] for n in profile.level)
             raise CapExceeded(
-                f"kernel of simple {i} is trivial but powers up to {caps[row]} missed "
-                f"{ring.rank - found} simples (closure says faithful={faithful})")
-        raise InternalInconsistency(
-            f"simple {i}: kernel-trivial={expected}, covered={bool(covered[row])}, "
-            f"closure-faithful={faithful}")
+                f"kernel of simple {i} is trivial but powers up to {caps[-1]} missed "
+                f"{ring.rank - found} simples (closure says faithful={actual})")
+        if not expected == covered == actual:
+            raise InternalInconsistency(
+                f"simple {i}: kernel-trivial={expected}, covered={covered}, "
+                f"closure-faithful={actual}")
     return caps
 
 
