@@ -14,6 +14,8 @@ orders and faithfulness of all simples from the ring's profile table
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import grading, kernel, modular, spectral, subcat
@@ -32,11 +34,16 @@ def ring_block(ring: FusionRing, fp: spectral.FPData, commutative: bool) -> dict
     }
 
 
+def chi_names(count: int) -> list[str]:
+    """The names chi0, chi1, ... of the characters of a table, in the table's order."""
+    return [f"chi{t}" for t in range(count)]
+
+
 def character_block(ring: FusionRing, table: spectral.CharacterTable) -> dict:
     values = np.stack((table.characters.real, table.characters.imag), axis=-1).tolist()
     return {
         "labels": list(ring.labels),
-        "characters": {f"chi{t}": row for t, row in enumerate(values)},
+        "characters": dict(zip(chi_names(table.count), values)),
         "codegrees": table.codegrees.tolist(),
         "fp_character": "chi0",
     }
@@ -44,6 +51,17 @@ def character_block(ring: FusionRing, table: spectral.CharacterTable) -> dict:
 
 def character_names(characters) -> list[str]:
     return sorted(f"chi{t}" for t in characters)
+
+
+def named_rows(mask: np.ndarray) -> list[list[str]]:
+    """Per row of a (simples x characters) mask, character_names of its characters.
+
+    The names are sorted once, and each row picks its own from them in that order.
+    """
+    names = chi_names(mask.shape[1])
+    order = sorted(range(len(names)), key=names.__getitem__)
+    ordered = [names[t] for t in order]
+    return [list(itertools.compress(ordered, row)) for row in mask[:, order].tolist()]
 
 
 def spectral_data(ring, eps, seed):
@@ -110,11 +128,16 @@ def _raise_first(ring, broken, wrong, explain) -> None:
 
 def brauer_equivalence(ring, table, kernels, faithful) -> None:
     """Faithful iff indecomposable iff, with a table, trivial kernel iff the powers cover the
-    basis. Simples fail in order: check_brauer covers those before the first mismatch."""
-    indecomposable = subcat.is_indecomposable_matrix(ring.N.transpose(0, 2, 1))
-    split = next((i for i in range(ring.rank) if faithful[i] != indecomposable[i]), ring.rank)
+    basis. kernels[i, t] says whether character t is in the kernel of e_i. Simples fail in
+    order: check_brauer covers those before the first mismatch. The fusion matrices are
+    the transposed pattern of ring.edges, which has every entry the criterion reads."""
+    indecomposable = subcat.is_indecomposable_matrix(ring.edges.transpose(0, 2, 1))
+    mismatch = indecomposable != faithful
+    split = int(mismatch.argmax()) if mismatch.any() else ring.rank
     if table is not None:
-        kernel.check_brauer(ring, range(split), [k == {table.fp_index} for k in kernels[:split]])
+        ours = kernels[:split]
+        trivial = ours[:, table.fp_index] & (np.count_nonzero(ours, axis=1) == 1)
+        kernel.check_brauer(ring, range(split), trivial.tolist())
     if split < ring.rank:
         raise InternalInconsistency(f"simple {ring.labels[split]}: faithful != indecomposable")
 
@@ -172,22 +195,23 @@ def analyze_report(ring: FusionRing, eps: float = spectral.DEFAULT_EPS,
     report: dict = {"ring": ring_block(ring, fp, table is not None)}
     if table is None:
         report["notice"] = "noncommutative Grothendieck ring: no character data"
-    simples = range(ring.rank)
-    gradings = grading.grade_simples(ring, simples, fp, table, eps=eps, seed=seed)
+    graded = grading.grade_rows(ring, range(ring.rank), fp, table, eps=eps, seed=seed)
     faithful = (subcat.profile_table(ring).level >= 0).all(axis=1).tolist()
     report["simples"] = [
-        {"label": ring.labels[i], "faithful": faithful[i], "index": grad.index,
-         "order": grad.order, "grading_character_checked": grad.character_checked,
-         "grading_components": [[ring.labels[m] for m in comp] for comp in grad.components]}
-        for i, grad in enumerate(gradings)]
+        {"label": label, "faithful": f, "index": index, "order": order,
+         "grading_character_checked": checked, "grading_components": components}
+        for label, f, index, order, checked, components in zip(
+            ring.labels, faithful, graded.index.tolist(), graded.order.tolist(), graded.checked,
+            graded.components(ring.labels))]
     kernels = None
-    if table is not None:  # the support matrix of the simples is the identity
+    if table is not None:  # the kernels and the centers of the simples, as two masks
         report["character_table"] = character_block(ring, table)
-        kernels, centers = (kernel.characters_at_fpdim(fp, table, np.eye(ring.rank), eps, modulus)
-                            for modulus in (False, True))
-        for block, kern, center in zip(report["simples"], kernels, centers):
-            block["kernel_characters"] = character_names(kern)
-            block["center_characters"] = character_names(center)
+        kernels = kernel.fpdim_mask(fp, table, eps=eps)
+        names = named_rows(np.concatenate((kernels, kernel.fpdim_mask(fp, table, eps=eps,
+                                                                      modulus=True))))
+        for block, kern, center in zip(report["simples"], names, names[ring.rank:]):
+            block["kernel_characters"] = kern
+            block["center_characters"] = center
     if checks:
         report["checks"] = _run_checks(ring, table, kernels, faithful)
     return report

@@ -112,9 +112,12 @@ def _dumps(obj, indent: str = "\n") -> str:
     a list of nonempty lists of str one join per inner list, and a list of
     numbers, or of nonempty lists of numbers, one repr, which writes finite
     ints and floats as JSON does. A repr holding an "n" holds a nan or an inf,
-    and such a list goes item by item, as does any other list.
-    Scalars are dispatched by exact type; other types, empty lists and dicts
-    and non-finite floats go to json.dumps without indent.
+    and such a list goes item by item, as does any other list. The type of the
+    first item picks the way: strings are not scanned for their type, since
+    _ESCAPE raises TypeError on anything but a str, and then the list goes item
+    by item; numbers are scanned, as repr would write a bool or a numpy scalar
+    unlike JSON. Scalars are dispatched by exact type; other types, empty lists
+    and dicts and non-finite floats go to json.dumps without indent.
     """
     kind = type(obj)
     if kind is str:
@@ -130,22 +133,25 @@ def _dumps(obj, indent: str = "\n") -> str:
     if kind is dict:
         body = sep.join(f"{_ESCAPE(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj))
         return "{" + inner + body + indent + "}"
-    types = set(map(type, obj))
-    # the types of the items of the inner lists, when every item is a nonempty list
-    rows = (types == {list} and all(map(len, obj))
-            and set(map(type, itertools.chain.from_iterable(obj))))
-    if types == {str}:
-        body = sep.join(map(_ESCAPE, obj))
-    elif types <= _NUMBERS and "n" not in (text := repr(obj)):
-        body = text[1:-1].replace(", ", sep)
-    elif rows == {str}:
+    body = None
+    first = type(obj[0])
+    # when every item is a nonempty list, the type of the first inner item
+    rows = first is list and set(map(type, obj)) == {list} and all(obj) and type(obj[0][0])
+    if first is str or rows is str:
         deeper = inner + "  "
-        body = sep.join(f"[{deeper}{(',' + deeper).join(map(_ESCAPE, row))}{inner}]"
-                        for row in obj)
-    elif rows and rows <= _NUMBERS and "n" not in (text := repr(obj)):
+        try:
+            body = (sep.join(map(_ESCAPE, obj)) if first is str else
+                    sep.join(f"[{deeper}{(',' + deeper).join(map(_ESCAPE, row))}{inner}]"
+                             for row in obj))
+        except TypeError:  # an item that is not a str
+            pass
+    elif first in _NUMBERS and set(map(type, obj)) <= _NUMBERS and "n" not in (text := repr(obj)):
+        body = text[1:-1].replace(", ", sep)
+    elif (rows in _NUMBERS and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBERS
+          and "n" not in (text := repr(obj))):
         body = text[2:-2].replace("], [", f"{inner}],{inner}[{inner}  ").replace(", ", sep + "  ")
         body = f"[{inner}  {body}{inner}]"
-    else:
+    if body is None:
         body = sep.join(_dumps(x, inner) for x in obj)
     return "[" + inner + body + indent + "]"
 

@@ -6,15 +6,19 @@ eigenvalues of the fusion matrix and the order of the universal grading
 group of that subcategory. Index, order and grades are read off the
 breadth-first profile of X (see subcat.object_profile): a simple first
 occurring in X^n has grade n mod ind. The grading is cross-checked against
-the character whose value on X is exp(2*pi*i/ind) * FPdim(X). grade_simples
+the character whose value on X is exp(2*pi*i/ind) * FPdim(X). grade_rows
 grades a batch of simples as array steps over their levels, one row per
 simple (for all simples, the rows of the ring's profile table; see
-subcat.profile_rows), and files each row's grades and components in one pass
-over its levels; universal_grading is its batch of one.
+subcat.profile_rows). GradedRows.components sorts the members of all rows
+by grade in one step, with no Python loop over the levels; grade_simples files
+each row's grades and components in one pass over its levels, and
+universal_grading is its batch of one.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +35,7 @@ from .spectral import (
     character_table,
     fp_character,
     is_commutative,
-    within_eps,
+    within_eps_mask,
 )
 from .subcat import Subcategory, object_profile, profile_rows, restrict, restriction_order
 
@@ -88,18 +92,69 @@ def universal_grading(ring: FusionRing, i: int,
     return grade_simples(ring, [i], fp, table, eps=eps, seed=seed)[0]
 
 
+@dataclass(frozen=True)
+class GradedRows:
+    """The gradings of a batch of simples as arrays, one row or entry per simple.
+
+    level[row] holds the profile levels of e_i, -1 off C(e_i), and grade[row] the
+    levels modulo index[row]. checked[row] is GradingData.character_checked.
+    """
+
+    index: np.ndarray
+    order: np.ndarray
+    level: np.ndarray
+    grade: np.ndarray
+    checked: list[bool]
+
+    def components(self, names: Sequence) -> list[list[list]]:
+        """Per row, its components D_0, ..., D_{ind-1}, each the list of names[k] of its
+        members k in index order: one stable sort of all rows by grade, the non-members
+        last, then one slice of a row's sorted names per component, cut where its sorted
+        grades pass that grade, found by bisection."""
+        key = np.where(self.level >= 0, self.grade, len(names))  # grade < ind <= rank
+        rows = np.asarray(names, dtype=object)[np.argsort(key, axis=1, kind="stable")].tolist()
+        result = []
+        for row, keys, ind in zip(rows, np.sort(key, axis=1).tolist(), self.index.tolist()):
+            ends = list(map(bisect.bisect_right, itertools.repeat(keys, ind), range(ind)))
+            result.append(list(map(row.__getitem__, map(slice, [0, *ends], ends))))
+        return result
+
+
 def grade_simples(ring: FusionRing, simples: Sequence[int],
                   fp: FPData | None = None,
                   table: CharacterTable | None = None,
                   eps: float = DEFAULT_EPS,
                   seed: int = DEFAULT_SEED) -> list[GradingData]:
+    """The GradingData of every simple of the batch, from grade_rows; each row's grades
+    and components are filed in one pass over its levels."""
+    rows = grade_rows(ring, simples, fp, table, eps=eps, seed=seed)
+    unit, result = ring.unit, []
+    for row_level, row_grade, row_index, row_order, row_checked in zip(
+            rows.level.tolist(), rows.grade.tolist(), rows.index.tolist(), rows.order.tolist(),
+            rows.checked):
+        grades = {unit: row_grade[unit]}  # unit first, then ascending
+        components = [[] for _ in range(row_index)]
+        for k, n in enumerate(row_level):
+            if n >= 0:
+                grades[k] = g = row_grade[k]
+                components[g].append(k)
+        result.append(GradingData(row_index, row_order, grades, tuple(map(tuple, components)),
+                                  row_checked))
+    return result
+
+
+def grade_rows(ring: FusionRing, simples: Sequence[int],
+               fp: FPData | None = None,
+               table: CharacterTable | None = None,
+               eps: float = DEFAULT_EPS,
+               seed: int = DEFAULT_SEED) -> GradedRows:
     """The grading of C(e_i) for every simple i of the batch, as array steps over all of them.
 
     Grades are the profile levels modulo the index, stacked one row per simple.
     When the restricted ring is commutative, each row is cross-checked against
     the first character mu with mu(e_i) = xi * FPdim(e_i), xi = exp(2*pi*i/ind):
     mu(k) / FPdim(k) must be a power of xi, namely xi**grade(k), for every member
-    k. spectral.within_eps decides both; MethodDisagreement names the first
+    k. spectral.within_eps_mask decides both; MethodDisagreement names the first
     failing simple of the batch and its first failing member, unit first. FP dims
     are the ambient ones, fp. On a commutative ring every character of C(e_i) is
     the restriction of an ambient one, so one table checks the whole batch; on a
@@ -107,7 +162,7 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
     and the ambient table are computed once here when not given.
     """
     simples = list(simples)
-    r, unit, count = ring.rank, ring.unit, len(simples)
+    r, count = ring.rank, len(simples)
     level, index, order = profile_rows(ring, simples)
     ind = index[:, None]
     member = level >= 0
@@ -132,48 +187,34 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
                 at = slice(row, row + 1)
                 _cross_check(ring, [i], grade[at], ind[at], member[at], fp.dims, chars)
 
-    result = []
-    for row_level, row_grade, row_index, row_order, row_checked in zip(
-            level.tolist(), grade.tolist(), index.tolist(), order.tolist(), checked):
-        grades = {unit: row_grade[unit]}  # unit first, then ascending
-        components = [[] for _ in range(row_index)]
-        for k, n in enumerate(row_level):
-            if n >= 0:
-                grades[k] = g = row_grade[k]
-                components[g].append(k)
-        result.append(GradingData(row_index, row_order, grades, tuple(map(tuple, components)),
-                                  row_checked))
-    return result
+    return GradedRows(index, order, level, grade, checked)
 
 
 def _cross_check(ring: FusionRing, simples: list[int], grade: np.ndarray, ind: np.ndarray,
                  member: np.ndarray, dims: np.ndarray, chars: np.ndarray) -> None:
-    """MethodDisagreement unless the character phases give the grades; see grade_simples.
+    """MethodDisagreement unless the character phases give the grades; see grade_rows.
 
     grade, ind and member have a row per simple; chars and dims span the
     ambient basis, so one ratio row per simple holds all its members at once.
     """
-    count, size, unit = len(simples), len(chars), ring.unit
+    simples = np.asarray(simples)
     xi = np.exp(1j * (2 * np.pi / ind))
-    target = xi * dims[simples][:, None]
-    hit = np.zeros((count, size), dtype=bool)
-    hit.ravel()[within_eps(chars.T[simples], target,
-                           AGGREGATE_EPS * np.maximum(1.0, np.abs(target)))] = True
+    target = xi * dims[simples, None]
+    hit = within_eps_mask(chars.T[simples], target,
+                          AGGREGATE_EPS * np.maximum(1.0, np.abs(target)))
     ratio = chars[hit.argmax(axis=1)] / dims  # each row's first hit, or character 0 if none
     angle = np.arctan2(ratio.imag, ratio.real)  # np.angle(ratio), bit for bit
     phase = np.rint(angle / (2 * np.pi) * ind).astype(np.int64) % ind
-    near = np.zeros(ratio.shape, dtype=bool)
-    near.ravel()[within_eps(ratio, xi ** phase, AGGREGATE_EPS)] = True
+    near = within_eps_mask(ratio, xi ** phase, AGGREGATE_EPS)
     wrong = member & (~near | (phase != grade))
     found = hit.any(axis=1)
-    failed = ~found | wrong.any(axis=1)
-    if not failed.any():
+    if found.all() and not wrong.any():
         return
-    row = int(failed.argmax())  # the first failing simple of the batch
+    row = int((~found | wrong.any(axis=1)).argmax())  # the first failing simple of the batch
     if not found[row]:
         raise MethodDisagreement(
             f"no character takes the value xi*FPdim on the generator (ind={ind[row, 0]})")
-    k = unit if wrong[row, unit] else int(wrong[row].argmax())
+    k = ring.unit if wrong[row, ring.unit] else int(wrong[row].argmax())
     raise MethodDisagreement(
         f"character value on simple {k} is not a power of xi" if not near[row, k]
         else f"simple {k}: exponent grade {grade[row, k]} vs character grade {phase[row, k]}")

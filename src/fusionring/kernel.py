@@ -5,12 +5,14 @@ it always spans a fusion subcategory. The kernel of an object class is the
 set of characters taking the FPdim value on it; the object is faithful
 exactly when this kernel is trivial, and in that case every simple occurs
 in some tensor power of the object (the Brauer property). "Equals" is
-decided by spectral.within_eps, the one tolerance rule. The exponents of
+decided by spectral.within_eps_mask, the one tolerance rule. The exponents of
 first occurrence are the breadth-first levels of the object's fusion
 digraph (see subcat.object_profile). Kernels, centers and the Brauer check
-run on batches: characters_at_fpdim decides the kernels, or the centers, of many
-supports on one support matrix, and check_brauer tests the Brauer property of many
-simples in one walk over their profiles; the one-object functions are batches of one.
+run on batches: fpdim_mask decides the kernels, or the centers, of many
+supports on one support matrix, or of all simples with no product at all, as a
+boolean mask over (support, character), and check_brauer tests the Brauer property
+of many simples in one walk over their profiles; the one-object functions are
+batches of one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import (
     CapExceeded, ClosureViolation, DimensionMismatch, InternalInconsistency, ZeroClass)
 from .ring import FusionRing, check_simples, closed_rows, closure_defect
-from .spectral import DEFAULT_EPS, CharacterTable, FPData, within_eps
+from .spectral import DEFAULT_EPS, CharacterTable, FPData, within_eps, within_eps_mask
 from .subcat import Subcategory, object_profile, profiles
 
 
@@ -47,11 +49,10 @@ def _closed_kernels(ring: FusionRing, values: np.ndarray, dims: np.ndarray,
                     eps: float, message: str) -> list[Subcategory]:
     """Per row of values, the simples j with values[row][j] within eps of dims[j].
 
-    One within_eps decides every row and one closed_rows every closure; ClosureViolation,
+    One within_eps_mask decides every row and one closed_rows every closure; ClosureViolation,
     with closure_defect's witness, for the first row whose simples are not closed.
     """
-    member = np.zeros(values.shape, dtype=bool)
-    member.flat[within_eps(values, dims, eps)] = True
+    member = within_eps_mask(values, dims, eps)
     bad = np.flatnonzero(~closed_rows(ring, member))
     if bad.size:
         kind, witness = closure_defect(ring, np.flatnonzero(member[bad[0]]))
@@ -91,22 +92,32 @@ def _support_class(ring: FusionRing, x: np.ndarray) -> np.ndarray:
     return x.astype(bool)
 
 
-def characters_at_fpdim(fp: FPData, table: CharacterTable, supports: np.ndarray,
-                        eps: float = DEFAULT_EPS, modulus: bool = False) -> list[frozenset[int]]:
+def fpdim_mask(fp: FPData, table: CharacterTable, supports: np.ndarray | None = None,
+               eps: float = DEFAULT_EPS, modulus: bool = False) -> np.ndarray:
     """The kernel, or with modulus=True the center, of every column of a 0/1 support matrix.
 
     Column c stands for the objects with that support: its values are
     characters @ supports[:, c] and its target FPdim is dims @ supports[:, c].
     The kernel holds the characters whose value is within eps of the target,
-    the center those whose modulus is; one within_eps call decides all columns.
+    the center those whose modulus is. Returns mask[c, t], true when character t
+    is in the kernel (center) of column c, from one within_eps_mask call. supports
+    None stands for the identity, the simples themselves: their values are the
+    (rank x count) matrix table.characters.T and their targets fp.dims, with no product.
     """
-    supports = np.asarray(supports)
-    size = table.count
-    values = supports.T.dot(table.characters.T)  # a row per column of supports
-    found = [[] for _ in range(supports.shape[1])]
-    for flat in within_eps(values, fp.dims.dot(supports)[:, None], eps, modulus=modulus):
-        found[flat // size].append(flat % size)  # flat = c * size + t
-    return [frozenset(ts) for ts in found]
+    if supports is None:
+        values, targets = table.characters.T, fp.dims
+    else:
+        supports = np.asarray(supports)
+        values = supports.T.dot(table.characters.T)  # a row per column of supports
+        targets = fp.dims.dot(supports)
+    return within_eps_mask(values, targets[:, None], eps, modulus=modulus)
+
+
+def characters_at_fpdim(fp: FPData, table: CharacterTable, supports: np.ndarray,
+                        eps: float = DEFAULT_EPS, modulus: bool = False) -> list[frozenset[int]]:
+    """fpdim_mask as one set of characters per column of supports."""
+    return [frozenset(row.nonzero()[0].tolist())
+            for row in fpdim_mask(fp, table, supports, eps, modulus)]
 
 
 def kernel_of_class(ring: FusionRing, fp: FPData, table: CharacterTable,

@@ -5,7 +5,7 @@ An S-matrix is accepted at any positive scale: symmetry, nondegeneracy
 (unit row positive and proportional to the FP dimensions) are validated,
 and the scale is absorbed into global_dim. Normalized rows s_i of S are the
 ring homomorphisms of the Grothendieck ring; their kernels and centers give
-centralizers and projective centralizers, measured by spectral.within_eps
+centralizers and projective centralizers, measured by spectral.within_eps_mask
 against the unit row s_unit, which modular_data checked against FPdim.
 """
 
@@ -41,6 +41,7 @@ from .spectral import (
     fp_character,
     is_commutative,
     within_eps,
+    within_eps_mask,
 )
 from .subcat import Subcategory
 
@@ -220,7 +221,7 @@ def _verlinde_tensor(U: np.ndarray, unit: int, expected: np.ndarray | None = Non
 
 def centralizers(md: ModularData, simples, eps: float = DEFAULT_EPS) -> list[Subcategory]:
     """Per simple e_i of `simples`, the simples centralizing it: the kernel of s_i, against
-    s_unit = S[unit] / S[unit][unit]. One within_eps and one closure test decide them all;
+    s_unit = S[unit] / S[unit][unit]. One within_eps_mask and one closure test decide them all;
     ClosureViolation names the first simple, in the order given, whose set is not closed."""
     simples = list(simples)
     check_simples(md.ring.rank, simples)
@@ -237,12 +238,11 @@ def centralizer(md: ModularData, i: int, eps: float = DEFAULT_EPS) -> Subcategor
 def projective_centralizers(md: ModularData, simples,
                             eps: float = DEFAULT_EPS) -> list[frozenset[int]]:
     """Per simple e_i of `simples`, the simples Y projectively centralizing it: |s_i(Y)|
-    attains s_unit(Y) = FPdim(Y). One within_eps decides them all."""
+    attains s_unit(Y) = FPdim(Y). One within_eps_mask decides them all."""
     simples = list(simples)
     check_simples(md.ring.rank, simples)
     s = md.characters
-    member = np.zeros((len(simples), md.ring.rank), dtype=bool)
-    member.flat[within_eps(s[simples], s[md.ring.unit].real, eps, modulus=True)] = True
+    member = within_eps_mask(s[simples], s[md.ring.unit].real, eps, modulus=True)
     return [frozenset(row.nonzero()[0].tolist()) for row in member]
 
 

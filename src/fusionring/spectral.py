@@ -5,7 +5,7 @@ homomorphism) as the top eigenvector of one symmetric matrix, exact to
 rounding whatever the tolerance; the full character table by simultaneous
 diagonalization of the commuting left-multiplication matrices, formal
 codegrees f_t = sum_j mu_t(j) mu_t(j*), and the primitive central idempotents.
-within_eps holds the one tolerance rule of every membership test. The FP
+within_eps_mask holds the one tolerance rule of every membership test. The FP
 character and the last character table of each ring are kept while the ring
 lives, as read-only arrays; a call that raises stores nothing.
 """
@@ -138,15 +138,20 @@ def fp_character(ring: FusionRing) -> FPData:
     return fp
 
 
-def within_eps(values, targets, eps=DEFAULT_EPS, modulus: bool = False) -> list[int]:
-    """Indices k with |values[k] - targets[k]| < eps, or ||values[k]| - targets[k]| < eps.
+def within_eps_mask(values, targets, eps=DEFAULT_EPS, modulus: bool = False) -> np.ndarray:
+    """The boolean array |values - targets| < eps, or ||values| - targets| < eps.
 
     The one tolerance rule of kernels, centers, centralizers and invertibles.
-    targets and eps broadcast against values; k is the flat index in C order.
+    targets and eps broadcast against values, and the mask takes their broadcast shape.
     """
     _check_eps(eps)
     values = np.abs(values) if modulus else np.asarray(values)
-    return (np.abs(values - targets) < eps).ravel().nonzero()[0].tolist()
+    return np.abs(values - targets) < eps
+
+
+def within_eps(values, targets, eps=DEFAULT_EPS, modulus: bool = False) -> list[int]:
+    """Flat indices, in C order, of the entries that within_eps_mask holds."""
+    return within_eps_mask(values, targets, eps, modulus).ravel().nonzero()[0].tolist()
 
 
 def adjoint_class(ring: FusionRing) -> np.ndarray:

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import ALL_NAMES, MODULAR_NAMES, SAMPLE_NAMES, entry, fp_of, ring_of, table_of
 from fusionring import (
-    analysis, analyze_report, cli, kernel_of_class, modular_report, subcat)
+    analysis, analyze_report, center_of_class, cli, is_faithful, kernel_of_class, modular_report,
+    object_index, object_order, subcat, universal_grading)
 from fusionring.errors import InternalInconsistency
 from fusionring.spectral import DEFAULT_EPS, DEFAULT_SEED
 from test_cli import built_reports
@@ -24,6 +25,29 @@ def test_analyze_report_is_the_cli_report(capsys, monkeypatch, verify):
     for name, report in zip(ALL_NAMES, reports):
         assert analyze_report(ring_of(name), DEFAULT_EPS, DEFAULT_SEED, checks=verify) == report
         assert ("checks" in report) == verify, name
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_analyze_columns_are_the_one_object_answers(name):
+    # the report decides every simple at once; the one-object API decides each on its own
+    ring, fp = ring_of(name), fp_of(name)
+    report = analyze_report(ring, checks=False)
+    table = table_of(name) if "character_table" in report else None
+    for i, block in enumerate(report["simples"]):
+        grad = universal_grading(ring, i, fp, table)
+        assert block["grading_components"] == [[ring.labels[m] for m in component]
+                                               for component in grad.components], i
+        assert block["grading_character_checked"] == grad.character_checked, i
+        assert [block["faithful"], block["index"], block["order"]] == [
+            is_faithful(ring, i), object_index(ring, i), object_order(ring, i)], i
+        if table is None:
+            assert "kernel_characters" not in block and "center_characters" not in block
+            continue
+        e = ring.basis_vector(i)
+        assert block["kernel_characters"] == analysis.character_names(
+            kernel_of_class(ring, fp, table, e)), i
+        assert block["center_characters"] == analysis.character_names(
+            center_of_class(ring, fp, table, e)), i
 
 
 def test_analyze_report_takes_the_cli_epsilon_and_seed(capsys, monkeypatch):
@@ -157,8 +181,10 @@ def test_brauer_equivalence_fails_on_a_flipped_faithful_flag(name):
     table = kernels = None
     if "character_table" in report:
         table = table_of(name)
-        kernels = [kernel_of_class(ring, fp_of(name), table, ring.basis_vector(i))
-                   for i in range(ring.rank)]
+        # the kernel mask, row i from the one-object kernel of e_i
+        kernels = np.zeros((ring.rank, table.count), dtype=bool)
+        for i in range(ring.rank):
+            kernels[i, list(kernel_of_class(ring, fp_of(name), table, ring.basis_vector(i)))] = True
     assert analysis.brauer_equivalence(ring, table, kernels, faithful) is None
     for i in range(ring.rank):
         flipped = [f != (k == i) for k, f in enumerate(faithful)]

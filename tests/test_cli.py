@@ -479,20 +479,20 @@ def test_a_warm_analyze_reads_the_profile_table_whole(capsys, monkeypatch):
 
 
 def test_analyze_calls_each_batched_core_once_with_all_simples(capsys, monkeypatch):
-    gradings = count_calls(monkeypatch, grading.grade_simples)
-    kernels = count_calls(monkeypatch, kernel.characters_at_fpdim)
+    gradings = count_calls(monkeypatch, grading.grade_rows)
+    kernels = count_calls(monkeypatch, kernel.fpdim_mask)
     brauers = count_calls(monkeypatch, kernel.check_brauer)
     one_simple = [count_calls(monkeypatch, fn) for fn in (
-        grading.universal_grading, kernel.kernel_of_class, kernel.center_of_class,
-        kernel.verify_brauer)]
+        grading.universal_grading, grading.grade_simples, kernel.characters_at_fpdim,
+        kernel.kernel_of_class, kernel.center_of_class, kernel.verify_brauer)]
     for name in SAMPLE_NAMES:
         for calls in (gradings, kernels, brauers):
             calls.clear()
         code, _, _ = run(capsys, "analyze", "--ring", name, "--format", "json")
         rank = ring_of(name).rank
         assert code == 0 and [list(args[1]) for args in gradings] == [list(range(rank))], name
-        # one call decides every kernel, one every center, on the identity support matrix
-        assert len(kernels) == 2 and all(np.array_equal(args[2], np.eye(rank)) for args in kernels)
+        # one call decides every kernel, one every center, with no support matrix: the simples
+        assert len(kernels) == 2 and all(len(args) == 2 for args in kernels), name
         assert [list(args[1]) for args in brauers] == [list(range(rank))], name
     assert not any(one_simple)
 
@@ -659,6 +659,9 @@ def adversarial_value(rng, depth):
     [["1"]], [["1", "a, b"], ['q"'], ["\xe9", "\U0001f600"]], [["], ["], ["", "n"]],
     [["a"], []], [[], ["a"]], [["a"], [], ["b", "c"]], [["a"], ["b", 1]], [["a"], [["b"]]],
     {"grading_components": [["1", 'x, "y"'], ["\u2028", "\\"]], "label": "\xe9"},
+    # the first item picks the way, and a later item of another type sends the list item by item
+    ["a", 1], ["a", None, True], ["a", ["b"]], [["a"], "bc"], [["a"], {"b": 1}], [["a"], [1.5]],
+    [["a", None]], [[1], ["a"]], [1, "a"], [[1.5], "a"], [type("Label", (str,), {})("x"), "y"],
 ])
 def test_dumps_matches_json_dumps_on_edge_values(value):
     assert _dumps(value) == indented_json(value)
