@@ -9,15 +9,13 @@ occurring in X^n has grade n mod ind. The grading is cross-checked against
 the character whose value on X is exp(2*pi*i/ind) * FPdim(X). grade_rows
 grades a batch of simples as array steps over their levels, one row per
 simple (for all simples, the rows of the ring's profile table; see
-subcat.profile_rows). GradedRows.components sorts the members of all rows
-by grade in one step, with no Python loop over the levels; grade_simples files
-each row's grades and components in one pass over its levels, and
-universal_grading is its batch of one.
+subcat.profile_rows). GradedRows.components files each row's members by grade
+in one pass over its levels, which is all analyze reads; grade_simples adds
+each row's grades, and universal_grading is its batch of one.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -108,15 +106,15 @@ class GradedRows:
 
     def components(self, names: Sequence) -> list[list[list]]:
         """Per row, its components D_0, ..., D_{ind-1}, each the list of names[k] of its
-        members k in index order: one stable sort of all rows by grade, the non-members
-        last, then one slice of a row's sorted names per component, cut where its sorted
-        grades pass that grade, found by bisection."""
-        key = np.where(self.level >= 0, self.grade, len(names))  # grade < ind <= rank
-        rows = np.asarray(names, dtype=object)[np.argsort(key, axis=1, kind="stable")].tolist()
+        members k in index order, filed in one pass over the row's levels."""
         result = []
-        for row, keys, ind in zip(rows, np.sort(key, axis=1).tolist(), self.index.tolist()):
-            ends = list(map(bisect.bisect_right, itertools.repeat(keys, ind), range(ind)))
-            result.append(list(map(row.__getitem__, map(slice, [0, *ends], ends))))
+        for row_level, row_grade, row_index in zip(self.level.tolist(), self.grade.tolist(),
+                                                   self.index.tolist()):
+            components = [[] for _ in range(row_index)]
+            for name, n, g in zip(names, row_level, row_grade):
+                if n >= 0:
+                    components[g].append(name)
+            result.append(components)
         return result
 
 
@@ -125,19 +123,14 @@ def grade_simples(ring: FusionRing, simples: Sequence[int],
                   table: CharacterTable | None = None,
                   eps: float = DEFAULT_EPS,
                   seed: int = DEFAULT_SEED) -> list[GradingData]:
-    """The GradingData of every simple of the batch, from grade_rows; each row's grades
-    and components are filed in one pass over its levels."""
+    """The GradingData of every simple of the batch, from grade_rows and its components."""
     rows = grade_rows(ring, simples, fp, table, eps=eps, seed=seed)
     unit, result = ring.unit, []
-    for row_level, row_grade, row_index, row_order, row_checked in zip(
+    for row_level, row_grade, row_index, row_order, row_checked, components in zip(
             rows.level.tolist(), rows.grade.tolist(), rows.index.tolist(), rows.order.tolist(),
-            rows.checked):
-        grades = {unit: row_grade[unit]}  # unit first, then ascending
-        components = [[] for _ in range(row_index)]
-        for k, n in enumerate(row_level):
-            if n >= 0:
-                grades[k] = g = row_grade[k]
-                components[g].append(k)
+            rows.checked, rows.components(range(ring.rank))):
+        grades = {unit: row_grade[unit]}  # unit first, then the members (level > -1) ascending
+        grades.update(itertools.compress(enumerate(row_grade), map((-1).__lt__, row_level)))
         result.append(GradingData(row_index, row_order, grades, tuple(map(tuple, components)),
                                   row_checked))
     return result

@@ -389,11 +389,7 @@ def _associativity_witness(N: np.ndarray, unit: int, edges: np.ndarray):
     ones lie in K, so the failing simple and its C-order witness are those of
     checking every simple in turn. Products are only tried after a check: before
     the first, the covered set is empty or the unit alone, whose square is
-    itself, so a round there adds nothing. Each round tries only the products
-    that involve a simple covered since the round before (the checked one, in
-    the first), as the other products were tried then; one whose uncovered
-    constituents fell to one since is left out, which may leave a simple to a
-    check but never changes the witness. edges is the pattern N > 0.
+    itself, so a round there adds nothing. edges is the pattern N > 0.
     """
     r = len(N)
     bound = _max_abs(N)
@@ -413,19 +409,12 @@ def _associativity_witness(N: np.ndarray, unit: int, edges: np.ndarray):
                     return (b, *wb)
             return (i, *w)
         covered[i] = True
-        fresh = np.arange(r) == i  # the simples covered since the last round
         while not covered.all():
-            # products of a fresh simple and a covered one, or of an older one and a fresh one
-            F, old = np.flatnonzero(fresh), np.flatnonzero(covered & ~fresh)
-            out = np.concatenate((edges[F[:, None], covered].reshape(-1, r),
-                                  edges[old[:, None], F].reshape(-1, r)))
-            out &= ~covered
-            # a row sum of the bytes counts its constituents, faster than a sum of the bools
-            new = out[out.view(np.uint8).sum(axis=1, dtype=np.uint16) == 1].any(axis=0)
+            out = edges[np.ix_(covered, covered)] & ~covered
+            new = out[out.sum(axis=2) == 1].any(axis=0)
             if not new.any():
                 break
             covered |= new
-            fresh = new
     return None
 
 

@@ -218,8 +218,7 @@ def is_indecomposable_matrix(A: np.ndarray) -> bool | np.ndarray:
     M, N with A[m][n] = 0 for m in M, n in N, and to (I + P)^(n-1) > 0 for its
     0/1 pattern P: at most (n-1).bit_length() squarings in float32, exact for every n that
     fits in memory, since each entry of a squaring is a sum of n terms 0 or 1 and is clipped
-    back to 1. A boolean A is its own pattern. The positive entries are counted as the sum
-    of the clipped pattern, in float32 while every partial sum, at most n * n, is exact in it.
+    back to 1. A boolean A is its own pattern. The positive entries are counted as integers.
     A matrix stops once its pattern is all positive or a squaring leaves it
     unchanged, as every later one would. The pattern holds I, so it only grows,
     and a squaring that keeps its count of positive entries keeps the pattern.
@@ -232,20 +231,19 @@ def is_indecomposable_matrix(A: np.ndarray) -> bool | np.ndarray:
         raise ValueError("matrices must be square")
     n = A.shape[-1]
     whole = n * n
-    total = np.float32 if whole < 2**24 else np.float64
     stack = A.reshape(-1, n, n)
     full = np.empty(len(stack), dtype=bool)
     for gs in blocks(len(stack), max(1, whole)):
         reach = (stack[gs] if stack.dtype == bool else stack[gs] > 0).astype(np.float32)
         np.einsum("gii->gi", reach)[...] = 1.0  # a view of the diagonals, as reach may be strided
-        count = reach.sum(axis=(1, 2), dtype=total)
+        count = np.count_nonzero(reach, axis=(1, 2))
         live, last = np.arange(len(reach)), count  # the live patterns and their counts
         for _ in range((n - 1).bit_length()):
             if not live.size:
                 break
             reach = reach @ reach
             np.minimum(reach, 1.0, out=reach)
-            now = reach.sum(axis=(1, 2), dtype=total)
+            now = np.count_nonzero(reach, axis=(1, 2))
             grows = now != last
             grows &= now < whole
             last = now

@@ -2,8 +2,10 @@
 
 Every case runs in process through cli.main and must end as the CLI promises:
 exit 0; exit 1 with exactly one line `error: <FusionRingError subclass>: ...` on
-stderr; exit 1 with nothing on stderr when validate reports an invalid ring or
-analyze a failed check; or argparse's exit 2. A traceback, an exception that
+stderr; exit 1 with nothing on stderr when validate reports an invalid ring, or
+analyze a failed check under an --epsilon other than the default; or argparse's
+exit 2. The loader validates every ring before analyze runs, so at the default
+tolerance a failed check means the library's theorem checks disagree with it. A traceback, an exception that
 escapes main, a second stderr line or any other exit code fails the test and
 names the case. The seed fixes the corpus; MUTATIONS, TOKENS, VALUES and
 EXTREMES list what is tried, so a new reader or option inherits them.
@@ -19,6 +21,7 @@ import pytest
 
 from conftest import entry, ring_of
 from fusionring import cli, errors, save_ring, save_smatrix
+from fusionring.spectral import DEFAULT_EPS
 
 TYPED = {name for name, value in vars(errors).items()
          if isinstance(value, type) and issubclass(value, errors.FusionRingError)}
@@ -101,11 +104,14 @@ def outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def reported_failure(command, out):
-    """Whether stdout is a report of an invalid ring (validate) or a failed check (analyze)."""
-    if command == "validate":
+def reported_failure(argv, out):
+    """Whether stdout is a report of an invalid ring (validate), or of a failed check
+    (analyze) under an --epsilon other than the default."""
+    if argv[0] == "validate":
         return "valid: False" in out or '"valid": false' in out
-    return command == "analyze" and ("FAIL (" in out or '"passed": false' in out)
+    eps = float(argv[argv.index("--epsilon") + 1]) if "--epsilon" in argv else DEFAULT_EPS
+    return (argv[0] == "analyze" and not eps == DEFAULT_EPS
+            and ("FAIL (" in out or '"passed": false' in out))
 
 
 def check(argv):
@@ -114,7 +120,7 @@ def check(argv):
         return
     if code == 1:
         match = ERROR_LINE.fullmatch(err)
-        if match and match.group(1) in TYPED or not err and reported_failure(argv[0], out):
+        if match and match.group(1) in TYPED or not err and reported_failure(argv, out):
             return
     if code == ("argparse", 2) and err.endswith("\n") and "Traceback" not in err:
         return
